@@ -3,10 +3,12 @@
 A session alternates runs of captures (the defender hopping along the
 capture circle) broken by breaches that send it back to the center.  Run
 lengths are geometric in the per-game capture probability ``p*``, which
-makes the breach count over a finite horizon negative-binomial and gives the
-expected capture percentage in closed form.  The two-state dynamic program
-here recomputes the same distribution by brute force so the algebra can be
-checked exactly.
+makes the breach count over a finite horizon negative-binomial
+(``resets_tail_all`` gives its tail distribution).  The expected breach
+count, and with it the expected capture percentage, has an O(1) closed form
+in ``expected_resets``.  The two-state dynamic program ``markov_oracle``
+recomputes the distribution by brute force so the tails can be checked
+exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ class ContourNotFound(ValueError):
     """The requested percentage level is not bracketed by the sweep."""
 
 
+def _check_probability(p_star: float) -> None:
+    if not (0.0 <= p_star <= 1.0):
+        raise DomainError(f"p_star must lie in [0, 1], got {p_star!r}")
+
+
 def p_star(params: GameParams) -> float:
     """Per-game capture probability for a defender on the capture circle."""
     return capture_circle_solution(params).theta_max / math.pi
@@ -58,8 +65,7 @@ def total_captures_pmf(n: int, m: int, p_star: float) -> float:
     """
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got m={m!r}, n={n!r}")
-    if not (0.0 <= p_star <= 1.0):
-        raise DomainError(f"p_star must lie in [0, 1], got {p_star!r}")
+    _check_probability(p_star)
     if p_star == 0.0:
         return 1.0 if n == m else 0.0
     if p_star == 1.0:
@@ -68,44 +74,15 @@ def total_captures_pmf(n: int, m: int, p_star: float) -> float:
     return math.exp(log_c + (n - m) * math.log(p_star) + m * math.log1p(-p_star))
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    lf = np.zeros(n + 1)
-    if n >= 2:
-        lf[1:] = np.cumsum(np.log(np.arange(1, n + 1)))
-    return lf
-
-
-def _tail_terms(n: int, m: int, p: float, lf: np.ndarray) -> np.ndarray:
-    """Summands of the breach-count tail probability, vectorized over runs."""
-    j = np.arange(m + 1, n - m)
-    if j.size == 0:
-        return j.astype(float)
-    log_c = lf[j - 1] - lf[m] - lf[j - 1 - m]
-    return np.exp(log_c + (j - m - 1) * math.log(p) + (m + 1) * math.log1p(-p))
-
-
-def resets_tail(n: int, m: int, p_star: float) -> float:
-    """P(breach count after ``n`` games exceeds ``m``); vacuous sums are 0."""
-    if n < 1 or m < 0:
-        raise DomainError(f"need n >= 1 and m >= 0, got n={n!r}, m={m!r}")
-    if not (0.0 <= p_star <= 1.0):
-        raise DomainError(f"p_star must lie in [0, 1], got {p_star!r}")
-    if m + 1 > n - m - 1:
-        return 0.0
-    if p_star == 0.0:
-        return 1.0
-    if p_star == 1.0:
-        return 0.0
-    lf = _log_factorials(max(n, 1))
-    return float(_tail_terms(n, m, p_star, lf).sum())
-
-
 def resets_tail_all(n: int, p_star: float) -> np.ndarray:
-    """Tail probabilities for every threshold m = 0..n at horizon ``n``."""
+    """P(breach count after ``n`` games exceeds m), for every m = 0..n.
+
+    Each tail is a sum of negative-binomial masses, evaluated in log space;
+    ``markov_oracle`` checks them.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
-    if not (0.0 <= p_star <= 1.0):
-        raise DomainError(f"p_star must lie in [0, 1], got {p_star!r}")
+    _check_probability(p_star)
     tails = np.zeros(n + 1)
     if p_star == 1.0:
         return tails
@@ -113,15 +90,29 @@ def resets_tail_all(n: int, p_star: float) -> np.ndarray:
     if p_star == 0.0:
         tails[: top + 1] = 1.0
         return tails
-    lf = _log_factorials(n)
+    log_fact = np.zeros(n + 1)
+    log_fact[1:] = np.cumsum(np.log(np.arange(1, n + 1)))
+    log_p, log_q = math.log(p_star), math.log1p(-p_star)
     for m in range(top + 1):
-        tails[m] = _tail_terms(n, m, p_star, lf).sum()
+        j = np.arange(m + 1, n - m)
+        log_c = log_fact[j - 1] - log_fact[m] - log_fact[j - 1 - m]
+        tails[m] = np.exp(log_c + (j - m - 1) * log_p + (m + 1) * log_q).sum()
     return tails
 
 
 def expected_resets(n: int, p_star: float) -> float:
-    """E[breach count after ``n`` games], by the tail-sum identity."""
-    return float(resets_tail_all(n, p_star).sum())
+    """E[breach count after ``n`` games], in closed form.
+
+    The chain starts at the center, so before game k the defender is on the
+    capture circle with probability ``(1 - q^(k-1)) / (2 - p)``, where
+    ``q = -(1 - p)``; each game played from the circle is lost with
+    probability ``1 - p``.  Summing over k = 1..n gives the expression below.
+    """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n!r}")
+    _check_probability(p_star)
+    q = -(1.0 - p_star)
+    return (1.0 - p_star) * (n - (1.0 - q**n) / (1.0 - q)) / (2.0 - p_star)
 
 
 def expected_percentage(n: int, p_star: float) -> float:
@@ -131,8 +122,7 @@ def expected_percentage(n: int, p_star: float) -> float:
 
 def asymptotic_percentage(p_star: float) -> float:
     """Long-run capture percentage for an unbounded arrival stream."""
-    if not (0.0 <= p_star <= 1.0):
-        raise DomainError(f"p_star must lie in [0, 1], got {p_star!r}")
+    _check_probability(p_star)
     return 100.0 / (2.0 - p_star)
 
 
@@ -145,8 +135,7 @@ def markov_oracle(n: int, p_star: float) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
-    if not (0.0 <= p_star <= 1.0):
-        raise DomainError(f"p_star must lie in [0, 1], got {p_star!r}")
+    _check_probability(p_star)
     max_k = n // 2 + 1
     prob = np.zeros((max_k + 1, 2))  # columns: center, circle
     prob[0, 0] = 1.0
@@ -156,25 +145,6 @@ def markov_oracle(n: int, p_star: float) -> np.ndarray:
         nxt[1:, 0] = (1.0 - p_star) * prob[:-1, 1]
         prob = nxt
     return prob.sum(axis=1)[: n // 2 + 1]
-
-
-@dataclass(frozen=True)
-class CaptureStats:
-    """Capture statistics for one horizon (``n=None`` marks the limit)."""
-
-    p_star: float
-    theta_max: float
-    n: Optional[int]
-    expected_resets: float
-    expected_percentage: float
-
-
-def capture_stats(params: GameParams, n: Optional[int]) -> CaptureStats:
-    sol = capture_circle_solution(params)
-    p = sol.theta_max / math.pi
-    if n is None:
-        return CaptureStats(p, sol.theta_max, None, math.inf, asymptotic_percentage(p))
-    return CaptureStats(p, sol.theta_max, n, expected_resets(n, p), expected_percentage(n, p))
 
 
 @dataclass(frozen=True)
@@ -237,14 +207,6 @@ class SweepRow:
         raise KeyError(f"horizon {horizon!r} not in sweep")
 
 
-def _stats_for(params: GameParams, horizons: Sequence[int]) -> tuple[float, float, tuple]:
-    sol = capture_circle_solution(params)
-    p = sol.theta_max / math.pi
-    pairs = [(float(h), expected_percentage(h, p)) for h in horizons]
-    pairs.append((math.inf, asymptotic_percentage(p)))
-    return sol.theta_max, p, tuple(pairs)
-
-
 def sweep(
     outer: tuple[str, Sequence[float]],
     inner: tuple[str, Sequence[float]],
@@ -278,11 +240,14 @@ def sweep(
                     )
                 )
                 continue
-            theta_max, p, pairs = _stats_for(params, horizons)
+            p = p_star(params)
+            pairs = [(float(h), expected_percentage(h, p)) for h in horizons]
+            pairs.append((math.inf, asymptotic_percentage(p)))
             rows.append(
                 SweepRow(
-                    kv["r_t"], kv["rho_t"], kv["rho_a"], kv["nu"],
-                    feasible=True, theta_max=theta_max, p_star=p, percentages=pairs,
+                    kv["r_t"], kv["rho_t"], kv["rho_a"], kv["nu"], feasible=True,
+                    theta_max=capture_circle_solution(params).theta_max,
+                    p_star=p, percentages=tuple(pairs),
                 )
             )
     return rows

@@ -25,6 +25,7 @@ CONFIG_KEYS = {
 
 _FLOAT_KEYS = {"r_t", "rho_t", "rho_a", "nu", "dt", "eps_capture", "theta_a", "defender_angle"}
 _INT_KEYS = {"trials", "seed"}
+FORMATS = ("csv", "jsonl")
 
 
 def _fmt(value) -> str:
@@ -84,6 +85,10 @@ def _merge(args: argparse.Namespace) -> dict:
     merged.setdefault("seed", 1)
     merged.setdefault("trials", 100)
     merged.setdefault("eps_capture", 1e-3)
+    if merged["format"] not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {merged['format']!r}")
+    if merged.get("dt") is not None and not merged["dt"] > 0.0:
+        raise ValueError(f"dt must be positive, got {merged['dt']!r}")
     return merged
 
 
@@ -197,7 +202,7 @@ def cmd_sweep(cfg: dict, grids: list[str], horizons_text: Optional[str]) -> int:
 def cmd_verify(cfg: dict, max_discrepancy: float = 5e-3) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    dt = cfg.get("dt") or 1e-4
+    dt = 1e-4 if cfg.get("dt") is None else cfg["dt"]
     report = engine.verify_outcome_agreement(
         params, int(cfg["n"]), int(cfg["seed"]), dt=dt, eps_capture=cfg["eps_capture"],
     )
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", type=float, help="intruder/defender speed ratio, in (0, 1)")
         p.add_argument("--seed", type=int, help="base RNG seed (default 1)")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "jsonl"), help="output format (default csv)")
+        p.add_argument("--format", choices=FORMATS, help="output format (default csv)")
 
     p = sub.add_parser("simulate", help="run seeded sessions and write mean/CI table vs analytics")
     add_common(p)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -202,6 +203,27 @@ def classify(circle: ApolloniusCircle, params: GameParams) -> CircleClass:
     return CircleClass.CAPTURE_GUARANTEED
 
 
+def golden_section_max(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Maximizer of a unimodal ``f`` on [a, b], by golden-section search.
+
+    Shrinks the bracket until it is no wider than ``tol`` and returns its
+    midpoint; ties keep the right-hand part.
+    """
+    c = b - (b - a) * _GOLDEN
+    d = a + (b - a) * _GOLDEN
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * _GOLDEN
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * _GOLDEN
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def breach_margin_point(
     x_a: Point2,
     x_d: Point2,
@@ -230,22 +252,7 @@ def breach_margin_point(
         return nu * math.hypot(x - x_d.x, y - x_d.y) - math.hypot(x - x_a.x, y - x_a.y)
 
     step = 2.0 * math.pi / n_scan
-    lo = angles[i] - step
-    hi = angles[i] + step
-    a, b = lo, hi
-    c = b - (b - a) * _GOLDEN
-    d = a + (b - a) * _GOLDEN
-    fc, fd = margin(c), margin(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _GOLDEN
-            fc = margin(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _GOLDEN
-            fd = margin(d)
-    best_ang = 0.5 * (a + b)
+    best_ang = golden_section_max(margin, angles[i] - step, angles[i] + step, tol)
     best = margin(best_ang)
     return best, Point2.from_polar(r_t, best_ang)
 

@@ -18,9 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, golden_section_max
 
 
 class OutOfRange(ValueError):
@@ -227,59 +225,16 @@ def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[P
     return x_p, phi
 
 
-def approach_clearance(
-    tau: float,
-    eng: Point2,
-    r: float,
-    theta_d: float,
-    params: GameParams,
-) -> float:
-    """Worst sensing clearance while a defender approaches an engagement point.
-
-    The defender starts at ``r * u(theta_d)`` when the intruder appears,
-    walks straight to ``eng`` at full speed, and holds there; the intruder
-    runs radially inward.  Both positions are piecewise linear in time, so
-    the minimum separation over [0, tau] is exact (no sampling).  Returns
-    that minimum minus the intruder's sensing radius: a negative value means
-    the defender would be sensed before the planned engagement.  Returns
-    ``-inf`` when the point is not reachable in time at all.
-    """
-    start = Point2.from_polar(r, theta_d)
-    path_len = start.distance_to(eng)
-    if path_len > tau * (1.0 + 1e-12) + 1e-12:
-        return -math.inf
-
-    def min_norm(rx: float, ry: float, wx: float, wy: float, t0: float, t1: float) -> float:
-        # min over [t0, t1] of |(rx, ry) + (t - t0) * (wx, wy)|
-        ww = wx * wx + wy * wy
-        if ww == 0.0:
-            return math.hypot(rx, ry)
-        t = min(max(-(rx * wx + ry * wy) / ww, 0.0), t1 - t0)
-        return math.hypot(rx + t * wx, ry + t * wy)
-
-    rtil = params.tsr_radius
-    best = math.inf
-    t_travel = min(path_len, tau)
-    if t_travel > 0.0:
-        vx = (eng.x - start.x) / path_len
-        vy = (eng.y - start.y) / path_len
-        best = min_norm(
-            start.x - rtil, start.y, vx + params.nu, vy, 0.0, t_travel
-        )
-    if path_len < tau:
-        best = min(
-            best,
-            min_norm(eng.x - (rtil - params.nu * path_len), eng.y, params.nu, 0.0, path_len, tau),
-        )
-    return best - params.rho_a
-
-
 def _plateau_is_stealthy(
     tau: float, params: GameParams, r: float, n_bearings: int = 512
 ) -> bool:
     """Whether a saturated candidate is reachable unseen from every bearing.
 
-    Vectorized form of ``approach_clearance`` over a fan of start bearings.
+    From each start ``r * u(bearing)``, bearings in [0, pi], the defender
+    walks straight to the engagement point and holds there while the
+    intruder runs radially inward.  Both paths are piecewise linear in time,
+    so the closest approach is exact; any late arrival or any approach
+    inside the intruder's sensing radius fails the candidate.
     """
     eng = engagement_candidate(tau, params).x_d_eng
     rtil = params.tsr_radius
@@ -361,21 +316,9 @@ def optimize_engagement(
                     lo = mid
             tau_star = taus[saturated[hi]]
     else:
-        a = taus[max(0, best_i - 1)]
-        b = taus[min(n_grid - 1, best_i + 1)]
-        c = b - (b - a) * _GOLDEN
-        d = a + (b - a) * _GOLDEN
-        fc, fd = objective(c), objective(d)
-        while b - a > tol:
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - (b - a) * _GOLDEN
-                fc = objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + (b - a) * _GOLDEN
-                fd = objective(d)
-        tau_star = 0.5 * (a + b)
+        tau_star = golden_section_max(
+            objective, taus[max(0, best_i - 1)], taus[min(n_grid - 1, best_i + 1)], tol
+        )
         if objective(tau_star) < best_v:
             tau_star = taus[best_i]
 

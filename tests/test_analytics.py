@@ -15,13 +15,11 @@ from perimdef.analytics import (
     LengthMismatch,
     aggregate_sessions,
     asymptotic_percentage,
-    capture_stats,
     expected_percentage,
     expected_resets,
     level_set_slope,
     markov_oracle,
     p_star,
-    resets_tail,
     resets_tail_all,
     sweep,
     total_captures_pmf,
@@ -105,15 +103,15 @@ def test_log_space_matches_exact_rationals():
 
 
 def test_resets_tail_vacuous_cases():
-    assert resets_tail(1, 0, 0.5) == 0.0
-    assert resets_tail(5, 2, 0.5) == 0.0  # m+1 > n-m-1
-    assert resets_tail(10, 9, 0.3) == 0.0
+    assert resets_tail_all(1, 0.5)[0] == 0.0
+    assert resets_tail_all(5, 0.5)[2] == 0.0  # m+1 > n-m-1
+    assert resets_tail_all(10, 0.3)[9] == 0.0
 
 
 def test_resets_tail_deterministic_alternation():
     # p=0 alternates capture/breach: after 5 games exactly 2 breaches
-    assert resets_tail(5, 1, 0.0) == 1.0
-    assert resets_tail(5, 2, 0.0) == 0.0
+    assert resets_tail_all(5, 0.0)[1] == 1.0
+    assert resets_tail_all(5, 0.0)[2] == 0.0
     assert expected_resets(2, 0.0) == pytest.approx(1.0, abs=1e-15)
     assert expected_percentage(2, 0.0) == pytest.approx(50.0, abs=1e-12)
 
@@ -133,15 +131,28 @@ def test_tails_match_markov_oracle(p):
         for m in range(n + 1):
             dp_tail = float(pmf[m + 1 :].sum()) if m + 1 < len(pmf) else 0.0
             assert abs(tails[m] - dp_tail) <= 1e-10
-            assert abs(resets_tail(n, m, p) - dp_tail) <= 1e-10
 
 
-@pytest.mark.parametrize("p", [0.1, 0.6389435320791843, 0.9])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.6389435320791843, 0.9, 1.0])
 def test_expected_resets_matches_markov_mean(p):
-    for n in (2, 17, 101, 200):
+    for n in (1, 2, 17, 101, 200, 2000):
         pmf = markov_oracle(n, p)
         dp_mean = float(np.arange(len(pmf)) @ pmf)
         assert expected_resets(n, p) == pytest.approx(dp_mean, abs=1e-10)
+
+
+def test_expected_resets_domain():
+    with pytest.raises(DomainError):
+        expected_resets(0, 0.5)
+    for p in (-0.1, 1.1):
+        with pytest.raises(DomainError):
+            expected_resets(10, p)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6389435320791843, 0.95, 1.0])
+def test_expected_percentage_at_huge_horizon_meets_asymptote(p):
+    # The closed form costs O(1), so a billion-game horizon is cheap.
+    assert abs(expected_percentage(10**9, p) - asymptotic_percentage(p)) <= 1e-6
 
 
 def test_markov_oracle_small_horizons():
@@ -187,14 +198,12 @@ def test_asymptotic_values_and_identity(params):
 
 
 def test_p_star_baseline_regression(params):
-    assert p_star(params) == pytest.approx(P_STAR_BASELINE, abs=1e-9)
-    stats = capture_stats(params, 200)
-    assert stats.n == 200
-    assert stats.expected_percentage == pytest.approx(
-        100.0 * (200 - stats.expected_resets) / 200, abs=1e-12
+    p = p_star(params)
+    assert p == pytest.approx(P_STAR_BASELINE, abs=1e-9)
+    assert expected_percentage(200, p) == pytest.approx(
+        100.0 * (200 - expected_resets(200, p)) / 200, abs=1e-12
     )
-    limit = capture_stats(params, None)
-    assert limit.expected_percentage == pytest.approx(
+    assert asymptotic_percentage(p) == pytest.approx(
         asymptotic_percentage(P_STAR_BASELINE), abs=1e-6
     )
 

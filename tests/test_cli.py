@@ -188,3 +188,29 @@ def test_missing_required_flags_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "--nu" in capsys.readouterr().err
+
+
+def test_config_format_validated(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("format = xml\n")
+    out = tmp_path / "x.out"
+    code = main(["analytic", *BASE, "--config", str(cfg), "--n", "5", "--out", str(out)])
+    assert code == 2
+    assert "xml" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("verify", ["--n", "3"]),
+    ("trace", ["--theta-a", "0.6"]),
+])
+@pytest.mark.parametrize("dt", ["0", "-1"])
+def test_nonpositive_dt_rejected(tmp_path, capsys, command, extra, dt):
+    out = tmp_path / "x.out"
+    assert main([command, *BASE, *extra, "--dt", dt, "--out", str(out)]) == 2
+    assert "dt" in capsys.readouterr().err
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text(f"dt = {dt}\n")
+    assert main([command, *BASE, *extra, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "dt" in capsys.readouterr().err
+    assert not out.exists()

@@ -20,6 +20,7 @@ from perimdef.geometry import (
     classify,
     clamp_unit,
     farthest_point_from_origin,
+    golden_section_max,
     validate_params,
 )
 
@@ -158,6 +159,19 @@ def test_classify_scale_invariance(params):
             )
             cls = classify(apollonius(lam * x_a, lam * x_d, scaled), scaled)
             assert cls is base_cls
+
+
+@pytest.mark.parametrize("peak, tol", [(0.3, 1e-9), (-2.75, 1e-6), (4.999, 1e-10)])
+def test_golden_section_max_finds_quadratic_peak(peak, tol):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -3.0 * (x - peak) ** 2
+
+    best = golden_section_max(f, -5.0, 5.0, tol)
+    assert abs(best - peak) <= tol
+    assert all(-5.0 <= x <= 5.0 for x in calls)
 
 
 def test_breach_margin_nonpositive_for_capture_safe_config(params):
