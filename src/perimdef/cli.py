@@ -26,6 +26,8 @@ CONFIG_KEYS = {
 _FLOAT_KEYS = {"r_t", "rho_t", "rho_a", "nu", "dt", "eps_capture", "theta_a", "defender_angle"}
 _INT_KEYS = {"trials", "seed"}
 FORMATS = ("csv", "jsonl")
+# Most parameter points one sweep may ask for (outer steps x inner steps).
+MAX_GRID_POINTS = 1_000_000
 
 
 def _fmt(value) -> str:
@@ -110,7 +112,7 @@ def _parse_horizons(text: str) -> list[int]:
     return horizons
 
 
-def _parse_grid(spec: str) -> tuple[str, list[float]]:
+def _parse_grid(spec: str) -> tuple[str, float, float, int]:
     name, _, rng = spec.partition("=")
     name = name.strip()
     if name not in analytics.PARAM_NAMES:
@@ -121,6 +123,10 @@ def _parse_grid(spec: str) -> tuple[str, list[float]]:
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if steps < 1 or hi < lo:
         raise ValueError(f"bad grid range in {spec!r}")
+    return name, lo, hi, steps
+
+
+def _grid_axis(name: str, lo: float, hi: float, steps: int) -> tuple[str, list[float]]:
     if steps == 1:
         return name, [lo]
     return name, [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -171,18 +177,22 @@ def cmd_analytic(cfg: dict) -> int:
     return 0
 
 
-def cmd_sweep(cfg: dict, grids: list[str], horizons_text: Optional[str]) -> int:
+def cmd_sweep(cfg: dict, grids: list[str]) -> int:
     _require(cfg, "out")
     if len(grids) != 2:
         raise ValueError("sweep needs exactly two --grid specifications")
-    outer = _parse_grid(grids[0])
-    inner = _parse_grid(grids[1])
+    outer_spec, inner_spec = _parse_grid(grids[0]), _parse_grid(grids[1])
+    points = outer_spec[3] * inner_spec[3]
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"sweep grid has {points} points, more than the limit of {MAX_GRID_POINTS}")
+    outer = _grid_axis(*outer_spec)
+    inner = _grid_axis(*inner_spec)
     fixed_names = [p for p in analytics.PARAM_NAMES if p not in (outer[0], inner[0])]
     if len(fixed_names) != 2:
         raise ValueError("grid parameters must be two distinct names")
     _require(cfg, *fixed_names)
     fixed = {name: float(cfg[name]) for name in fixed_names}
-    horizons = _parse_horizons(horizons_text) if horizons_text else [20]
+    horizons = _parse_horizons(str(cfg["n"])) if cfg.get("n") else [20]
 
     rows = analytics.sweep(outer, inner, fixed, horizons)
     header = [outer[0], inner[0], "feasible", "theta_max", "p_star"]
@@ -317,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "analytic":
             return cmd_analytic(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.grid, args.n)
+            return cmd_sweep(cfg, args.grid)
         if args.command == "verify":
             return cmd_verify(cfg)
         return cmd_trace(cfg)

@@ -266,6 +266,46 @@ def _plateau_is_stealthy(
     return bool(np.all(clearance >= -1e-9))
 
 
+def _objective_grid(taus: np.ndarray, r: float, params: GameParams) -> np.ndarray:
+    """``theta_max_at(tau, engagement_theta(tau), r)`` over an array of times.
+
+    Applies every check and branch of the scalar chain to the whole array.
+    numpy's squaring and trigonometry may differ from ``math`` in the last
+    bits, so callers should act only on decisions taken over the grid
+    (which index is largest, which saturate at pi) and recompute values
+    with the scalar functions.
+    """
+    a = params.tsr_radius - taus * params.nu
+    inner = params.r_t + params.gamma * params.rho_a
+    b = params.beta * params.rho_a
+    rhs = (inner * inner - (a - b) ** 2) / (4.0 * b * a)
+    outside = (rhs < -CLAMP_TOL) | (rhs > 1.0 + CLAMP_TOL)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise InfeasibleTau(
+            f"tau={float(taus[i])!r} outside the engagement window (rhs={float(rhs[i])!r})"
+        )
+    theta = 2.0 * np.arcsin(np.sqrt(np.clip(rhs, 0.0, 1.0)))
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+
+    off_surface = np.abs(np.hypot(a - b * cos_t, -b * sin_t) - inner) > 1e-9 * (1.0 + inner)
+    if off_surface.any():
+        i = int(np.argmax(off_surface))
+        raise InvalidCandidate(
+            f"(tau={float(taus[i])!r}, theta={float(theta[i])!r}) is not a tangent configuration"
+        )
+
+    ex = a + params.rho_a * cos_t
+    ey = params.rho_a * sin_t
+    r_eng = np.hypot(ex, ey)
+    arg = (r_eng * r_eng + r * r - taus * taus) / (2.0 * r_eng * r)
+    reach = np.arccos(np.clip(arg, -1.0, 1.0))
+    values = np.minimum(math.pi, reach + np.arctan2(ey, ex))
+    values[arg > 1.0 + CLAMP_TOL] = 0.0
+    values[arg < -1.0 - CLAMP_TOL] = math.pi
+    return values
+
+
 def optimize_engagement(
     r: float,
     params: GameParams,
@@ -275,13 +315,16 @@ def optimize_engagement(
     """Pick the engagement point maximizing the guarded bearing gap.
 
     One-dimensional search over the engagement time (the bearing is pinned
-    by tangency): coarse grid, then golden-section refinement of the best
-    bracket, with ties broken toward the smaller time.  When the objective
-    saturates at pi the maximizer is a whole plateau, and the tie goes to
-    the smallest saturated time whose approach is provably never sensed
-    early from any start bearing (audited in closed form); candidates that
-    would be spotted en route cannot deliver the tangent engagement they
-    promise.  The result is deterministic.
+    by tangency).  A coarse grid is scanned in one numpy pass, which only
+    decides where to look: the first grid maximum and the saturated grid
+    points.  Everything after that runs on the scalar functions:
+    golden-section refinement of the best bracket, with ties broken toward
+    the smaller time.  When the objective saturates at pi the maximizer is a
+    whole plateau, and the tie goes to the smallest saturated time whose
+    approach is provably never sensed early from any start bearing (audited
+    in closed form); candidates that would be spotted en route cannot
+    deliver the tangent engagement they promise.  The result is
+    deterministic.
     """
     tau_min, tau_max = engagement_domain(params)
 
@@ -289,19 +332,16 @@ def optimize_engagement(
         return theta_max_at(tau, engagement_theta(tau, params), r, params)
 
     span = tau_max - tau_min
-    best_i = 0
-    best_v = -1.0
-    taus = [tau_min + span * i / (n_grid - 1) for i in range(n_grid)]
-    values = [objective(t) for t in taus]
-    for i, v in enumerate(values):
-        if v > best_v:
-            best_i, best_v = i, v
+    grid = tau_min + span * np.arange(n_grid) / (n_grid - 1)
+    values = _objective_grid(grid, r, params)
+    taus = grid.tolist()
+    best_i = int(np.argmax(values))
 
-    if best_v == math.pi:
+    if values[best_i] == math.pi:
         # The maximizer is a whole plateau; bisect it for the earliest
         # candidate whose approach is audited stealthy (the audit flips from
         # failing to passing as the engagement tucks behind the intruder).
-        saturated = [i for i, v in enumerate(values) if v == math.pi]
+        saturated = np.flatnonzero(values == math.pi)
         if _plateau_is_stealthy(taus[saturated[0]], params, r):
             tau_star = taus[saturated[0]]
         elif not _plateau_is_stealthy(taus[saturated[-1]], params, r):
@@ -319,7 +359,8 @@ def optimize_engagement(
         tau_star = golden_section_max(
             objective, taus[max(0, best_i - 1)], taus[min(n_grid - 1, best_i + 1)], tol
         )
-        if objective(tau_star) < best_v:
+        # Compared on the scalar objective, whose bits the grid's need not match.
+        if objective(tau_star) < objective(taus[best_i]):
             tau_star = taus[best_i]
 
     candidate = engagement_candidate(tau_star, params)

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from perimdef import analytics
-from perimdef.cli import main
+from perimdef.cli import MAX_GRID_POINTS, main
 from perimdef.geometry import validate_params
 
 BASE = ["--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8"]
@@ -96,6 +96,32 @@ def test_sweep_schema_and_empty_cells(tmp_path):
     assert infeasible[3] == "" and infeasible[5] == "" and infeasible[7] == ""
     feasible = cells[1]
     assert float(feasible[5]) >= float(feasible[7])
+
+
+def test_sweep_reads_horizons_from_config(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("r_t = 5\nnu = 0.75\nn = 20,100\n")
+    grids = ["--grid", "rho_a=0.5:3:2", "--grid", "rho_t=4:12:2"]
+    out_a = tmp_path / "a.csv"
+    assert main(["sweep", "--config", str(cfg), *grids, "--out", str(out_a)]) == 0
+    assert _read(out_a)[0].endswith(",pct_n20,pct_n100,pct_inf")
+    # the flag still overrides the config horizons
+    out_b = tmp_path / "b.csv"
+    assert main(["sweep", "--config", str(cfg), *grids, "--n", "7", "--out", str(out_b)]) == 0
+    assert _read(out_b)[0].endswith(",pct_n7,pct_inf")
+
+
+@pytest.mark.parametrize("outer, inner", [
+    ("rho_a=0:1:100000000", "rho_t=4:12:2"),
+    ("rho_a=0:1:1001", "rho_t=4:12:1000"),
+])
+def test_sweep_rejects_oversized_grid(tmp_path, capsys, outer, inner):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--r-t", "5", "--nu", "0.75",
+                 "--grid", outer, "--grid", inner, "--out", str(out)])
+    assert code == 2
+    assert str(MAX_GRID_POINTS) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_requires_two_grids(tmp_path, capsys):

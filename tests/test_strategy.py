@@ -13,9 +13,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perimdef.geometry import GameParams, Point2, breach_margin_point
+from perimdef.geometry import (
+    GameParams, Point2, assumption_clauses, breach_margin_point, validate_params,
+)
 from perimdef.strategy import (
+    _objective_grid,
     InfeasibleTau,
     InvalidCandidate,
     OutOfRange,
@@ -36,6 +41,8 @@ from perimdef.strategy import (
 # against the brute-force oracles below.
 GUARDED_ARC_AT_CAPTURE_RADIUS = 1.8584730829635667
 THETA_MAX_STAR = 2.0073003064386796
+# float.hex of (tau, theta_max, phi) of the baseline optimum, for bit-level regressions.
+OPTIMUM_HEX = ("0x1.7d164377f9e7cp+3", "0x1.00ef3768b3d40p+1", "-0x1.9c4f93b3f31c4p-5")
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +228,70 @@ def test_optimizer_dominates_fresh_audit_grid(params):
     for tau in np.linspace(tau_min, tau_max, 5000):
         value = theta_max_at(float(tau), engagement_theta(float(tau), params), r, params)
         assert sol.theta_max >= value - 1e-7
+
+
+def test_optimizer_bits_pinned(params):
+    sol = optimize_engagement(capture_circle_radius(params), params)
+    assert (sol.candidate.tau.hex(), sol.theta_max.hex(), sol.phi.hex()) == OPTIMUM_HEX
+
+
+def _grid_decisions(values) -> tuple[int, list[int]]:
+    """First index of the maximum, and every index saturated at pi."""
+    values = list(values)
+    best = max(range(len(values)), key=lambda i: (values[i], -i))
+    return best, [i for i, v in enumerate(values) if v == math.pi]
+
+
+def test_objective_grid_decisions_match_scalar_oracle(params, random_valid_params):
+    """The numpy scan may differ from the scalar chain in the last bits, but
+    never in what the optimizer reads from it.  Besides the capture-circle
+    radius, a random radius per case reaches the 0 and pi branches."""
+    rng = random.Random(0)
+    cases = [params] + [random_valid_params(rng) for _ in range(200)]
+    radius_rng = random.Random(1)
+    saturated_cases = 0
+    for p in cases:
+        tau_min, tau_max = engagement_domain(p)
+        taus = tau_min + (tau_max - tau_min) * np.arange(1024) / 1023
+        for r in (capture_circle_radius(p), radius_rng.uniform(0.05, p.tsr_radius)):
+            scalar = [theta_max_at(t, engagement_theta(t, p), r, p) for t in taus.tolist()]
+            grid = _objective_grid(taus, r, p)
+            assert _grid_decisions(grid) == _grid_decisions(scalar)
+            assert np.allclose(grid, scalar, rtol=0.0, atol=1e-12)
+            saturated_cases += scalar[_grid_decisions(scalar)[0]] == math.pi
+    # both branches of the optimizer are exercised
+    assert 0 < saturated_cases < 2 * len(cases)
+
+
+def test_objective_grid_rejects_times_outside_window(params):
+    tau_min, tau_max = engagement_domain(params)
+    r = capture_circle_radius(params)
+    inside = np.linspace(tau_min, tau_max, 64)
+    assert _objective_grid(inside, r, params).shape == (64,)
+    for outside in (tau_min - 0.1, tau_max + 0.1):
+        with pytest.raises(InfeasibleTau):
+            _objective_grid(np.append(inside, outside), r, params)
+
+
+@st.composite
+def _valid_params(draw):
+    """Valid params out to the edge regimes: nu near 1, small rho_a, and an
+    annulus whose binding clause only just holds (factor 1)."""
+    nu = draw(st.floats(0.05, 0.99))
+    rho_a = draw(st.floats(0.005, 5.0))
+    r_t = draw(st.floats(0.1, 30.0))
+    first, second = assumption_clauses(r_t, 1.0, rho_a, nu)
+    return validate_params(r_t, max(first, second) * draw(st.floats(1.0, 4.0)), rho_a, nu)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_valid_params())
+def test_optimizer_dominates_fresh_grid_property(p):
+    r = capture_circle_radius(p)
+    sol = optimize_engagement(r, p)
+    tau_min, tau_max = engagement_domain(p)
+    for tau in np.linspace(tau_min, tau_max, 4096).tolist():
+        assert sol.theta_max >= theta_max_at(tau, engagement_theta(tau, p), r, p) - 1e-7
 
 
 def test_optimizer_bundle_consistency(params):
