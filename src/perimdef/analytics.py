@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .engine import GameResult, SessionRecord
+from .engine import SessionRecord
 from .geometry import AssumptionViolated, GameParams, validate_params
 from .strategy import capture_circle_solution
 
@@ -149,12 +149,17 @@ def markov_oracle(n: int, p_star: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrefixStats:
-    """Mean capture percentage per prefix across sessions, with 95% CI."""
+    """Mean capture percentage per prefix across sessions, with 95% CI.
+
+    ``pct[t, i]`` is session ``t``'s capture percentage over its first
+    ``i + 1`` games.
+    """
 
     n: np.ndarray
     mean_pct: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
+    pct: np.ndarray
 
 
 def aggregate_sessions(records: Sequence[SessionRecord]) -> PrefixStats:
@@ -164,10 +169,7 @@ def aggregate_sessions(records: Sequence[SessionRecord]) -> PrefixStats:
     length = len(records[0].outcomes)
     if any(len(r.outcomes) != length for r in records):
         raise LengthMismatch("sessions have differing lengths")
-    captures = np.array(
-        [[o.result is GameResult.CAPTURE for o in r.outcomes] for r in records],
-        dtype=float,
-    )
+    captures = np.array([r.outcomes for r in records], dtype=float)
     prefix_n = np.arange(1, length + 1, dtype=float)
     pct = 100.0 * np.cumsum(captures, axis=1) / prefix_n
     mean = pct.mean(axis=0)
@@ -176,7 +178,7 @@ def aggregate_sessions(records: Sequence[SessionRecord]) -> PrefixStats:
     else:
         half = np.zeros(length)
     return PrefixStats(
-        n=prefix_n.astype(int), mean_pct=mean, ci_lo=mean - half, ci_hi=mean + half
+        n=prefix_n.astype(int), mean_pct=mean, ci_lo=mean - half, ci_hi=mean + half, pct=pct
     )
 
 

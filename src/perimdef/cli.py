@@ -154,13 +154,9 @@ def cmd_simulate(cfg: dict) -> int:
     ]
     _write_rows(out, ["N", "mean_pct", "ci_lo", "ci_hi", "analytic_pct", "asymptotic_pct"], summary_rows, fmt)
 
-    trial_rows = []
-    for t, record in enumerate(records):
-        captured = 0
-        for i, outcome in enumerate(record.outcomes, start=1):
-            if outcome.result is engine.GameResult.CAPTURE:
-                captured += 1
-            trial_rows.append((t, i, 100.0 * captured / i))
+    trial_rows = (
+        (t, i, pct) for t, row in enumerate(stats.pct.tolist()) for i, pct in enumerate(row, start=1)
+    )
     trials_path = out.with_name(out.stem + "_trials" + out.suffix)
     _write_rows(trials_path, ["trial", "N", "pct"], trial_rows, fmt)
     return 0

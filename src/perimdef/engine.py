@@ -20,6 +20,7 @@ from .geometry import GameParams, Point2, breach_margin_point
 from .strategy import (
     AtCenter,
     DefenderState,
+    EngagementSolution,
     OnCaptureCircle,
     capture_circle_radius,
     capture_circle_solution,
@@ -75,75 +76,68 @@ class GameOutcome:
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """Outcomes of a seeded sequence of arrivals played in order."""
+    """Capture mask of a seeded sequence of arrivals played in order.
+
+    ``outcomes[i]`` is True when game ``i`` ended in a capture.  Replaying
+    the seed through ``play_game`` gives the per-game detail.
+    """
 
     params: GameParams
     seed: int
-    outcomes: tuple[GameOutcome, ...]
+    outcomes: tuple[bool, ...]
     n_capture: int
     n_breach: int
+
+
+def _capture_side(angle: float, theta_a: float, theta_max: float) -> Optional[float]:
+    """Mirror side (+1 or -1, ties +1) on which a defender on the capture circle
+    at ``angle`` captures an arrival at ``theta_a``; None when the gap is too wide."""
+    delta = wrap_angle(angle - theta_a)
+    if abs(delta) <= theta_max:
+        return 1.0 if delta >= 0.0 else -1.0
+    return None
+
+
+def _next_bearing(angle: Optional[float], theta_a: float, sol: EngagementSolution) -> Optional[float]:
+    """The defender's bearing after an arrival at ``theta_a``, or None on a breach.
+
+    ``angle`` is None at the center, from where the defender always wins and
+    ends at the arrival bearing.  From the capture circle it wins exactly when
+    the bearing gap is within ``theta_max`` (ties included), ending at the
+    evasion endpoint mirrored to its own side.
+    """
+    if angle is None:
+        return wrap_angle(theta_a)
+    s = _capture_side(angle, theta_a, sol.theta_max)
+    return None if s is None else wrap_angle(theta_a + s * sol.phi)
 
 
 def play_game(state: DefenderState, theta_a: float, params: GameParams) -> GameOutcome:
     """Resolve one arrival at bearing ``theta_a`` from the given defender state.
 
-    From the center the defender always wins and ends on the capture circle
-    at the arrival bearing.  From the capture circle it wins exactly when the
-    wrapped bearing gap is within ``theta_max`` (ties included), ending at
-    the evasion endpoint mirrored to its own side; otherwise it concedes and
-    returns to the center.
+    A capture leaves the defender on the capture circle at the capture
+    point; a breach sends it back to the center.
     """
-    r_cc = capture_circle_radius(params)
-    if isinstance(state, AtCenter):
-        after_angle = wrap_angle(theta_a)
-        return GameOutcome(
-            result=GameResult.CAPTURE,
-            arrival_angle=theta_a,
-            defender_angle_before=None,
-            defender_state_after=OnCaptureCircle(after_angle),
-            capture_point=Point2.from_polar(r_cc, after_angle),
-        )
-    sol = capture_circle_solution(params)
-    delta = wrap_angle(state.angle - theta_a)
-    if abs(delta) <= sol.theta_max:
-        s = 1.0 if delta >= 0.0 else -1.0
-        after_angle = wrap_angle(theta_a + s * sol.phi)
-        return GameOutcome(
-            result=GameResult.CAPTURE,
-            arrival_angle=theta_a,
-            defender_angle_before=state.angle,
-            defender_state_after=OnCaptureCircle(after_angle),
-            capture_point=Point2.from_polar(r_cc, after_angle),
-        )
-    return GameOutcome(
-        result=GameResult.BREACH,
-        arrival_angle=theta_a,
-        defender_angle_before=state.angle,
-        defender_state_after=AtCenter(),
-        capture_point=None,
-    )
+    before = None if isinstance(state, AtCenter) else state.angle
+    after = _next_bearing(before, theta_a, capture_circle_solution(params))
+    if after is None:
+        return GameOutcome(GameResult.BREACH, theta_a, before, AtCenter(), None)
+    point = Point2.from_polar(capture_circle_radius(params), after)
+    return GameOutcome(GameResult.CAPTURE, theta_a, before, OnCaptureCircle(after), point)
 
 
 def run_session(params: GameParams, n: int, seed: int) -> SessionRecord:
     """Play ``n`` sequential games with uniform random arrivals."""
     if n < 1:
         raise ValueError(f"session length must be >= 1, got {n!r}")
-    state: DefenderState = AtCenter()
-    outcomes: list[GameOutcome] = []
-    n_capture = 0
+    sol = capture_circle_solution(params)
+    angle: Optional[float] = None
+    outcomes = []
     for i in range(n):
-        outcome = play_game(state, uniform_angle(seed, i), params)
-        outcomes.append(outcome)
-        state = outcome.defender_state_after
-        if outcome.result is GameResult.CAPTURE:
-            n_capture += 1
-    return SessionRecord(
-        params=params,
-        seed=seed,
-        outcomes=tuple(outcomes),
-        n_capture=n_capture,
-        n_breach=n - n_capture,
-    )
+        angle = _next_bearing(angle, uniform_angle(seed, i), sol)
+        outcomes.append(angle is not None)
+    n_capture = sum(outcomes)
+    return SessionRecord(params, seed, tuple(outcomes), n_capture, n - n_capture)
 
 
 class Phase(Enum):
@@ -228,11 +222,10 @@ def simulate_kinematic(
         dest_pt = Point2.from_polar(r_cc, theta_a)
     else:
         sol = capture_circle_solution(params)
-        delta = wrap_angle(state.angle - theta_a)
-        capture_bound = abs(delta) <= sol.theta_max
+        mirror = _capture_side(state.angle, theta_a, sol.theta_max)
+        capture_bound = mirror is not None
         xd = np.array([r_cc * math.cos(state.angle), r_cc * math.sin(state.angle)])
         if capture_bound:
-            mirror = 1.0 if delta >= 0.0 else -1.0
             eng = to_world(sol.candidate.x_d_eng, theta_a, mirror)
             waypoint = np.array([eng.x, eng.y])
             dest_pt = to_world(sol.x_p, theta_a, mirror)

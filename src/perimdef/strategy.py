@@ -177,6 +177,11 @@ def _check_candidate(tau: float, theta: float, params: GameParams) -> None:
         )
 
 
+def _check_radius(r: float) -> None:
+    if not r > 0.0:
+        raise OutOfRange(f"defender radius must be positive, got {r!r}")
+
+
 def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> float:
     """Largest initial bearing gap from which a defender at radius ``r`` makes
     the engagement point (tau, theta) in time.
@@ -185,6 +190,7 @@ def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> floa
     point): when even the best-aligned start cannot make it, the answer is
     zero; when every bearing works, it saturates at pi.
     """
+    _check_radius(r)
     _check_candidate(tau, theta, params)
     a = _intruder_range(tau, params)
     ex = a + params.rho_a * math.cos(theta)
@@ -326,6 +332,7 @@ def optimize_engagement(
     deliver the tangent engagement they promise.  The result is
     deterministic.
     """
+    _check_radius(r)
     tau_min, tau_max = engagement_domain(params)
 
     def objective(tau: float) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -12,6 +13,13 @@ from perimdef.cli import MAX_GRID_POINTS, main
 from perimdef.geometry import validate_params
 
 BASE = ["--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8"]
+# sha256 of CLI outputs, pinned so that a refactor of the engine, the
+# aggregation or the writers keeps every byte.
+PINNED_SHA256 = {
+    "sim.csv": "e23f64c0e917967927298d2c5062b1afd893f93133f97944fd3531a44f8cd761",
+    "sim_trials.csv": "c8cc8e2a7f0aa1d393b2bdf5b51ceefd0db318a9ce52e57842f9522660f3c03d",
+    "sweep.csv": "8f76fd9a0baaa3ce9c6fe652f8880268c9d5fba628c7154697b44e572e308907",
+}
 
 
 def _read(path):
@@ -240,3 +248,14 @@ def test_nonpositive_dt_rejected(tmp_path, capsys, command, extra, dt):
     assert main([command, *BASE, *extra, "--config", str(cfg), "--out", str(out)]) == 2
     assert "dt" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_bytes_pinned(tmp_path):
+    assert main(["simulate", *BASE, "--n", "40", "--trials", "5", "--seed", "9",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    assert main(["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:2:3",
+                 "--grid", "rho_t=6:12:4", "--n", "20,100",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256

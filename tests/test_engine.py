@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from perimdef.engine import (
     BreachAt,
@@ -20,7 +22,7 @@ from perimdef.engine import (
     verify_outcome_agreement,
     wrap_angle,
 )
-from perimdef.geometry import Point2
+from perimdef.geometry import Point2, assumption_clauses, validate_params
 from perimdef.strategy import (
     AtCenter,
     OnCaptureCircle,
@@ -106,13 +108,24 @@ def test_capture_threshold_inclusive(params):
     assert out.result is GameResult.BREACH
 
 
+def _replay(params, n, seed):
+    """Per-game outcomes of a seeded session, played through the play_game chain."""
+    state, games = AtCenter(), []
+    for i in range(n):
+        games.append(play_game(state, uniform_angle(seed, i), params))
+        state = games[-1].defender_state_after
+    return games
+
+
 def test_session_basics(params):
     rec = run_session(params, 1, seed=9)
     assert rec.n_capture == 1 and rec.n_breach == 0
+    assert rec.outcomes == (True,)
 
     rec = run_session(params, 500, seed=123)
     assert rec.n_capture + rec.n_breach == 500
-    assert rec.outcomes[0].result is GameResult.CAPTURE
+    assert rec.n_capture == sum(rec.outcomes)
+    assert rec.outcomes[0] is True
     assert rec == run_session(params, 500, seed=123)
     assert rec != run_session(params, 500, seed=124)
 
@@ -123,17 +136,42 @@ def test_session_basics(params):
 def test_session_structure(params):
     """Captures park the defender on the capture circle; breaches reset it."""
     rec = run_session(params, 400, seed=77)
+    games = _replay(params, 400, 77)
+    assert rec.outcomes == tuple(out.result is GameResult.CAPTURE for out in games)
+    assert 0 < rec.n_breach < rec.n_capture
     r_cc = capture_circle_radius(params)
-    prev = None
-    for out in rec.outcomes:
-        if out.result is GameResult.CAPTURE:
+    for captured, out in zip(rec.outcomes, games):
+        if captured:
             assert out.capture_point.norm() == pytest.approx(r_cc, abs=1e-9)
             assert isinstance(out.defender_state_after, OnCaptureCircle)
         else:
             assert out.defender_state_after == AtCenter()
-            # a breach can never follow a breach: the defender resets first
-            assert prev is None or prev.result is GameResult.CAPTURE
-        prev = out
+    # a breach can never follow a breach: the defender resets first
+    assert all(a or b for a, b in zip(rec.outcomes, rec.outcomes[1:]))
+
+
+@st.composite
+def _session_case(draw):
+    """Params drawn as ``make_valid_params`` draws them, plus a seed and a length."""
+    nu = draw(st.floats(0.25, 0.92))
+    rho_a = draw(st.floats(0.05, 2.5))
+    r_t = draw(st.floats(0.5, 12.0))
+    first, second = assumption_clauses(r_t, 1.0, rho_a, nu)
+    try:
+        p = validate_params(r_t, max(first, second) * draw(st.floats(1.01, 2.8)), rho_a, nu)
+    except ValueError:
+        reject()
+    return p, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 300))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_session_case())
+def test_session_mask_matches_play_game_chain_property(case):
+    p, seed, n = case
+    games = _replay(p, n, seed)
+    assert run_session(p, n, seed).outcomes == tuple(
+        out.result is GameResult.CAPTURE for out in games
+    )
 
 
 def test_kinematic_matches_event_level_from_center(params):

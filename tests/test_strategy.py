@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ def test_guarded_arc_out_of_range(params):
         guarded_arc(params.tsr_radius + 1e-6, params)
     with pytest.raises(OutOfRange):
         guarded_arc(-0.1, params)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_engagement_rejects_nonpositive_radius(params, r):
+    tau = 0.5 * sum(engagement_domain(params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            optimize_engagement(r, params)
+        with pytest.raises(OutOfRange):
+            theta_max_at(tau, engagement_theta(tau, params), r, params)
 
 
 def test_guarded_arc_nonincreasing(params):
