@@ -24,6 +24,8 @@ from .geometry import AssumptionViolated, GameParams, validate_params
 from .strategy import capture_circle_solution
 
 PARAM_NAMES = ("r_t", "rho_t", "rho_a", "nu")
+# Width in rho_t to which level_set_slope bisects each contour column.
+LEVEL_SET_TOL = 1e-6
 
 
 class DomainError(ValueError):
@@ -270,7 +272,6 @@ def level_set_slope(
     rows: Sequence[SweepRow],
     target_percentage: float,
     horizon: float = math.inf,
-    bisect_tol: float = 1e-6,
 ) -> LevelSetFit:
     """Fit a line to one iso-percentage contour of an annulus-width sweep.
 
@@ -319,7 +320,7 @@ def level_set_slope(
             points.append((rho_a, lo))
             continue
         f_lo = pct_at(rho_a, lo) - target_percentage
-        while hi - lo > bisect_tol:
+        while hi - lo > LEVEL_SET_TOL:
             mid = 0.5 * (lo + hi)
             f_mid = pct_at(rho_a, mid) - target_percentage
             if (f_lo <= 0.0) == (f_mid <= 0.0):

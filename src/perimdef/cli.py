@@ -28,6 +28,8 @@ _INT_KEYS = {"trials", "seed"}
 FORMATS = ("csv", "jsonl")
 # Most parameter points one sweep may ask for (outer steps x inner steps).
 MAX_GRID_POINTS = 1_000_000
+# Largest capture-point error between replay and event-level game that verify accepts.
+MAX_DISCREPANCY = 5e-3
 
 
 def _fmt(value) -> str:
@@ -86,12 +88,19 @@ def _merge(args: argparse.Namespace) -> dict:
     merged.setdefault("format", "csv")
     merged.setdefault("seed", 1)
     merged.setdefault("trials", 100)
-    merged.setdefault("eps_capture", 1e-3)
     if merged["format"] not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {merged['format']!r}")
-    if merged.get("dt") is not None and not merged["dt"] > 0.0:
-        raise ValueError(f"dt must be positive, got {merged['dt']!r}")
+    for key in sorted(_FLOAT_KEYS & merged.keys()):
+        if not math.isfinite(merged[key]):
+            raise ValueError(f"{key} must be finite, got {merged[key]!r}")
+        if key in ("dt", "eps_capture") and not merged[key] > 0.0:
+            raise ValueError(f"{key} must be positive, got {merged[key]!r}")
     return merged
+
+
+def _given(cfg: dict, *keys: str) -> dict:
+    """The options among ``keys`` that were set, so the library keeps its own defaults."""
+    return {k: cfg[k] for k in keys if cfg.get(k) is not None}
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -121,7 +130,7 @@ def _parse_grid(spec: str) -> tuple[str, float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"grid spec must look like name=lo:hi:steps, got {spec!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 1 or hi < lo:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or steps < 1 or hi < lo:
         raise ValueError(f"bad grid range in {spec!r}")
     return name, lo, hi, steps
 
@@ -205,14 +214,13 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, max_discrepancy: float = 5e-3) -> int:
+def cmd_verify(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    dt = 1e-4 if cfg.get("dt") is None else cfg["dt"]
     report = engine.verify_outcome_agreement(
-        params, int(cfg["n"]), int(cfg["seed"]), dt=dt, eps_capture=cfg["eps_capture"],
+        params, int(cfg["n"]), int(cfg["seed"]), **_given(cfg, "dt", "eps_capture"),
     )
-    ok = report.all_agree and report.max_capture_point_error <= max_discrepancy
+    ok = report.all_agree and report.max_capture_point_error <= MAX_DISCREPANCY
     lines = [
         f"n_games = {report.n_games}",
         f"n_compared = {report.n_compared}",
@@ -237,9 +245,7 @@ def cmd_trace(cfg: dict) -> int:
     else:
         state = strategy.OnCaptureCircle(float(cfg["defender_angle"]))
         mirror = 1.0 if engine.wrap_angle(state.angle - theta_a) >= 0.0 else -1.0
-    traj = engine.simulate_kinematic(
-        state, theta_a, params, dt=cfg.get("dt"), eps_capture=cfg["eps_capture"],
-    )
+    traj = engine.simulate_kinematic(state, theta_a, params, **_given(cfg, "dt", "eps_capture"))
 
     tau_min, tau_max = strategy.engagement_domain(params)
     polyline = []

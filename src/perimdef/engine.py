@@ -28,6 +28,11 @@ from .strategy import (
 
 _TWO_PI = 2.0 * math.pi
 _BLOCK_STEPS = 4096
+# Replay capture distance; verify_outcome_agreement's timestep, and the band
+# around theta_max whose games it skips.
+EPS_CAPTURE = 1e-3
+VERIFY_DT = 1e-4
+BOUNDARY_MARGIN = 1e-3
 
 
 class NoTermination(RuntimeError):
@@ -193,7 +198,7 @@ def simulate_kinematic(
     theta_a: float,
     params: GameParams,
     dt: Optional[float] = None,
-    eps_capture: float = 1e-3,
+    eps_capture: float = EPS_CAPTURE,
     record_every: Optional[int] = 1,
 ) -> Trajectory:
     """Replay one game with fixed-timestep first-order kinematics.
@@ -207,8 +212,8 @@ def simulate_kinematic(
     """
     if dt is None:
         dt = 1e-4 * params.tsr_radius
-    if dt <= 0.0 or eps_capture <= 0.0:
-        raise ValueError("dt and eps_capture must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < eps_capture < math.inf):
+        raise ValueError("dt and eps_capture must be positive and finite")
 
     r_cc = capture_circle_radius(params)
     u = Point2.from_polar(1.0, theta_a)
@@ -340,16 +345,17 @@ def verify_outcome_agreement(
     params: GameParams,
     n_games: int,
     seed: int,
-    dt: float = 1e-4,
-    eps_capture: float = 1e-3,
-    boundary_margin: float = 1e-3,
+    dt: float = VERIFY_DT,
+    eps_capture: float = EPS_CAPTURE,
 ) -> AgreementReport:
     """Replay a seeded session kinematically and compare verdicts.
 
-    Games whose bearing gap sits within ``boundary_margin`` of the capture
+    Games whose bearing gap sits within ``BOUNDARY_MARGIN`` of the capture
     threshold are skipped (the discrete integrator may legitimately land on
     either side there); everything else must agree.
     """
+    if n_games < 1:
+        raise ValueError(f"n_games must be >= 1, got {n_games!r}")
     sol = capture_circle_solution(params)
     r_cc = capture_circle_radius(params)
     state: DefenderState = AtCenter()
@@ -365,7 +371,7 @@ def verify_outcome_agreement(
         near_boundary = False
         if isinstance(state, OnCaptureCircle):
             gap = abs(wrap_angle(state.angle - theta_a))
-            near_boundary = abs(gap - sol.theta_max) < boundary_margin
+            near_boundary = abs(gap - sol.theta_max) < BOUNDARY_MARGIN
         if near_boundary:
             n_boundary += 1
         else:

@@ -22,6 +22,10 @@ import numpy as np
 # real arithmetic.  Larger excursions indicate a logic error, not roundoff,
 # and are raised instead of clamped.
 CLAMP_TOL = 1e-9
+# Target-rim angles scanned by breach_margin_point, and the width to which
+# golden-section search refines the best one.
+BREACH_SCAN_POINTS = 2048
+BREACH_TOL = 1e-10
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -224,13 +228,7 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float, tol: flo
     return 0.5 * (a + b)
 
 
-def breach_margin_point(
-    x_a: Point2,
-    x_d: Point2,
-    params: GameParams,
-    n_scan: int = 2048,
-    tol: float = 1e-10,
-) -> tuple[float, Point2]:
+def breach_margin_point(x_a: Point2, x_d: Point2, params: GameParams) -> tuple[float, Point2]:
     """Best breaching location for the intruder on the target boundary.
 
     Maximizes ``nu * |x - x_d| - |x - x_a|`` over the circle ``|x| = r_t``.
@@ -240,7 +238,7 @@ def breach_margin_point(
     """
     r_t, nu = params.r_t, params.nu
 
-    angles = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, BREACH_SCAN_POINTS, endpoint=False)
     bx = r_t * np.cos(angles)
     by = r_t * np.sin(angles)
     margins = nu * np.hypot(bx - x_d.x, by - x_d.y) - np.hypot(bx - x_a.x, by - x_a.y)
@@ -251,8 +249,8 @@ def breach_margin_point(
         y = r_t * math.sin(ang)
         return nu * math.hypot(x - x_d.x, y - x_d.y) - math.hypot(x - x_a.x, y - x_a.y)
 
-    step = 2.0 * math.pi / n_scan
-    best_ang = golden_section_max(margin, angles[i] - step, angles[i] + step, tol)
+    step = 2.0 * math.pi / BREACH_SCAN_POINTS
+    best_ang = golden_section_max(margin, angles[i] - step, angles[i] + step, BREACH_TOL)
     best = margin(best_ang)
     return best, Point2.from_polar(r_t, best_ang)
 

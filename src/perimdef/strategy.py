@@ -11,14 +11,23 @@ can cover (``theta_max``), and the capture endpoint.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Union
 
 import numpy as np
 
 from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, golden_section_max
+
+# Engagement times scanned by optimize_engagement, and the width to which
+# golden-section search refines the best grid bracket.
+TAU_GRID_POINTS = 1024
+TAU_TOL = 1e-9
+# Start bearings in [0, pi] from which a plateau candidate is audited.
+_AUDIT_BEARINGS = np.linspace(0.0, math.pi, 512)
+_AUDIT_COS, _AUDIT_SIN = np.cos(_AUDIT_BEARINGS), np.sin(_AUDIT_BEARINGS)
 
 
 class OutOfRange(ValueError):
@@ -231,9 +240,7 @@ def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[P
     return x_p, phi
 
 
-def _plateau_is_stealthy(
-    tau: float, params: GameParams, r: float, n_bearings: int = 512
-) -> bool:
+def _plateau_is_stealthy(tau: float, params: GameParams, r: float) -> bool:
     """Whether a saturated candidate is reachable unseen from every bearing.
 
     From each start ``r * u(bearing)``, bearings in [0, pi], the defender
@@ -245,9 +252,7 @@ def _plateau_is_stealthy(
     eng = engagement_candidate(tau, params).x_d_eng
     rtil = params.tsr_radius
     nu = params.nu
-    bearings = np.linspace(0.0, math.pi, n_bearings)
-    sx = r * np.cos(bearings)
-    sy = r * np.sin(bearings)
+    sx, sy = r * _AUDIT_COS, r * _AUDIT_SIN
     path = np.hypot(eng.x - sx, eng.y - sy)
     if np.any(path > tau * (1.0 + 1e-12) + 1e-12):
         return False
@@ -312,12 +317,7 @@ def _objective_grid(taus: np.ndarray, r: float, params: GameParams) -> np.ndarra
     return values
 
 
-def optimize_engagement(
-    r: float,
-    params: GameParams,
-    n_grid: int = 1024,
-    tol: float = 1e-9,
-) -> EngagementSolution:
+def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     """Pick the engagement point maximizing the guarded bearing gap.
 
     One-dimensional search over the engagement time (the bearing is pinned
@@ -339,33 +339,22 @@ def optimize_engagement(
         return theta_max_at(tau, engagement_theta(tau, params), r, params)
 
     span = tau_max - tau_min
-    grid = tau_min + span * np.arange(n_grid) / (n_grid - 1)
+    grid = tau_min + span * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)
     values = _objective_grid(grid, r, params)
     taus = grid.tolist()
     best_i = int(np.argmax(values))
 
     if values[best_i] == math.pi:
-        # The maximizer is a whole plateau; bisect it for the earliest
-        # candidate whose approach is audited stealthy (the audit flips from
-        # failing to passing as the engagement tucks behind the intruder).
-        saturated = np.flatnonzero(values == math.pi)
-        if _plateau_is_stealthy(taus[saturated[0]], params, r):
-            tau_star = taus[saturated[0]]
-        elif not _plateau_is_stealthy(taus[saturated[-1]], params, r):
-            tau_star = taus[saturated[0]]
-        else:
-            lo, hi = 0, len(saturated) - 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _plateau_is_stealthy(taus[saturated[mid]], params, r):
-                    hi = mid
-                else:
-                    lo = mid
-            tau_star = taus[saturated[hi]]
+        # The maximizer is a whole plateau: take its earliest time whose
+        # approach is audited stealthy (the audit flips from failing to passing
+        # as the engagement tucks behind the intruder), else its first time.
+        sat = grid[values == math.pi].tolist()
+        stealthy = partial(_plateau_is_stealthy, params=params, r=r)
+        k = 0 if stealthy(sat[0]) else bisect.bisect_left(sat, True, 1, key=stealthy)
+        tau_star = sat[k if k < len(sat) else 0]
     else:
-        tau_star = golden_section_max(
-            objective, taus[max(0, best_i - 1)], taus[min(n_grid - 1, best_i + 1)], tol
-        )
+        lo, hi = taus[max(0, best_i - 1)], taus[min(TAU_GRID_POINTS - 1, best_i + 1)]
+        tau_star = golden_section_max(objective, lo, hi, TAU_TOL)
         # Compared on the scalar objective, whose bits the grid's need not match.
         if objective(tau_star) < objective(taus[best_i]):
             tau_star = taus[best_i]

@@ -146,6 +146,16 @@ def test_sweep_rejects_malformed_grid(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bounds", ["nan:1", "0.2:inf", "-inf:1"])
+def test_sweep_rejects_nonfinite_grid_bounds(tmp_path, capsys, bounds):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--r-t", "5", "--nu", "0.75", "--grid", f"rho_a={bounds}:3",
+                 "--grid", "rho_t=4:12:2", "--out", str(out)])
+    assert code == 2
+    assert "bad grid range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_agrees_and_exits_zero(tmp_path):
     out = tmp_path / "verify.txt"
     code = main(["verify", *BASE, "--n", "25", "--seed", "3",
@@ -247,6 +257,37 @@ def test_nonpositive_dt_rejected(tmp_path, capsys, command, extra, dt):
     cfg.write_text(f"dt = {dt}\n")
     assert main([command, *BASE, *extra, "--config", str(cfg), "--out", str(out)]) == 2
     assert "dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, key, value", [
+    ("trace", ["--theta-a", "0.6"], "defender_angle", "nan"),
+    ("trace", [], "theta_a", "nan"),
+    ("trace", ["--theta-a", "0.6"], "dt", "inf"),
+    ("verify", ["--n", "3"], "eps_capture", "nan"),
+    ("verify", ["--n", "3"], "eps_capture", "0"),
+    ("trace", ["--theta-a", "0.6"], "eps_capture", "-1"),
+    ("analytic", ["--n", "5"], "rho_a", "inf"),
+])
+def test_nonfinite_or_nonpositive_floats_rejected(tmp_path, capsys, command, extra, key, value):
+    out = tmp_path / "x.out"
+    flag = "--" + key.replace("_", "-")
+    assert main([command, *BASE, *extra, flag, value, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    # a flag would override the config value
+    base = BASE[:BASE.index(flag)] + BASE[BASE.index(flag) + 2:] if flag in BASE else BASE
+    assert main([command, *base, *extra, "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_rejects_nonpositive_game_count(tmp_path, capsys, n):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", *BASE, "--n", n, "--out", str(out)]) == 2
+    assert "n_games" in capsys.readouterr().err
     assert not out.exists()
 
 

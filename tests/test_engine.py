@@ -256,6 +256,21 @@ def test_outcome_agreement_small_run(params):
     assert report.all_agree
 
 
+@pytest.mark.parametrize("dt, eps_capture", [
+    (math.nan, 1e-3), (math.inf, 1e-3), (0.0, 1e-3),
+    (1e-3, math.nan), (1e-3, math.inf), (1e-3, 0.0),
+])
+def test_kinematic_rejects_bad_resolution(params, dt, eps_capture):
+    with pytest.raises(ValueError):
+        simulate_kinematic(AtCenter(), 0.7, params, dt=dt, eps_capture=eps_capture)
+
+
+@pytest.mark.parametrize("n_games", [0, -3])
+def test_outcome_agreement_rejects_empty_session(params, n_games):
+    with pytest.raises(ValueError, match="n_games"):
+        verify_outcome_agreement(params, n_games, seed=1)
+
+
 def test_outcome_agreement_error_shrinks_with_dt(params):
     coarse = verify_outcome_agreement(params, 12, seed=3, dt=4e-4, eps_capture=4e-4)
     fine = verify_outcome_agreement(params, 12, seed=3, dt=1e-4, eps_capture=1e-4)

@@ -21,7 +21,9 @@ from perimdef.geometry import (
     GameParams, Point2, assumption_clauses, breach_margin_point, validate_params,
 )
 from perimdef.strategy import (
+    TAU_GRID_POINTS,
     _objective_grid,
+    _plateau_is_stealthy,
     InfeasibleTau,
     InvalidCandidate,
     OutOfRange,
@@ -44,6 +46,12 @@ GUARDED_ARC_AT_CAPTURE_RADIUS = 1.8584730829635667
 THETA_MAX_STAR = 2.0073003064386796
 # float.hex of (tau, theta_max, phi) of the baseline optimum, for bit-level regressions.
 OPTIMUM_HEX = ("0x1.7d164377f9e7cp+3", "0x1.00ef3768b3d40p+1", "-0x1.9c4f93b3f31c4p-5")
+# float.hex of (tau, phi) of two saturated optima: at (5, 10, 0.5, 0.5) the
+# first saturated time fails its audit, at (5, 12, 1, 0.75) it passes.
+PLATEAU_HEX = {
+    (5.0, 10.0, 0.5, 0.5): ("0x1.356c05ac15b02p+4", "-0x1.000aa3a89065ep-5"),
+    (5.0, 12.0, 1.0, 0.75): ("0x1.cc25527930955p+3", "-0x1.7830f92cf76a4p-3"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +291,66 @@ def test_objective_grid_rejects_times_outside_window(params):
     for outside in (tau_min - 0.1, tau_max + 0.1):
         with pytest.raises(InfeasibleTau):
             _objective_grid(np.append(inside, outside), r, params)
+
+
+def _saturated_grid_times(r: float, p: GameParams) -> list[float]:
+    """The optimizer's grid times at which the scalar objective saturates at pi."""
+    tau_min, tau_max = engagement_domain(p)
+    grid = tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)
+    return [tau for tau in grid.tolist()
+            if theta_max_at(tau, engagement_theta(tau, p), r, p) == math.pi]
+
+
+def test_plateau_choice_matches_linear_scan(random_valid_params):
+    """On a saturated optimum the chosen time is the first saturated grid time
+    whose approach audit passes, or the first saturated time if none does."""
+    cases = [validate_params(*key) for key in PLATEAU_HEX]
+    rng = random.Random(0)
+    cases += [random_valid_params(rng) for _ in range(20)]
+    n_plateau = 0
+    for p in cases:
+        r = capture_circle_radius(p)
+        sol = optimize_engagement(r, p)
+        if sol.theta_max != math.pi:
+            continue
+        n_plateau += 1
+        sat = _saturated_grid_times(r, p)
+        want = next((tau for tau in sat if _plateau_is_stealthy(tau, p, r)), sat[0])
+        assert sol.candidate.tau == want
+    assert n_plateau >= 10
+
+
+@pytest.mark.parametrize("first_pass", [None, 0, 1, -1])
+def test_plateau_search_with_stub_audit(monkeypatch, first_pass):
+    """With an audit that passes from one saturated time on, the search picks
+    that time, or the first saturated time when no time passes, in at most
+    1 + ceil(log2(len)) audits."""
+    p = validate_params(5.0, 10.0, 0.5, 0.5)
+    r = capture_circle_radius(p)
+    sat = _saturated_grid_times(r, p)
+    cut = math.inf if first_pass is None else sat[first_pass]
+    calls = []
+
+    def audit(tau, params, r):
+        calls.append(tau)
+        return tau >= cut
+
+    monkeypatch.setattr("perimdef.strategy._plateau_is_stealthy", audit)
+    sol = optimize_engagement(r, p)
+    assert sol.candidate.tau == (sat[0] if first_pass is None else cut)
+    assert len(calls) <= 1 + math.ceil(math.log2(len(sat)))
+
+
+def test_plateau_bits_pinned():
+    first_passes = []
+    for key, want in PLATEAU_HEX.items():
+        p = validate_params(*key)
+        r = capture_circle_radius(p)
+        sol = optimize_engagement(r, p)
+        assert sol.theta_max == math.pi
+        assert (sol.candidate.tau.hex(), sol.phi.hex()) == want
+        first_passes.append(_plateau_is_stealthy(_saturated_grid_times(r, p)[0], p, r))
+    assert first_passes == [False, True]
 
 
 @st.composite
