@@ -28,6 +28,8 @@ _INT_KEYS = {"trials", "seed"}
 FORMATS = ("csv", "jsonl")
 # Most parameter points one sweep may ask for (outer steps x inner steps).
 MAX_GRID_POINTS = 1_000_000
+# Most games one simulation may ask for (arrivals per session x sessions).
+MAX_SIM_GAMES = 10_000_000
 # Largest capture-point error between replay and event-level game that verify accepts.
 MAX_DISCREPANCY = 5e-3
 
@@ -54,6 +56,30 @@ def _write_rows(path: Path, header: Sequence[str], rows, fmt: str, meta: Optiona
                 fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
             for row in rows:
                 fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+
+
+# One trial's rows of the trials file as a single ``%`` template per format,
+# byte-identical to ``_write_rows`` on (trial, N, pct) rows: ``%.12g`` is
+# ``_fmt``'s float format, and ``%r`` is the float repr ``json.dumps`` writes.
+_TRIAL_ROW = {"csv": "%d,%d,%.12g\n", "jsonl": '{"N": %d, "pct": %r, "trial": %d}\n'}
+
+
+def _write_trials(path: Path, pct, fmt: str) -> None:
+    """Write the per-trial prefix percentages ``pct`` (trials x n), one trial per write."""
+    n = len(pct[0])
+    template = _TRIAL_ROW[fmt] * n
+    # Field slot of each value within a row: CSV keeps the header's order,
+    # JSONL the sorted keys (N, pct, trial).
+    t_at, n_at, pct_at = (0, 1, 2) if fmt == "csv" else (2, 0, 1)
+    cells = [0] * (3 * n)
+    cells[n_at::3] = range(1, n + 1)
+    with open(path, "w", newline="\n") as fh:
+        if fmt == "csv":
+            fh.write("trial,N,pct\n")
+        for t, row in enumerate(pct):
+            cells[t_at::3] = [t] * n
+            cells[pct_at::3] = row
+            fh.write(template % tuple(cells))
 
 
 def _load_config(path: str) -> dict:
@@ -149,6 +175,8 @@ def cmd_simulate(cfg: dict) -> int:
     seed = int(cfg["seed"])
     if n < 1 or trials < 1:
         raise ValueError("--n and --trials must be >= 1")
+    if n * trials > MAX_SIM_GAMES:
+        raise ValueError(f"simulation asks for {n * trials} games, more than the limit of {MAX_SIM_GAMES}")
     records = [engine.run_session(params, n, seed + t) for t in range(trials)]
     stats = analytics.aggregate_sessions(records)
     p = analytics.p_star(params)
@@ -163,11 +191,7 @@ def cmd_simulate(cfg: dict) -> int:
     ]
     _write_rows(out, ["N", "mean_pct", "ci_lo", "ci_hi", "analytic_pct", "asymptotic_pct"], summary_rows, fmt)
 
-    trial_rows = (
-        (t, i, pct) for t, row in enumerate(stats.pct.tolist()) for i, pct in enumerate(row, start=1)
-    )
-    trials_path = out.with_name(out.stem + "_trials" + out.suffix)
-    _write_rows(trials_path, ["trial", "N", "pct"], trial_rows, fmt)
+    _write_trials(out.with_name(out.stem + "_trials" + out.suffix), stats.pct.tolist(), fmt)
     return 0
 
 

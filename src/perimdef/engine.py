@@ -63,6 +63,25 @@ def uniform_angle(seed: int, index: int) -> float:
     return -math.pi + _TWO_PI * u
 
 
+def _uniform_angles(seed: int, n: int) -> np.ndarray:
+    """``uniform_angle(seed, i)`` for ``i`` in ``range(n)``, in one numpy pass.
+
+    Bit-identical to the scalar hash: ``uint64`` arithmetic wraps as the
+    scalar's ``& mask`` does, and the seed is reduced modulo 2**64 first.
+    """
+    x = np.arange(n, dtype=np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x ^= np.uint64(seed & ((1 << 64) - 1))
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    u = (x >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    return -math.pi + _TWO_PI * u
+
+
 class GameResult(Enum):
     CAPTURE = "capture"
     BREACH = "breach"
@@ -138,8 +157,8 @@ def run_session(params: GameParams, n: int, seed: int) -> SessionRecord:
     sol = capture_circle_solution(params)
     angle: Optional[float] = None
     outcomes = []
-    for i in range(n):
-        angle = _next_bearing(angle, uniform_angle(seed, i), sol)
+    for theta_a in _uniform_angles(seed, n).tolist():
+        angle = _next_bearing(angle, theta_a, sol)
         outcomes.append(angle is not None)
     n_capture = sum(outcomes)
     return SessionRecord(params, seed, tuple(outcomes), n_capture, n - n_capture)
@@ -365,8 +384,7 @@ def verify_outcome_agreement(
     max_pt_err = 0.0
     max_circ = 0.0
     max_home = 0.0
-    for i in range(n_games):
-        theta_a = uniform_angle(seed, i)
+    for theta_a in _uniform_angles(seed, n_games).tolist():
         outcome = play_game(state, theta_a, params)
         near_boundary = False
         if isinstance(state, OnCaptureCircle):

@@ -26,6 +26,8 @@ CLAMP_TOL = 1e-9
 # golden-section search refines the best one.
 BREACH_SCAN_POINTS = 2048
 BREACH_TOL = 1e-10
+_BREACH_ANGLES = np.linspace(0.0, 2.0 * math.pi, BREACH_SCAN_POINTS, endpoint=False)
+_BREACH_COS, _BREACH_SIN = np.cos(_BREACH_ANGLES), np.sin(_BREACH_ANGLES)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -238,9 +240,8 @@ def breach_margin_point(x_a: Point2, x_d: Point2, params: GameParams) -> tuple[f
     """
     r_t, nu = params.r_t, params.nu
 
-    angles = np.linspace(0.0, 2.0 * math.pi, BREACH_SCAN_POINTS, endpoint=False)
-    bx = r_t * np.cos(angles)
-    by = r_t * np.sin(angles)
+    bx = r_t * _BREACH_COS
+    by = r_t * _BREACH_SIN
     margins = nu * np.hypot(bx - x_d.x, by - x_d.y) - np.hypot(bx - x_a.x, by - x_a.y)
     i = int(np.argmax(margins))
 
@@ -250,7 +251,7 @@ def breach_margin_point(x_a: Point2, x_d: Point2, params: GameParams) -> tuple[f
         return nu * math.hypot(x - x_d.x, y - x_d.y) - math.hypot(x - x_a.x, y - x_a.y)
 
     step = 2.0 * math.pi / BREACH_SCAN_POINTS
-    best_ang = golden_section_max(margin, angles[i] - step, angles[i] + step, BREACH_TOL)
+    best_ang = golden_section_max(margin, _BREACH_ANGLES[i] - step, _BREACH_ANGLES[i] + step, BREACH_TOL)
     best = margin(best_ang)
     return best, Point2.from_polar(r_t, best_ang)
 

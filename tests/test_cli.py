@@ -8,8 +8,8 @@ import math
 
 import pytest
 
-from perimdef import analytics
-from perimdef.cli import MAX_GRID_POINTS, main
+from perimdef import analytics, engine
+from perimdef.cli import MAX_GRID_POINTS, MAX_SIM_GAMES, _write_rows, main
 from perimdef.geometry import validate_params
 
 BASE = ["--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8"]
@@ -19,6 +19,11 @@ PINNED_SHA256 = {
     "sim.csv": "e23f64c0e917967927298d2c5062b1afd893f93133f97944fd3531a44f8cd761",
     "sim_trials.csv": "c8cc8e2a7f0aa1d393b2bdf5b51ceefd0db318a9ce52e57842f9522660f3c03d",
     "sweep.csv": "8f76fd9a0baaa3ce9c6fe652f8880268c9d5fba628c7154697b44e572e308907",
+}
+# The same simulate run written as JSONL.
+PINNED_JSONL_SHA256 = {
+    "sim.jsonl": "da286e9dd5949e96f08b0311a916a0e978abba5a10401d06799a6c282104b278",
+    "sim_trials.jsonl": "02b35e1eda1573553fb5f4c9a1420b87c234831f5d70d9c51be57840aa184fa7",
 }
 
 
@@ -51,6 +56,32 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert main([*args, "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert (tmp_path / "a_trials.csv").read_bytes() == (tmp_path / "b_trials.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_simulate_trials_match_row_writer(tmp_path, params, fmt):
+    out = tmp_path / f"sim.{fmt}"
+    assert main(["simulate", *BASE, "--n", "37", "--trials", "6", "--seed", "-4",
+                 "--format", fmt, "--out", str(out)]) == 0
+    records = [engine.run_session(params, 37, -4 + t) for t in range(6)]
+    pct = analytics.aggregate_sessions(records).pct.tolist()
+    rows = [(t, i, v) for t, row in enumerate(pct) for i, v in enumerate(row, start=1)]
+    oracle = tmp_path / f"oracle.{fmt}"
+    _write_rows(oracle, ["trial", "N", "pct"], rows, fmt)
+    assert (tmp_path / f"sim_trials.{fmt}").read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("n, trials", [(MAX_SIM_GAMES + 1, 1), (MAX_SIM_GAMES // 4 + 1, 4)])
+def test_simulate_rejects_oversized_run(tmp_path, capsys, monkeypatch, n, trials):
+    def no_session(*args):
+        raise AssertionError("a session was played")
+
+    monkeypatch.setattr(engine, "run_session", no_session)
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", *BASE, "--n", str(n), "--trials", str(trials), "--out", str(out)])
+    assert code == 2
+    assert str(MAX_SIM_GAMES) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_params_exit_2(tmp_path, capsys):
@@ -300,3 +331,11 @@ def test_cli_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_SHA256}
     assert digests == PINNED_SHA256
+
+
+def test_cli_jsonl_bytes_pinned(tmp_path):
+    assert main(["simulate", *BASE, "--n", "40", "--trials", "5", "--seed", "9",
+                 "--format", "jsonl", "--out", str(tmp_path / "sim.jsonl")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_JSONL_SHA256}
+    assert digests == PINNED_JSONL_SHA256

@@ -14,6 +14,7 @@ from perimdef.engine import (
     CaptureAt,
     GameResult,
     Phase,
+    _uniform_angles,
     play_game,
     run_session,
     simulate_kinematic,
@@ -54,6 +55,18 @@ def test_uniform_angle_deterministic_and_in_range():
     # crude uniformity: mean near zero, spread near pi/sqrt(3)
     mean = sum(draws) / len(draws)
     assert abs(mean) < 0.15
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 3, 2**64 - 1, -5, 2**70 + 9])
+@pytest.mark.parametrize("n", [1, 2, 3000])
+def test_uniform_angles_match_scalar_hash(seed, n):
+    assert _uniform_angles(seed, n).tolist() == [uniform_angle(seed, i) for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(), st.integers(1, 200))
+def test_uniform_angles_match_scalar_hash_property(seed, n):
+    assert _uniform_angles(seed, n).tolist() == [uniform_angle(seed, i) for i in range(n)]
 
 
 def test_play_from_center_always_captures(params):

@@ -187,6 +187,17 @@ def test_breach_margin_intruder_on_boundary_aims_at_itself(params):
     assert point.distance_to(x_a) <= 1e-7
 
 
+@pytest.mark.parametrize("x_a, x_d, bits", [
+    ((9.0, 2.0), (6.0, -1.0),
+     ("-0x1.8482678ae8206p+0", "0x1.f1ebfa279d421p+1", "0x1.921640b6b1d1dp+1")),
+    ((-3.0, 8.5), (4.0, 4.0),
+     ("0x1.1a2e9e2f09be0p+0", "-0x1.8ba0f0437e00bp+1", "0x1.f7118c01af352p+1")),
+])
+def test_breach_margin_bits_pinned(params, x_a, x_d, bits):
+    margin, point = breach_margin_point(Point2(*x_a), Point2(*x_d), params)
+    assert (margin.hex(), point.x.hex(), point.y.hex()) == bits
+
+
 def test_breach_margin_sign_matches_classification(params):
     rng = random.Random(2024)
     checked = 0
