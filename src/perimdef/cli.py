@@ -20,10 +20,10 @@ from .geometry import AssumptionViolated, validate_params
 
 CONFIG_KEYS = {
     "r_t", "rho_t", "rho_a", "nu", "n", "trials", "seed",
-    "out", "format", "dt", "eps_capture", "theta_a", "defender_angle",
+    "out", "format", "dt", "theta_a", "defender_angle",
 }
 
-_FLOAT_KEYS = {"r_t", "rho_t", "rho_a", "nu", "dt", "eps_capture", "theta_a", "defender_angle"}
+_FLOAT_KEYS = {"r_t", "rho_t", "rho_a", "nu", "dt", "theta_a", "defender_angle"}
 _INT_KEYS = {"trials", "seed"}
 FORMATS = ("csv", "jsonl")
 # Most parameter points one sweep may ask for (outer steps x inner steps).
@@ -119,14 +119,9 @@ def _merge(args: argparse.Namespace) -> dict:
     for key in sorted(_FLOAT_KEYS & merged.keys()):
         if not math.isfinite(merged[key]):
             raise ValueError(f"{key} must be finite, got {merged[key]!r}")
-        if key in ("dt", "eps_capture") and not merged[key] > 0.0:
+        if key == "dt" and not merged[key] > 0.0:
             raise ValueError(f"{key} must be positive, got {merged[key]!r}")
     return merged
-
-
-def _given(cfg: dict, *keys: str) -> dict:
-    """The options among ``keys`` that were set, so the library keeps its own defaults."""
-    return {k: cfg[k] for k in keys if cfg.get(k) is not None}
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -241,9 +236,7 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
 def cmd_verify(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    report = engine.verify_outcome_agreement(
-        params, int(cfg["n"]), int(cfg["seed"]), **_given(cfg, "dt", "eps_capture"),
-    )
+    report = engine.verify_outcome_agreement(params, int(cfg["n"]), int(cfg["seed"]))
     ok = report.all_agree and report.max_capture_point_error <= MAX_DISCREPANCY
     lines = [
         f"n_games = {report.n_games}",
@@ -268,8 +261,8 @@ def cmd_trace(cfg: dict) -> int:
         mirror = 1.0
     else:
         state = strategy.OnCaptureCircle(float(cfg["defender_angle"]))
-        mirror = 1.0 if engine.wrap_angle(state.angle - theta_a) >= 0.0 else -1.0
-    traj = engine.simulate_kinematic(state, theta_a, params, **_given(cfg, "dt", "eps_capture"))
+        mirror = engine._capture_side(state.angle, theta_a, math.pi)
+    traj = engine.simulate_kinematic(state, theta_a, params, dt=cfg.get("dt"))
 
     tau_min, tau_max = strategy.engagement_domain(params)
     polyline = []
@@ -329,16 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay games kinematically and check verdict agreement")
     add_common(p)
     p.add_argument("--n", help="number of games to replay")
-    p.add_argument("--dt", type=float, help="integrator timestep (default 1e-4)")
-    p.add_argument("--eps-capture", dest="eps_capture", type=float, help="capture distance (default 1e-3)")
 
     p = sub.add_parser("trace", help="export one game's trajectory with plot metadata")
     add_common(p)
     p.add_argument("--theta-a", dest="theta_a", type=float, help="arrival bearing (rad)")
     p.add_argument("--defender-angle", dest="defender_angle", type=float,
                    help="defender bearing on the capture circle; omit for the center")
-    p.add_argument("--dt", type=float, help="integrator timestep (default 1e-4 * (r_t + rho_t))")
-    p.add_argument("--eps-capture", dest="eps_capture", type=float, help="capture distance (default 1e-3)")
+    p.add_argument("--dt", type=float, help="sample spacing (default 1e-4 * (r_t + rho_t))")
 
     return parser
 

@@ -2,9 +2,9 @@
 
 The event-level loop resolves each arrival with pure geometry (a defender at
 the center always wins; a defender parked on the capture circle wins exactly
-when the bearing gap is within ``theta_max``).  The kinematic integrator
-replays any single game with fixed-timestep first-order motion and no
-knowledge of that bookkeeping, so the two can be cross-checked game by game.
+when the bearing gap is within ``theta_max``).  The kinematic replay plays
+any single game on its exact piecewise-linear paths with no knowledge of that
+bookkeeping, so the two can be cross-checked game by game.
 """
 
 from __future__ import annotations
@@ -27,16 +27,11 @@ from .strategy import (
 )
 
 _TWO_PI = 2.0 * math.pi
-_BLOCK_STEPS = 4096
-# Replay capture distance; verify_outcome_agreement's timestep, and the band
-# around theta_max whose games it skips.
-EPS_CAPTURE = 1e-3
-VERIFY_DT = 1e-4
+# The replay's contact distance, relative to 1 + r_cc: exact walks meet
+# exactly, so it only absorbs rounding.
+CONTACT_SLACK = 1e-9
+# The band around theta_max whose games verify_outcome_agreement skips.
 BOUNDARY_MARGIN = 1e-3
-
-
-class NoTermination(RuntimeError):
-    """The integrator exceeded its time horizon without a terminal event."""
 
 
 def wrap_angle(a: float) -> float:
@@ -202,14 +197,32 @@ def to_world(p: Point2, theta_a: float, mirror: float) -> Point2:
     return Point2(p.x, mirror * p.y).rotated(theta_a)
 
 
-def _approach(pos: np.ndarray, target: np.ndarray, speed: float, trel: np.ndarray) -> np.ndarray:
-    """Straight-line positions toward ``target``, stopping on arrival."""
-    d = target - pos
-    dist = math.hypot(d[0], d[1])
+def _first_entry(p: Point2, v: Point2, radius: float, length: float) -> Optional[float]:
+    """Earliest ``s`` in ``[0, length]`` with ``|p + s v| <= radius``, or None.
+
+    The closest approach on the piece decides whether the disk is entered, so
+    rounding in the discriminant cannot hide a graze.
+    """
+    c = p.dot(p) - radius * radius
+    if c <= 0.0:
+        return 0.0
+    b = p.dot(v)
+    if b >= 0.0:
+        return None  # not closing in, or standing still
+    vv = v.dot(v)
+    s_near = min(-b / vv, length)
+    q = p + v * s_near
+    if q.dot(q) > radius * radius:
+        return None
+    return min(c / (math.sqrt(max(b * b - vv * c, 0.0)) - b), s_near)
+
+
+def _heading(pos: Point2, target: Point2, speed: float) -> tuple[Point2, float]:
+    """Velocity toward ``target`` and the time to reach it (inf when already there)."""
+    dist = pos.distance_to(target)
     if dist == 0.0:
-        return np.broadcast_to(pos, (trel.size, 2)).copy()
-    travel = np.minimum(speed * trel, dist)
-    return pos[None, :] + (d / dist)[None, :] * travel[:, None]
+        return Point2(0.0, 0.0), math.inf
+    return (target - pos) * (speed / dist), dist / speed
 
 
 def simulate_kinematic(
@@ -217,129 +230,105 @@ def simulate_kinematic(
     theta_a: float,
     params: GameParams,
     dt: Optional[float] = None,
-    eps_capture: float = EPS_CAPTURE,
     record_every: Optional[int] = 1,
 ) -> Trajectory:
-    """Replay one game with fixed-timestep first-order kinematics.
+    """Replay one game on its exact piecewise-linear paths.
 
     The intruder runs radially inward until the defender enters its sensing
     radius, then commits to a straight line: the evasion endpoint if it is
     doomed, its best breaching point otherwise.  The defender walks its
     event-level route (engagement point, hold, pursue; or straight home).
-    Terminates on contact within ``eps_capture`` or on the intruder reaching
-    the target boundary.  ``record_every=None`` keeps only the endpoints.
+    Each walk is straight at constant speed until it reaches its target and
+    then holds, so every event is the first root of ``|p + v s| <= R`` on a
+    linear piece: detection at ``rho_a``, breach at ``r_t`` and contact at
+    ``CONTACT_SLACK * (1 + r_cc)``.  On ties contact beats breach, and breach
+    beats detection.  Positions are sampled at ``k * dt`` for every multiple
+    ``k`` of ``record_every``, plus the terminal instant; ``record_every=None``
+    keeps only the endpoints.
     """
     if dt is None:
         dt = 1e-4 * params.tsr_radius
-    if not (0.0 < dt < math.inf and 0.0 < eps_capture < math.inf):
-        raise ValueError("dt and eps_capture must be positive and finite")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    before = None if isinstance(state, AtCenter) else state.angle
+    if not (math.isfinite(theta_a) and (before is None or math.isfinite(before))):
+        raise ValueError("arrival and defender bearings must be finite")
 
     r_cc = capture_circle_radius(params)
+    slack = CONTACT_SLACK * (1.0 + r_cc)
     u = Point2.from_polar(1.0, theta_a)
-    xa = np.array([params.tsr_radius * u.x, params.tsr_radius * u.y])
-
-    if isinstance(state, AtCenter):
+    origin = Point2(0.0, 0.0)
+    a = u * params.tsr_radius
+    if before is None:
         capture_bound = True
-        xd = np.zeros(2)
-        hold_radius = params.r_t - params.rho_a / (1.0 + params.nu)
-        waypoint = np.array([hold_radius * u.x, hold_radius * u.y])
-        dest_pt = Point2.from_polar(r_cc, theta_a)
+        d = origin
+        waypoint = u * (params.r_t - params.rho_a / (1.0 + params.nu))
+        dest = Point2.from_polar(r_cc, theta_a)
     else:
         sol = capture_circle_solution(params)
-        mirror = _capture_side(state.angle, theta_a, sol.theta_max)
+        mirror = _capture_side(before, theta_a, sol.theta_max)
         capture_bound = mirror is not None
-        xd = np.array([r_cc * math.cos(state.angle), r_cc * math.sin(state.angle)])
+        d = Point2.from_polar(r_cc, before)
         if capture_bound:
-            eng = to_world(sol.candidate.x_d_eng, theta_a, mirror)
-            waypoint = np.array([eng.x, eng.y])
-            dest_pt = to_world(sol.x_p, theta_a, mirror)
+            waypoint = to_world(sol.candidate.x_d_eng, theta_a, mirror)
+            dest = to_world(sol.x_p, theta_a, mirror)
         else:
-            waypoint = np.zeros(2)
-            dest_pt = None
+            waypoint = origin
 
-    dest = None if dest_pt is None else np.array([dest_pt.x, dest_pt.y])
-    origin = np.zeros(2)
-
+    # Walk piece by piece; each piece ends at an arrival or at an event.  The
+    # radial run breaches long before it reaches the center.
+    a_target, d_target = origin, waypoint
     phase = Phase.PARTIAL
-    intruder_target = origin  # radial run; breach fires long before the center
-    defender_target = waypoint
-
-    samples: list[TrajectorySample] = []
-
-    def record(step: int, a: np.ndarray, d: np.ndarray, ph: Phase) -> None:
-        samples.append(
-            TrajectorySample(
-                step * dt,
-                Point2(float(a[0]), float(a[1])),
-                Point2(float(d[0]), float(d[1])),
-                ph,
-            )
-        )
-
-    record(0, xa, xd, phase)
-    step = 0
-    max_steps = int(math.ceil(10.0 * params.tsr_radius / dt))
-    terminal: Optional[Terminal] = None
-
-    while terminal is None:
-        if step >= max_steps:
-            raise NoTermination(
-                f"no terminal event within {max_steps} steps (t={step * dt!r})"
-            )
-        k = min(_BLOCK_STEPS, max_steps - step)
-        trel = dt * np.arange(1, k + 1)
-        a_blk = _approach(xa, intruder_target, params.nu, trel)
-        d_blk = _approach(xd, defender_target, 1.0, trel)
-        sep = np.hypot(a_blk[:, 0] - d_blk[:, 0], a_blk[:, 1] - d_blk[:, 1])
-        r_a = np.hypot(a_blk[:, 0], a_blk[:, 1])
-
-        event = None  # (index, kind); capture beats breach beats detection on ties
+    t = 0.0
+    pieces = []  # (start, end, a, va, d, vd, phase)
+    kind = None
+    while kind not in ("contact", "breach"):
+        va, ta = _heading(a, a_target, params.nu)
+        vd, td = _heading(d, d_target, 1.0)
+        length = min(ta, td)
+        rel, vrel = a - d, va - vd
+        hits = []  # in tie order
         if phase is Phase.FULL and capture_bound:
-            hits = np.nonzero(sep <= eps_capture)[0]
-            if hits.size:
-                event = (int(hits[0]), "capture")
-        hits = np.nonzero(r_a <= params.r_t)[0]
-        if hits.size and (event is None or int(hits[0]) < event[0]):
-            event = (int(hits[0]), "breach")
+            hits.append((_first_entry(rel, vrel, slack, length), "contact"))
+        elif phase is Phase.FULL and ta <= length:
+            hits.append((ta, "breach"))  # the breaching aim lies on the target circle
+        hits.append((_first_entry(a, va, params.r_t, length), "breach"))
         if phase is Phase.PARTIAL:
-            hits = np.nonzero(sep <= params.rho_a)[0]
-            if hits.size and (event is None or int(hits[0]) < event[0]):
-                event = (int(hits[0]), "detect")
-
-        stop = k - 1 if event is None else event[0]
-        if record_every is not None:
-            for j in range(stop + 1):
-                if (step + j + 1) % record_every == 0:
-                    record(step + j + 1, a_blk[j], d_blk[j], phase)
-        xa = a_blk[stop].copy()
-        xd = d_blk[stop].copy()
-        step += stop + 1
-
-        if event is None:
-            continue
-        kind = event[1]
-        if kind == "capture":
-            terminal = CaptureAt(
-                Point2(float(0.5 * (xa[0] + xd[0])), float(0.5 * (xa[1] + xd[1])))
-            )
-        elif kind == "breach":
-            terminal = BreachAt(Point2(float(xa[0]), float(xa[1])))
-        else:
+            hits.append((_first_entry(rel, vrel, params.rho_a, length), "detect"))
+        s, kind = min(((s, k) for s, k in hits if s is not None),
+                      key=lambda hit: hit[0], default=(length, None))
+        pieces.append((t, t + s, a, va, d, vd, phase))
+        t += s
+        a = a_target if kind is None and ta <= length else a + va * s
+        d = d_target if kind is None and td <= length else d + vd * s
+        if kind == "detect":
             phase = Phase.FULL
             if capture_bound:
-                intruder_target = dest
-                defender_target = dest
+                a_target = d_target = dest
             else:
-                _, aim = breach_margin_point(
-                    Point2(float(xa[0]), float(xa[1])),
-                    Point2(float(xd[0]), float(xd[1])),
-                    params,
-                )
-                intruder_target = np.array([aim.x, aim.y])
+                _, a_target = breach_margin_point(a, d, params)
 
-    last = samples[-1]
-    if last.t != step * dt or record_every is None:
-        record(step, xa, xd, phase)
+    if kind == "contact":
+        terminal: Terminal = CaptureAt(Point2(0.5 * (a.x + d.x), 0.5 * (a.y + d.y)))
+    else:
+        terminal = BreachAt(a)
+
+    samples = []
+    steps = [0] if record_every is None else range(0, int(t / dt) + 2, record_every)
+    i = 0
+    for step in steps:
+        ts = step * dt
+        if step and ts >= t:
+            break
+        while pieces[i][1] < ts:
+            i += 1
+        start, _, a0, va, d0, vd, ph = pieces[i]
+        h = ts - start
+        samples.append(TrajectorySample(
+            ts, Point2(a0.x + va.x * h, a0.y + va.y * h), Point2(d0.x + vd.x * h, d0.y + vd.y * h), ph,
+        ))
+    if samples[-1].t != t or record_every is None:
+        samples.append(TrajectorySample(t, a, d, phase))
     return Trajectory(dt=dt, samples=tuple(samples), terminal=terminal)
 
 
@@ -360,18 +349,13 @@ class AgreementReport:
         return self.n_mismatches == 0
 
 
-def verify_outcome_agreement(
-    params: GameParams,
-    n_games: int,
-    seed: int,
-    dt: float = VERIFY_DT,
-    eps_capture: float = EPS_CAPTURE,
-) -> AgreementReport:
+def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> AgreementReport:
     """Replay a seeded session kinematically and compare verdicts.
 
     Games whose bearing gap sits within ``BOUNDARY_MARGIN`` of the capture
-    threshold are skipped (the discrete integrator may legitimately land on
-    either side there); everything else must agree.
+    threshold are skipped (there the defender reaches its engagement point
+    only just in time, so the rounding of ``theta_max`` may decide the
+    verdict); everything else must agree.
     """
     if n_games < 1:
         raise ValueError(f"n_games must be >= 1, got {n_games!r}")
@@ -393,10 +377,7 @@ def verify_outcome_agreement(
         if near_boundary:
             n_boundary += 1
         else:
-            traj = simulate_kinematic(
-                state, theta_a, params, dt=dt, eps_capture=eps_capture,
-                record_every=None,
-            )
+            traj = simulate_kinematic(state, theta_a, params, record_every=None)
             n_compared += 1
             kin_capture = isinstance(traj.terminal, CaptureAt)
             if kin_capture != (outcome.result is GameResult.CAPTURE):

@@ -89,9 +89,7 @@ def test_criterion_3_monte_carlo_reproduction(params):
 
 def test_criterion_4_kinematic_oracle_agreement(params):
     t0 = time.perf_counter()
-    report = engine.verify_outcome_agreement(
-        params, 500, seed=2026, dt=1e-4, eps_capture=1e-3
-    )
+    report = engine.verify_outcome_agreement(params, 500, seed=2026)
     assert report.n_mismatches == 0
     assert report.n_compared + report.n_boundary_skipped == 500
     assert report.max_circle_distance <= 5e-3

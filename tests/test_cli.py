@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from perimdef import analytics, engine
+from perimdef import analytics, engine, strategy
 from perimdef.cli import MAX_GRID_POINTS, MAX_SIM_GAMES, _write_rows, main
 from perimdef.geometry import validate_params
 
@@ -24,6 +24,12 @@ PINNED_SHA256 = {
 PINNED_JSONL_SHA256 = {
     "sim.jsonl": "da286e9dd5949e96f08b0311a916a0e978abba5a10401d06799a6c282104b278",
     "sim_trials.jsonl": "02b35e1eda1573553fb5f4c9a1420b87c234831f5d70d9c51be57840aa184fa7",
+}
+# Traces of a capture-bound and a breach-bound game from the capture circle,
+# keyed by their --theta-a and --defender-angle.
+PINNED_TRACE_SHA256 = {
+    ("0.6", "1.1"): "6887b27c8540568d2b26e1a085f9f1b6b65c91aa15f0c16d38ea55163fbea7df",
+    ("3.0", "0.0"): "9d7f6d0fe51a8b4c58f0cd7658c7f4f5f242656e31b4223871bc627318748c5f",
 }
 
 
@@ -189,12 +195,25 @@ def test_sweep_rejects_nonfinite_grid_bounds(tmp_path, capsys, bounds):
 
 def test_verify_agrees_and_exits_zero(tmp_path):
     out = tmp_path / "verify.txt"
-    code = main(["verify", *BASE, "--n", "25", "--seed", "3",
-                 "--dt", "1e-4", "--out", str(out)])
+    code = main(["verify", *BASE, "--n", "25", "--seed", "3", "--out", str(out)])
     assert code == 0
     text = out.read_text()
     assert "n_mismatches = 0" in text
     assert "verdict = agree" in text
+
+
+@pytest.mark.parametrize("params", [("5", "10", "1", "0.85"), ("5", "14", "1", "0.9")])
+def test_verify_agrees_at_high_speed_ratio(tmp_path, params):
+    """A replay that ended captures short of the capture circle reported a false
+    ``disagree`` here, with no mismatched verdict."""
+    out = tmp_path / "verify.txt"
+    flags = [f for pair in zip(["--r-t", "--rho-t", "--rho-a", "--nu"], params) for f in pair]
+    assert main(["verify", *flags, "--n", "200", "--seed", "3", "--out", str(out)]) == 0
+    report = dict(line.split(" = ") for line in _read(out))
+    r_cc = strategy.capture_circle_radius(validate_params(*map(float, params)))
+    assert report["n_mismatches"] == "0"
+    assert float(report["max_capture_point_error"]) <= 1e-6 * (1.0 + r_cc)
+    assert report["verdict"] == "agree"
 
 
 def test_trace_capture_bound(tmp_path):
@@ -276,7 +295,6 @@ def test_config_format_validated(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("verify", ["--n", "3"]),
     ("trace", ["--theta-a", "0.6"]),
 ])
 @pytest.mark.parametrize("dt", ["0", "-1"])
@@ -295,9 +313,6 @@ def test_nonpositive_dt_rejected(tmp_path, capsys, command, extra, dt):
     ("trace", ["--theta-a", "0.6"], "defender_angle", "nan"),
     ("trace", [], "theta_a", "nan"),
     ("trace", ["--theta-a", "0.6"], "dt", "inf"),
-    ("verify", ["--n", "3"], "eps_capture", "nan"),
-    ("verify", ["--n", "3"], "eps_capture", "0"),
-    ("trace", ["--theta-a", "0.6"], "eps_capture", "-1"),
     ("analytic", ["--n", "5"], "rho_a", "inf"),
 ])
 def test_nonfinite_or_nonpositive_floats_rejected(tmp_path, capsys, command, extra, key, value):
@@ -339,3 +354,13 @@ def test_cli_jsonl_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_JSONL_SHA256}
     assert digests == PINNED_JSONL_SHA256
+
+
+def test_trace_bytes_pinned(tmp_path):
+    digests = {}
+    for theta_a, angle in PINNED_TRACE_SHA256:
+        out = tmp_path / "trace.csv"
+        assert main(["trace", *BASE, "--theta-a", theta_a, "--defender-angle", angle,
+                     "--dt", "1e-3", "--out", str(out)]) == 0
+        digests[theta_a, angle] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_TRACE_SHA256
