@@ -20,7 +20,6 @@ from .geometry import GameParams, Point2, breach_margin_point
 from .strategy import (
     AtCenter,
     DefenderState,
-    EngagementSolution,
     OnCaptureCircle,
     capture_circle_radius,
     capture_circle_solution,
@@ -32,6 +31,8 @@ _TWO_PI = 2.0 * math.pi
 CONTACT_SLACK = 1e-9
 # The band around theta_max whose games verify_outcome_agreement skips.
 BOUNDARY_MARGIN = 1e-3
+# Most samples one kinematic replay may record (about 420 bytes each).
+MAX_TRACE_SAMPLES = 1_000_000
 
 
 def wrap_angle(a: float) -> float:
@@ -117,18 +118,19 @@ def _capture_side(angle: float, theta_a: float, theta_max: float) -> Optional[fl
     return None
 
 
-def _next_bearing(angle: Optional[float], theta_a: float, sol: EngagementSolution) -> Optional[float]:
+def _next_bearing(angle: Optional[float], theta_a: float, theta_max: float, phi: float) -> Optional[float]:
     """The defender's bearing after an arrival at ``theta_a``, or None on a breach.
 
     ``angle`` is None at the center, from where the defender always wins and
     ends at the arrival bearing.  From the capture circle it wins exactly when
     the bearing gap is within ``theta_max`` (ties included), ending at the
-    evasion endpoint mirrored to its own side.
+    evasion endpoint, at bearing ``phi`` from the arrival, mirrored to its own
+    side.  Callers pass the solution's fields as plain floats, read once.
     """
     if angle is None:
         return wrap_angle(theta_a)
-    s = _capture_side(angle, theta_a, sol.theta_max)
-    return None if s is None else wrap_angle(theta_a + s * sol.phi)
+    s = _capture_side(angle, theta_a, theta_max)
+    return None if s is None else wrap_angle(theta_a + s * phi)
 
 
 def play_game(state: DefenderState, theta_a: float, params: GameParams) -> GameOutcome:
@@ -138,7 +140,8 @@ def play_game(state: DefenderState, theta_a: float, params: GameParams) -> GameO
     point; a breach sends it back to the center.
     """
     before = None if isinstance(state, AtCenter) else state.angle
-    after = _next_bearing(before, theta_a, capture_circle_solution(params))
+    sol = capture_circle_solution(params)
+    after = _next_bearing(before, theta_a, sol.theta_max, sol.phi)
     if after is None:
         return GameOutcome(GameResult.BREACH, theta_a, before, AtCenter(), None)
     point = Point2.from_polar(capture_circle_radius(params), after)
@@ -150,10 +153,11 @@ def run_session(params: GameParams, n: int, seed: int) -> SessionRecord:
     if n < 1:
         raise ValueError(f"session length must be >= 1, got {n!r}")
     sol = capture_circle_solution(params)
+    theta_max, phi = sol.theta_max, sol.phi
     angle: Optional[float] = None
     outcomes = []
     for theta_a in _uniform_angles(seed, n).tolist():
-        angle = _next_bearing(angle, theta_a, sol)
+        angle = _next_bearing(angle, theta_a, theta_max, phi)
         outcomes.append(angle is not None)
     n_capture = sum(outcomes)
     return SessionRecord(params, seed, tuple(outcomes), n_capture, n - n_capture)
@@ -244,12 +248,15 @@ def simulate_kinematic(
     ``CONTACT_SLACK * (1 + r_cc)``.  On ties contact beats breach, and breach
     beats detection.  Positions are sampled at ``k * dt`` for every multiple
     ``k`` of ``record_every``, plus the terminal instant; ``record_every=None``
-    keeps only the endpoints.
+    keeps only the endpoints.  A replay that would record more than
+    ``MAX_TRACE_SAMPLES`` samples raises ``ValueError``.
     """
     if dt is None:
         dt = 1e-4 * params.tsr_radius
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if record_every is not None and record_every < 1:
+        raise ValueError(f"record_every must be None or >= 1, got {record_every!r}")
     before = None if isinstance(state, AtCenter) else state.angle
     if not (math.isfinite(theta_a) and (before is None or math.isfinite(before))):
         raise ValueError("arrival and defender bearings must be finite")
@@ -313,6 +320,8 @@ def simulate_kinematic(
     else:
         terminal = BreachAt(a)
 
+    if record_every is not None and t / (dt * record_every) > MAX_TRACE_SAMPLES:
+        raise ValueError(f"dt={dt!r} would record more than the limit of {MAX_TRACE_SAMPLES} samples")
     samples = []
     steps = [0] if record_every is None else range(0, int(t / dt) + 2, record_every)
     i = 0

@@ -14,8 +14,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Union
+from functools import cached_property, lru_cache, partial
+from typing import Optional, Union
 
 import numpy as np
 
@@ -63,14 +63,43 @@ class EngagementCandidate:
 
 @dataclass(frozen=True)
 class EngagementSolution:
-    """Optimized engagement bundle for a fixed defender radius."""
+    """Optimized engagement bundle for a defender at radius ``r``.
 
-    candidate: EngagementCandidate
+    ``theta_max`` is computed when the solution is made.  The rest of the
+    bundle (``candidate``, ``r_eng``, ``phi_eng``, ``x_p``, ``phi``) is
+    derived on first use and cached.  ``refined_tau`` is the engagement time
+    found by golden-section refinement, or None when the objective saturates
+    at pi; the plateau time is then chosen by the stealth audit on the first
+    use of ``candidate``, ``x_p`` or ``phi``.
+    """
+
     theta_max: float
-    r_eng: float
-    phi_eng: float
-    x_p: Point2
-    phi: float
+    r: float
+    params: GameParams
+    refined_tau: Optional[float]
+
+    @cached_property
+    def candidate(self) -> EngagementCandidate:
+        tau = self.refined_tau
+        if tau is None:
+            tau = _plateau_time(self.r, self.params)
+        return engagement_candidate(tau, self.params)
+
+    @cached_property
+    def r_eng(self) -> float:
+        return self.candidate.x_d_eng.norm()
+
+    @cached_property
+    def phi_eng(self) -> float:
+        return self.candidate.x_d_eng.bearing()
+
+    @cached_property
+    def x_p(self) -> Point2:
+        return evasion_point(self.candidate, self.params)[0]
+
+    @cached_property
+    def phi(self) -> float:
+        return evasion_point(self.candidate, self.params)[1]
 
 
 @dataclass(frozen=True)
@@ -317,6 +346,26 @@ def _objective_grid(taus: np.ndarray, r: float, params: GameParams) -> np.ndarra
     return values
 
 
+def _tau_grid(params: GameParams) -> np.ndarray:
+    """The ``TAU_GRID_POINTS`` engagement times scanned by ``optimize_engagement``."""
+    tau_min, tau_max = engagement_domain(params)
+    return tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)
+
+
+def _plateau_time(r: float, params: GameParams) -> float:
+    """The engagement time chosen when the objective saturates at pi.
+
+    The maximizer is then a whole plateau: take its earliest grid time whose
+    approach is audited stealthy (the audit flips from failing to passing as
+    the engagement tucks behind the intruder), else its first time.
+    """
+    grid = _tau_grid(params)
+    sat = grid[_objective_grid(grid, r, params) == math.pi].tolist()
+    stealthy = partial(_plateau_is_stealthy, params=params, r=r)
+    k = 0 if stealthy(sat[0]) else bisect.bisect_left(sat, True, 1, key=stealthy)
+    return sat[k if k < len(sat) else 0]
+
+
 def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     """Pick the engagement point maximizing the guarded bearing gap.
 
@@ -325,53 +374,33 @@ def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     decides where to look: the first grid maximum and the saturated grid
     points.  Everything after that runs on the scalar functions:
     golden-section refinement of the best bracket, with ties broken toward
-    the smaller time.  When the objective saturates at pi the maximizer is a
-    whole plateau, and the tie goes to the smallest saturated time whose
-    approach is provably never sensed early from any start bearing (audited
-    in closed form); candidates that would be spotted en route cannot
-    deliver the tangent engagement they promise.  The result is
-    deterministic.
+    the smaller time.  When the objective saturates at pi, ``theta_max`` is
+    pi and the maximizer is a whole plateau.  The tie then goes to the
+    smallest saturated time whose approach is provably never sensed early
+    from any start bearing (audited in closed form); candidates that would
+    be spotted en route cannot deliver the tangent engagement they promise.
+    That time is chosen on the first use of the solution's ``candidate``,
+    ``x_p`` or ``phi``, since ``theta_max`` does not depend on it.  The
+    result is deterministic.
     """
     _check_radius(r)
-    tau_min, tau_max = engagement_domain(params)
+    grid = _tau_grid(params)
+    values = _objective_grid(grid, r, params)
+    best_i = int(np.argmax(values))
+    if values[best_i] == math.pi:
+        return EngagementSolution(theta_max=math.pi, r=r, params=params, refined_tau=None)
 
     def objective(tau: float) -> float:
         return theta_max_at(tau, engagement_theta(tau, params), r, params)
 
-    span = tau_max - tau_min
-    grid = tau_min + span * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)
-    values = _objective_grid(grid, r, params)
     taus = grid.tolist()
-    best_i = int(np.argmax(values))
-
-    if values[best_i] == math.pi:
-        # The maximizer is a whole plateau: take its earliest time whose
-        # approach is audited stealthy (the audit flips from failing to passing
-        # as the engagement tucks behind the intruder), else its first time.
-        sat = grid[values == math.pi].tolist()
-        stealthy = partial(_plateau_is_stealthy, params=params, r=r)
-        k = 0 if stealthy(sat[0]) else bisect.bisect_left(sat, True, 1, key=stealthy)
-        tau_star = sat[k if k < len(sat) else 0]
-    else:
-        lo, hi = taus[max(0, best_i - 1)], taus[min(TAU_GRID_POINTS - 1, best_i + 1)]
-        tau_star = golden_section_max(objective, lo, hi, TAU_TOL)
-        # Compared on the scalar objective, whose bits the grid's need not match.
-        if objective(tau_star) < objective(taus[best_i]):
-            tau_star = taus[best_i]
-
-    candidate = engagement_candidate(tau_star, params)
-    theta_max = theta_max_at(tau_star, candidate.theta, r, params)
-    r_eng = candidate.x_d_eng.norm()
-    phi_eng = candidate.x_d_eng.bearing()
-    x_p, phi = evasion_point(candidate, params)
-    return EngagementSolution(
-        candidate=candidate,
-        theta_max=theta_max,
-        r_eng=r_eng,
-        phi_eng=phi_eng,
-        x_p=x_p,
-        phi=phi,
-    )
+    lo, hi = taus[max(0, best_i - 1)], taus[min(TAU_GRID_POINTS - 1, best_i + 1)]
+    tau_star = golden_section_max(objective, lo, hi, TAU_TOL)
+    theta_max, at_grid = objective(tau_star), objective(taus[best_i])
+    # Compared on the scalar objective, whose bits the grid's need not match.
+    if theta_max < at_grid:
+        tau_star, theta_max = taus[best_i], at_grid
+    return EngagementSolution(theta_max=theta_max, r=r, params=params, refined_tau=tau_star)
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ import pytest
 
 from perimdef import analytics, engine, strategy
 from perimdef.cli import MAX_GRID_POINTS, MAX_SIM_GAMES, _write_rows, main
+from perimdef.engine import MAX_TRACE_SAMPLES
 from perimdef.geometry import validate_params
 
 BASE = ["--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8"]
@@ -251,6 +252,22 @@ def test_trace_breach_bound_ends_on_target_rim(tmp_path):
     tx = float(next(l for l in meta if l.startswith("# terminal_x")).split("=")[1])
     ty = float(next(l for l in meta if l.startswith("# terminal_y")).split("=")[1])
     assert math.hypot(tx, ty) == pytest.approx(5.0, abs=0.8 * 1e-3 + 1e-9)
+
+
+@pytest.mark.parametrize("dt", ["1e-320", "1e-9"])
+def test_trace_rejects_too_many_samples(tmp_path, capsys, monkeypatch, dt):
+    """A sample spacing this small once raised OverflowError (1e-320) or asked
+    for gigabytes of samples (1e-9); both are refused before any is built."""
+    def no_sample(*args):
+        raise AssertionError("a sample was built")
+
+    monkeypatch.setattr(engine, "TrajectorySample", no_sample)
+    out = tmp_path / "trace.csv"
+    code = main(["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1",
+                 "--dt", dt, "--out", str(out)])
+    assert code == 2
+    assert str(MAX_TRACE_SAMPLES) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

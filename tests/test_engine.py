@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -147,6 +149,25 @@ def test_session_basics(params):
 
     with pytest.raises(ValueError):
         run_session(params, 0, seed=1)
+
+
+def test_cold_plateau_cache_thread_fan_out():
+    """Threads that race to the first read of a plateau solution's lazy
+    bundle still play the sequential sessions."""
+    p = validate_params(5.0, 10.0, 0.5, 0.5)
+    assert capture_circle_solution(p).theta_max == math.pi
+    seeds = list(range(1, 33))
+    sequential = [run_session(p, 50, s) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 8):
+            capture_circle_solution.cache_clear()
+            with ThreadPoolExecutor(workers) as pool:
+                parallel = list(pool.map(lambda s: run_session(p, 50, s), seeds, timeout=60))
+            assert parallel == sequential
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_session_structure(params):
@@ -296,6 +317,12 @@ def test_outcome_agreement_small_run(params):
 def test_kinematic_rejects_bad_resolution(params, dt):
     with pytest.raises(ValueError):
         simulate_kinematic(AtCenter(), 0.7, params, dt=dt)
+
+
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_kinematic_rejects_bad_record_every(params, record_every):
+    with pytest.raises(ValueError, match="record_every"):
+        simulate_kinematic(AtCenter(), 0.7, params, record_every=record_every)
 
 
 @pytest.mark.parametrize("state, theta_a", [

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perimdef import analytics
+from perimdef.cli import main
 from perimdef.geometry import (
     GameParams, Point2, assumption_clauses, breach_margin_point, validate_params,
 )
@@ -351,6 +353,63 @@ def test_plateau_bits_pinned():
         assert (sol.candidate.tau.hex(), sol.phi.hex()) == want
         first_passes.append(_plateau_is_stealthy(_saturated_grid_times(r, p)[0], p, r))
     assert first_passes == [False, True]
+
+
+def _no_audit(*args, **kwargs):
+    raise AssertionError("the plateau audit ran")
+
+
+def test_theta_max_outputs_never_audit_the_plateau(monkeypatch, tmp_path):
+    """``sweep`` and ``analytic`` read only ``theta_max``, so on a plateau they
+    write the same rows without choosing the engagement time."""
+    axes = (("rho_a", [0.5, 1.0, 1.5]), ("rho_t", [8.0, 10.0, 12.0, 14.0]), {"r_t": 5.0, "nu": 0.5})
+    argv = ["analytic", "--r-t", "5", "--rho-t", "10", "--rho-a", "0.5", "--nu", "0.5",
+            "--n", "1,20,200"]
+
+    def run(out):
+        capture_circle_solution.cache_clear()
+        assert main([*argv, "--out", str(out)]) == 0
+        return analytics.sweep(*axes, horizons=(20,)), out.read_bytes()
+
+    want = run(tmp_path / "want.csv")
+    assert sum(row.theta_max == math.pi for row in want[0]) >= 2
+    monkeypatch.setattr("perimdef.strategy._plateau_is_stealthy", _no_audit)
+    assert run(tmp_path / "got.csv") == want
+    capture_circle_solution.cache_clear()
+
+
+@pytest.mark.parametrize("first", ["candidate", "phi"])
+def test_plateau_audit_runs_on_first_use_only(monkeypatch, first):
+    p = validate_params(5.0, 10.0, 0.5, 0.5)
+    r = capture_circle_radius(p)
+    calls = []
+
+    def audit(tau, params, r):
+        calls.append(tau)
+        return _plateau_is_stealthy(tau, params, r)
+
+    monkeypatch.setattr("perimdef.strategy._plateau_is_stealthy", audit)
+    sol = optimize_engagement(r, p)
+    assert sol.theta_max == math.pi
+    assert calls == []
+    getattr(sol, first)
+    n_audits = len(calls)
+    assert n_audits > 0
+    for name in ("candidate", "r_eng", "phi_eng", "x_p", "phi"):
+        getattr(sol, name)
+    assert len(calls) == n_audits
+
+
+def test_bundle_bits_independent_of_read_order(params):
+    def bits(sol):
+        return sol.candidate.tau.hex(), sol.phi.hex(), sol.x_p.x.hex(), sol.x_p.y.hex()
+
+    for p in [params, *(validate_params(*key) for key in PLATEAU_HEX)]:
+        r = capture_circle_radius(p)
+        phi_first, candidate_first = optimize_engagement(r, p), optimize_engagement(r, p)
+        phi_first.phi
+        candidate_first.candidate
+        assert bits(phi_first) == bits(candidate_first)
 
 
 @st.composite
