@@ -28,7 +28,7 @@ _INT_KEYS = {"trials", "seed"}
 FORMATS = ("csv", "jsonl")
 # Most parameter points one sweep may ask for (outer steps x inner steps).
 MAX_GRID_POINTS = 1_000_000
-# Most games one simulation may ask for (arrivals per session x sessions).
+# Most games one simulation (arrivals per session x sessions) or verify may ask for.
 MAX_SIM_GAMES = 10_000_000
 # Largest capture-point error between replay and event-level game that verify accepts.
 MAX_DISCREPANCY = 5e-3
@@ -236,7 +236,10 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
 def cmd_verify(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    report = engine.verify_outcome_agreement(params, int(cfg["n"]), int(cfg["seed"]))
+    n = int(cfg["n"])
+    if n > MAX_SIM_GAMES:
+        raise ValueError(f"verify asks for {n} games, more than the limit of {MAX_SIM_GAMES}")
+    report = engine.verify_outcome_agreement(params, n, int(cfg["seed"]))
     ok = report.all_agree and report.max_capture_point_error <= MAX_DISCREPANCY
     lines = [
         f"n_games = {report.n_games}",
@@ -262,7 +265,8 @@ def cmd_trace(cfg: dict) -> int:
     else:
         state = strategy.OnCaptureCircle(float(cfg["defender_angle"]))
         mirror = engine._capture_side(state.angle, theta_a, math.pi)
-    traj = engine.simulate_kinematic(state, theta_a, params, dt=cfg.get("dt"))
+    traj = engine.simulate_kinematic(state, theta_a, params)
+    samples = traj.sample(cfg.get("dt", 1e-4 * params.tsr_radius))
 
     tau_min, tau_max = strategy.engagement_domain(params)
     polyline = []
@@ -279,10 +283,7 @@ def cmd_trace(cfg: dict) -> int:
         "terminal_y": _fmt(terminal.point.y),
         "engagement_surface": " ".join(polyline),
     }
-    rows = [
-        (s.t, s.x_a.x, s.x_a.y, s.x_d.x, s.x_d.y, s.phase.value)
-        for s in traj.samples
-    ]
+    rows = ((s.t, s.x_a.x, s.x_a.y, s.x_d.x, s.x_d.y, s.phase.value) for s in samples)
     _write_rows(Path(cfg["out"]), ["t", "ax", "ay", "dx", "dy", "phase"], rows, cfg["format"], meta=meta)
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ _TWO_PI = 2.0 * math.pi
 CONTACT_SLACK = 1e-9
 # The band around theta_max whose games verify_outcome_agreement skips.
 BOUNDARY_MARGIN = 1e-3
-# Most samples one kinematic replay may record (about 420 bytes each).
+# Most samples one replay may be sampled at; it bounds a trace's run length and file size.
 MAX_TRACE_SAMPLES = 1_000_000
 
 
@@ -191,9 +191,45 @@ Terminal = Union[CaptureAt, BreachAt]
 
 @dataclass(frozen=True)
 class Trajectory:
-    dt: float
-    samples: tuple[TrajectorySample, ...]
+    """One replayed game as the exact straight pieces that tile ``[0, t]``.
+
+    Each piece ``(start, end, a, va, d, vd, phase)`` puts the intruder at
+    ``a + va * h`` and the defender at ``d + vd * h`` at time ``start + h``,
+    for ``start + h`` in ``[start, end]``.  The game ends at ``t`` with the
+    intruder at ``x_a`` and the defender at ``x_d``.
+    """
+
+    pieces: tuple[tuple, ...]
     terminal: Terminal
+    t: float
+    x_a: Point2
+    x_d: Point2
+
+    def sample(self, dt: float) -> Iterator[TrajectorySample]:
+        """Positions at ``k * dt`` for every ``k * dt < t`` (and ``k = 0``), then at ``t``.
+
+        The spacing and the ``MAX_TRACE_SAMPLES`` cap are checked here, before
+        any sample is made; the samples are then yielded one at a time.
+        """
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        if self.t / dt > MAX_TRACE_SAMPLES:
+            raise ValueError(f"dt={dt!r} would record more than the limit of {MAX_TRACE_SAMPLES} samples")
+        return self._samples(dt)
+
+    def _samples(self, dt: float) -> Iterator[TrajectorySample]:
+        i, k = 0, 0
+        while k == 0 or k * dt < self.t:
+            ts = k * dt
+            while self.pieces[i][1] < ts:
+                i += 1
+            start, _, a0, va, d0, vd, ph = self.pieces[i]
+            h = ts - start
+            yield TrajectorySample(
+                ts, Point2(a0.x + va.x * h, a0.y + va.y * h), Point2(d0.x + vd.x * h, d0.y + vd.y * h), ph,
+            )
+            k += 1
+        yield TrajectorySample(self.t, self.x_a, self.x_d, self.pieces[-1][6])
 
 
 def to_world(p: Point2, theta_a: float, mirror: float) -> Point2:
@@ -229,13 +265,7 @@ def _heading(pos: Point2, target: Point2, speed: float) -> tuple[Point2, float]:
     return (target - pos) * (speed / dist), dist / speed
 
 
-def simulate_kinematic(
-    state: DefenderState,
-    theta_a: float,
-    params: GameParams,
-    dt: Optional[float] = None,
-    record_every: Optional[int] = 1,
-) -> Trajectory:
+def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams) -> Trajectory:
     """Replay one game on its exact piecewise-linear paths.
 
     The intruder runs radially inward until the defender enters its sensing
@@ -246,17 +276,9 @@ def simulate_kinematic(
     then holds, so every event is the first root of ``|p + v s| <= R`` on a
     linear piece: detection at ``rho_a``, breach at ``r_t`` and contact at
     ``CONTACT_SLACK * (1 + r_cc)``.  On ties contact beats breach, and breach
-    beats detection.  Positions are sampled at ``k * dt`` for every multiple
-    ``k`` of ``record_every``, plus the terminal instant; ``record_every=None``
-    keeps only the endpoints.  A replay that would record more than
-    ``MAX_TRACE_SAMPLES`` samples raises ``ValueError``.
+    beats detection.  The walk's pieces come back in a ``Trajectory``, whose
+    ``sample(dt)`` yields positions at a fixed spacing.
     """
-    if dt is None:
-        dt = 1e-4 * params.tsr_radius
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if record_every is not None and record_every < 1:
-        raise ValueError(f"record_every must be None or >= 1, got {record_every!r}")
     before = None if isinstance(state, AtCenter) else state.angle
     if not (math.isfinite(theta_a) and (before is None or math.isfinite(before))):
         raise ValueError("arrival and defender bearings must be finite")
@@ -320,25 +342,7 @@ def simulate_kinematic(
     else:
         terminal = BreachAt(a)
 
-    if record_every is not None and t / (dt * record_every) > MAX_TRACE_SAMPLES:
-        raise ValueError(f"dt={dt!r} would record more than the limit of {MAX_TRACE_SAMPLES} samples")
-    samples = []
-    steps = [0] if record_every is None else range(0, int(t / dt) + 2, record_every)
-    i = 0
-    for step in steps:
-        ts = step * dt
-        if step and ts >= t:
-            break
-        while pieces[i][1] < ts:
-            i += 1
-        start, _, a0, va, d0, vd, ph = pieces[i]
-        h = ts - start
-        samples.append(TrajectorySample(
-            ts, Point2(a0.x + va.x * h, a0.y + va.y * h), Point2(d0.x + vd.x * h, d0.y + vd.y * h), ph,
-        ))
-    if samples[-1].t != t or record_every is None:
-        samples.append(TrajectorySample(t, a, d, phase))
-    return Trajectory(dt=dt, samples=tuple(samples), terminal=terminal)
+    return Trajectory(tuple(pieces), terminal, t, a, d)
 
 
 @dataclass(frozen=True)
@@ -386,7 +390,7 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
         if near_boundary:
             n_boundary += 1
         else:
-            traj = simulate_kinematic(state, theta_a, params, record_every=None)
+            traj = simulate_kinematic(state, theta_a, params)
             n_compared += 1
             kin_capture = isinstance(traj.terminal, CaptureAt)
             if kin_capture != (outcome.result is GameResult.CAPTURE):
@@ -396,7 +400,7 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
                 max_pt_err = max(max_pt_err, err)
                 max_circ = max(max_circ, abs(traj.terminal.point.norm() - r_cc))
             else:
-                home = traj.samples[-1].x_d.norm()
+                home = traj.x_d.norm()
                 max_home = max(max_home, home)
         state = outcome.defender_state_after
     return AgreementReport(

@@ -66,11 +66,10 @@ class EngagementSolution:
     """Optimized engagement bundle for a defender at radius ``r``.
 
     ``theta_max`` is computed when the solution is made.  The rest of the
-    bundle (``candidate``, ``r_eng``, ``phi_eng``, ``x_p``, ``phi``) is
-    derived on first use and cached.  ``refined_tau`` is the engagement time
-    found by golden-section refinement, or None when the objective saturates
-    at pi; the plateau time is then chosen by the stealth audit on the first
-    use of ``candidate``, ``x_p`` or ``phi``.
+    bundle (``candidate``, ``x_p``, ``phi``) is derived on first use and
+    cached.  ``refined_tau`` is the engagement time found by golden-section
+    refinement, or None when the objective saturates at pi; the plateau time
+    is then chosen by the stealth audit on the first use of any of them.
     """
 
     theta_max: float
@@ -84,14 +83,6 @@ class EngagementSolution:
         if tau is None:
             tau = _plateau_time(self.r, self.params)
         return engagement_candidate(tau, self.params)
-
-    @cached_property
-    def r_eng(self) -> float:
-        return self.candidate.x_d_eng.norm()
-
-    @cached_property
-    def phi_eng(self) -> float:
-        return self.candidate.x_d_eng.bearing()
 
     @cached_property
     def x_p(self) -> Point2:

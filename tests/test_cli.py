@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -270,6 +271,20 @@ def test_trace_rejects_too_many_samples(tmp_path, capsys, monkeypatch, dt):
     assert not out.exists()
 
 
+def test_trace_streams_its_samples(tmp_path):
+    """84,478 rows; building them all before writing peaked at 42.7 MB."""
+    out = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        code = main(["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1",
+                     "--dt", "2e-4", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "game.cfg"
     cfg.write_text(
@@ -351,6 +366,17 @@ def test_verify_rejects_nonpositive_game_count(tmp_path, capsys, n):
     out = tmp_path / "verify.txt"
     assert main(["verify", *BASE, "--n", n, "--out", str(out)]) == 2
     assert "n_games" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_rejects_oversized_run(tmp_path, capsys, monkeypatch):
+    def no_angles(*args):
+        raise AssertionError("arrival bearings were drawn")
+
+    monkeypatch.setattr(engine, "_uniform_angles", no_angles)
+    out = tmp_path / "verify.txt"
+    assert main(["verify", *BASE, "--n", str(MAX_SIM_GAMES + 1), "--out", str(out)]) == 2
+    assert str(MAX_SIM_GAMES) in capsys.readouterr().err
     assert not out.exists()
 
 

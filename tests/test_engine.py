@@ -213,7 +213,7 @@ def test_session_mask_matches_play_game_chain_property(case):
 
 def test_kinematic_matches_event_level_from_center(params):
     out = play_game(AtCenter(), 0.7, params)
-    traj = simulate_kinematic(AtCenter(), 0.7, params, dt=1e-4, record_every=None)
+    traj = simulate_kinematic(AtCenter(), 0.7, params)
     assert isinstance(traj.terminal, CaptureAt)
     assert traj.terminal.point.distance_to(out.capture_point) <= 5e-3
 
@@ -222,7 +222,7 @@ def test_kinematic_matches_event_level_on_circle(params):
     state = OnCaptureCircle(0.4)
     out = play_game(state, -0.9, params)
     assert out.result is GameResult.CAPTURE
-    traj = simulate_kinematic(state, -0.9, params, dt=1e-4, record_every=None)
+    traj = simulate_kinematic(state, -0.9, params)
     assert isinstance(traj.terminal, CaptureAt)
     assert traj.terminal.point.distance_to(out.capture_point) <= 5e-3
 
@@ -231,19 +231,18 @@ def test_kinematic_breach_sends_defender_home(params):
     state = OnCaptureCircle(0.0)
     theta_a = 2.5
     assert play_game(state, theta_a, params).result is GameResult.BREACH
-    traj = simulate_kinematic(state, theta_a, params, dt=1e-4, record_every=None)
+    traj = simulate_kinematic(state, theta_a, params)
     assert isinstance(traj.terminal, BreachAt)
-    assert traj.samples[-1].x_d.norm() <= 1e-3
+    assert traj.x_d.norm() <= 1e-3
     r_a = traj.terminal.point.norm()
-    assert params.r_t - params.nu * traj.dt <= r_a <= params.r_t + 1e-9
+    assert params.r_t - params.nu * 1e-4 <= r_a <= params.r_t + 1e-9
 
 
 def test_trajectory_step_bounds_and_phases(params):
     dt = 1e-3
-    traj = simulate_kinematic(AtCenter(), -1.1, params, dt=dt, record_every=1)
-    assert traj.dt == dt
+    samples = list(simulate_kinematic(AtCenter(), -1.1, params).sample(dt))
     seen_full = False
-    steps = list(zip(traj.samples, traj.samples[1:]))
+    steps = list(zip(samples, samples[1:]))
     for k, (a, b) in enumerate(steps):
         step = b.t - a.t
         if k == len(steps) - 1:  # to the terminal instant
@@ -262,19 +261,12 @@ def test_committed_path_stays_in_dominance_region(params):
     """After detection the intruder's straight run never leaves the region it
     dominates at the moment of detection."""
     dt = 1e-3
-    traj = simulate_kinematic(OnCaptureCircle(0.2), -0.8, params, dt=dt, record_every=1)
-    full = [s for s in traj.samples if s.phase is Phase.FULL]
+    traj = simulate_kinematic(OnCaptureCircle(0.2), -0.8, params)
+    full = [s for s in traj.sample(dt) if s.phase is Phase.FULL]
     x_a0, x_d0 = full[0].x_a, full[0].x_d
     slack = 5e-3  # discrete detection lags the exact crossing by O(dt)
     for s in full:
         assert params.nu * s.x_a.distance_to(x_d0) >= s.x_a.distance_to(x_a0) - slack
-
-
-def test_record_every_none_keeps_endpoints(params):
-    traj = simulate_kinematic(AtCenter(), 0.3, params, record_every=None)
-    assert len(traj.samples) == 2
-    assert traj.samples[0].t == 0.0
-    assert traj.samples[1].t > 0.0
 
 
 def test_first_entry_roots():
@@ -315,14 +307,9 @@ def test_outcome_agreement_small_run(params):
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
 def test_kinematic_rejects_bad_resolution(params, dt):
-    with pytest.raises(ValueError):
-        simulate_kinematic(AtCenter(), 0.7, params, dt=dt)
-
-
-@pytest.mark.parametrize("record_every", [0, -1])
-def test_kinematic_rejects_bad_record_every(params, record_every):
-    with pytest.raises(ValueError, match="record_every"):
-        simulate_kinematic(AtCenter(), 0.7, params, record_every=record_every)
+    traj = simulate_kinematic(AtCenter(), 0.7, params)
+    with pytest.raises(ValueError, match="dt"):
+        traj.sample(dt)
 
 
 @pytest.mark.parametrize("state, theta_a", [
@@ -423,7 +410,7 @@ def test_stepped_replay_converges_to_exact_terminals(params):
     sides = {_capture_side(s.angle, th, sol.theta_max)
              for s, th in CONVERGENCE_GAMES if isinstance(s, OnCaptureCircle)}
     assert sides == {1.0, -1.0, None}
-    exact = [simulate_kinematic(s, th, params, record_every=None).terminal
+    exact = [simulate_kinematic(s, th, params).terminal
              for s, th in CONVERGENCE_GAMES]
     assert [type(t) for t in exact] == [CaptureAt] * 3 + [BreachAt] * 2
     capture_errors = []
@@ -436,3 +423,27 @@ def test_stepped_replay_converges_to_exact_terminals(params):
         assert max(errors) <= 10.0 * h
         capture_errors.append(max(errors[:3]))
     assert capture_errors[2] < capture_errors[1] < capture_errors[0]
+
+
+@pytest.mark.parametrize("state, theta_a", CONVERGENCE_GAMES)
+def test_pieces_tile_the_game(params, state, theta_a):
+    traj = simulate_kinematic(state, theta_a, params)
+    starts = [piece[0] for piece in traj.pieces]
+    ends = [piece[1] for piece in traj.pieces]
+    assert starts[0] == 0.0
+    assert starts[1:] == ends[:-1]
+    assert ends[-1] == traj.t
+    start, end, a, va, d, vd, _ = traj.pieces[-1]
+    assert (a + va * (end - start)).distance_to(traj.x_a) <= 1e-9
+    assert (d + vd * (end - start)).distance_to(traj.x_d) <= 1e-9
+
+
+@pytest.mark.parametrize("state, theta_a", CONVERGENCE_GAMES)
+def test_sample_times_are_multiples_of_dt_then_terminal(params, state, theta_a):
+    dt = 1e-3
+    traj = simulate_kinematic(state, theta_a, params)
+    samples = list(traj.sample(dt))
+    times = [s.t for s in samples]
+    assert times[:-1] == [k * dt for k in range(len(times) - 1)]
+    assert times[-2] < traj.t == times[-1] <= (len(times) - 1) * dt
+    assert (samples[-1].x_a, samples[-1].x_d) == (traj.x_a, traj.x_d)

@@ -395,7 +395,7 @@ def test_plateau_audit_runs_on_first_use_only(monkeypatch, first):
     getattr(sol, first)
     n_audits = len(calls)
     assert n_audits > 0
-    for name in ("candidate", "r_eng", "phi_eng", "x_p", "phi"):
+    for name in ("candidate", "x_p", "phi"):
         getattr(sol, name)
     assert len(calls) == n_audits
 
@@ -435,8 +435,6 @@ def test_optimizer_dominates_fresh_grid_property(p):
 
 def test_optimizer_bundle_consistency(params):
     sol = optimize_engagement(capture_circle_radius(params), params)
-    assert sol.r_eng == pytest.approx(sol.candidate.x_d_eng.norm(), abs=1e-12)
-    assert sol.phi_eng == pytest.approx(sol.candidate.x_d_eng.bearing(), abs=1e-12)
     assert sol.x_p.norm() == pytest.approx(capture_circle_radius(params), abs=1e-9)
     assert 0.0 < sol.theta_max <= math.pi
 
