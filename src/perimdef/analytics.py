@@ -4,11 +4,11 @@ A session alternates runs of captures (the defender hopping along the
 capture circle) broken by breaches that send it back to the center.  Run
 lengths are geometric in the per-game capture probability ``p*``, which
 makes the breach count over a finite horizon negative-binomial
-(``resets_tail_all`` gives its tail distribution).  The expected breach
-count, and with it the expected capture percentage, has an O(1) closed form
-in ``expected_resets``.  The two-state dynamic program ``markov_oracle``
-recomputes the distribution by brute force so the tails can be checked
-exactly.
+(``resets_tail_all`` gives its tail distribution by a binomial recurrence).
+The expected breach count, and with it the expected capture percentage, has
+an O(1) closed form in ``expected_resets``.  The two-state dynamic program
+``markov_oracle`` recomputes the distribution by brute force so the tails
+can be checked exactly.
 """
 
 from __future__ import annotations
@@ -79,26 +79,23 @@ def total_captures_pmf(n: int, m: int, p_star: float) -> float:
 def resets_tail_all(n: int, p_star: float) -> np.ndarray:
     """P(breach count after ``n`` games exceeds m), for every m = 0..n.
 
-    Each tail is a sum of negative-binomial masses, evaluated in log space;
-    ``markov_oracle`` checks them.
+    Every breach is a game lost from the capture circle and is followed by a
+    game from the center, which is a capture.  So the (m+1)-th breach falls
+    by game ``n`` exactly when at least m+1 of the first ``j = n - m - 1``
+    games played from the circle are lost: the tail is
+    P(Bin(j, 1 - p_star) >= n - j).  One survival row of that binomial is
+    rolled forward in ``j`` by Pascal's rule, so memory stays O(n);
+    ``markov_oracle`` checks the result.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
     _check_probability(p_star)
     tails = np.zeros(n + 1)
-    if p_star == 1.0:
-        return tails
-    top = (n - 2) // 2
-    if p_star == 0.0:
-        tails[: top + 1] = 1.0
-        return tails
-    log_fact = np.zeros(n + 1)
-    log_fact[1:] = np.cumsum(np.log(np.arange(1, n + 1)))
-    log_p, log_q = math.log(p_star), math.log1p(-p_star)
-    for m in range(top + 1):
-        j = np.arange(m + 1, n - m)
-        log_c = log_fact[j - 1] - log_fact[m] - log_fact[j - 1 - m]
-        tails[m] = np.exp(log_c + (j - m - 1) * log_p + (m + 1) * log_q).sum()
+    surv = np.zeros(n + 1)  # surv[k] = P(Bin(j, 1 - p_star) >= k)
+    surv[0] = 1.0
+    for j in range(n):
+        tails[n - 1 - j] = surv[n - j]
+        surv[1:] = p_star * surv[1:] + (1.0 - p_star) * surv[:-1]
     return tails
 
 

@@ -216,7 +216,7 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
         raise ValueError("grid parameters must be two distinct names")
     _require(cfg, *fixed_names)
     fixed = {name: float(cfg[name]) for name in fixed_names}
-    horizons = _parse_horizons(str(cfg["n"])) if cfg.get("n") else [20]
+    horizons = _parse_horizons(str(cfg.get("n", "20")))
 
     rows = analytics.sweep(outer, inner, fixed, horizons)
     header = [outer[0], inner[0], "feasible", "theta_max", "p_star"]

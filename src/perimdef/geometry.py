@@ -47,10 +47,6 @@ class AssumptionViolated(ValueError):
         self.which = which
 
 
-class DegenerateCenter(ValueError):
-    """A circle centered at the origin has no outward radial direction."""
-
-
 def clamp_unit(value: float, tol: float = CLAMP_TOL) -> float:
     """Clamp a trig argument to [-1, 1] when it is within ``tol`` of it."""
     if value > 1.0:
@@ -254,12 +250,3 @@ def breach_margin_point(x_a: Point2, x_d: Point2, params: GameParams) -> tuple[f
     best_ang = golden_section_max(margin, _BREACH_ANGLES[i] - step, _BREACH_ANGLES[i] + step, BREACH_TOL)
     best = margin(best_ang)
     return best, Point2.from_polar(r_t, best_ang)
-
-
-def farthest_point_from_origin(circle: ApolloniusCircle) -> Point2:
-    """Point of the circle with the largest norm, along the radial direction."""
-    d = circle.center.norm()
-    if d == 0.0:
-        raise DegenerateCenter("circle is centered at the origin")
-    scale = 1.0 + circle.radius / d
-    return Point2(circle.center.x * scale, circle.center.y * scale)

@@ -122,15 +122,15 @@ def test_expected_resets_edge_horizons():
         assert expected_percentage(1, p) == 100.0
 
 
-@pytest.mark.parametrize("p", [0.05, 0.35, 0.6389435320791843, 0.95])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.35, 0.6389435320791843, 0.95, 1.0])
 def test_tails_match_markov_oracle(p):
-    for n in (1, 2, 3, 7, 50, 200):
+    for n in (1, 2, 3, 7, 50, 200, 2000):
         pmf = markov_oracle(n, p)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         tails = resets_tail_all(n, p)
         for m in range(n + 1):
             dp_tail = float(pmf[m + 1 :].sum()) if m + 1 < len(pmf) else 0.0
-            assert abs(tails[m] - dp_tail) <= 1e-10
+            assert abs(tails[m] - dp_tail) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.6389435320791843, 0.9, 1.0])
@@ -142,11 +142,12 @@ def test_expected_resets_matches_markov_mean(p):
 
 
 def test_expected_resets_domain():
-    with pytest.raises(DomainError):
-        expected_resets(0, 0.5)
-    for p in (-0.1, 1.1):
+    for fn in (expected_resets, resets_tail_all, markov_oracle):
         with pytest.raises(DomainError):
-            expected_resets(10, p)
+            fn(0, 0.5)
+        for p in (-0.1, 1.1, math.nan):
+            with pytest.raises(DomainError):
+                fn(10, p)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6389435320791843, 0.95, 1.0])

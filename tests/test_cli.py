@@ -178,11 +178,22 @@ def test_sweep_requires_two_grids(tmp_path, capsys):
     assert "two --grid" in capsys.readouterr().err
 
 
-def test_sweep_rejects_malformed_grid(tmp_path):
+def test_sweep_rejects_malformed_grid(tmp_path, capsys):
     code = main(["sweep", "--r-t", "5", "--nu", "0.75",
                  "--grid", "rho_a=0.5:3", "--grid", "rho_t=4:12:2",
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
+    # an empty horizon list is malformed too, by flag or by config line;
+    # only an absent one falls back to horizon 20
+    grids = ["--grid", "rho_a=0.5:3:2", "--grid", "rho_t=4:12:2"]
+    cfg = tmp_path / "empty_n.cfg"
+    cfg.write_text("n =\n")
+    out = tmp_path / "e.csv"
+    for source in (["--n", ""], ["--config", str(cfg)]):
+        code = main(["sweep", "--r-t", "5", "--nu", "0.75", *grids, *source, "--out", str(out)])
+        assert code == 2
+        assert "horizons" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("bounds", ["nan:1", "0.2:inf", "-inf:1"])

@@ -12,14 +12,12 @@ from perimdef.geometry import (
     ApolloniusCircle,
     AssumptionViolated,
     CircleClass,
-    DegenerateCenter,
     Point2,
     apollonius,
     assumption_clauses,
     breach_margin_point,
     classify,
     clamp_unit,
-    farthest_point_from_origin,
     golden_section_max,
     validate_params,
 )
@@ -213,25 +211,3 @@ def test_breach_margin_sign_matches_classification(params):
         assert (margin > 0.0) == breachable
         checked += 1
     assert checked > 9000
-
-
-def test_farthest_point_examples(params):
-    p = farthest_point_from_origin(ApolloniusCircle(Point2(3.0, 0.0), 1.0, params.nu))
-    assert p.x == pytest.approx(4.0, abs=1e-12) and p.y == pytest.approx(0.0, abs=1e-12)
-    p = farthest_point_from_origin(ApolloniusCircle(Point2(0.0, 2.0), 0.0, params.nu))
-    assert p.x == pytest.approx(0.0, abs=1e-12) and p.y == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(DegenerateCenter):
-        farthest_point_from_origin(ApolloniusCircle(Point2(0.0, 0.0), 1.0, params.nu))
-
-
-def test_farthest_point_of_tangent_circle_is_on_capture_circle(params):
-    inner = params.r_t + params.gamma * params.rho_a
-    for ang in np.linspace(-math.pi, math.pi, 17):
-        tangent = ApolloniusCircle(
-            Point2.from_polar(inner, float(ang)), params.gamma * params.rho_a, params.nu
-        )
-        far = farthest_point_from_origin(tangent)
-        assert far.norm() == pytest.approx(
-            params.r_t + 2.0 * params.gamma * params.rho_a, abs=1e-9
-        )
-        assert far.norm() == pytest.approx(tangent.center.norm() + tangent.radius, abs=1e-12)
