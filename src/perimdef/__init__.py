@@ -8,7 +8,6 @@ from .geometry import (
     Point2,
     apollonius,
     assumption_clauses,
-    breach_margin_point,
     classify,
     validate_params,
 )

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .geometry import GameParams, Point2, breach_margin_point
+from .geometry import GameParams, Point2
 from .strategy import (
     AtCenter,
     DefenderState,
@@ -269,9 +269,10 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
     """Replay one game on its exact piecewise-linear paths.
 
     The intruder runs radially inward until the defender enters its sensing
-    radius, then commits to a straight line: the evasion endpoint if it is
-    doomed, its best breaching point otherwise.  The defender walks its
-    event-level route (engagement point, hold, pursue; or straight home).
+    radius; then both head straight for the evasion endpoint if the game is
+    capture-bound, and otherwise the intruder keeps its radial run to the
+    target rim.  The defender walks its event-level route (engagement point,
+    hold, pursue; or straight home).
     Each walk is straight at constant speed until it reaches its target and
     then holds, so every event is the first root of ``|p + v s| <= R`` on a
     linear piece: detection at ``rho_a``, breach at ``r_t`` and contact at
@@ -319,8 +320,6 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
         hits = []  # in tie order
         if phase is Phase.FULL and capture_bound:
             hits.append((_first_entry(rel, vrel, slack, length), "contact"))
-        elif phase is Phase.FULL and ta <= length:
-            hits.append((ta, "breach"))  # the breaching aim lies on the target circle
         hits.append((_first_entry(a, va, params.r_t, length), "breach"))
         if phase is Phase.PARTIAL:
             hits.append((_first_entry(rel, vrel, params.rho_a, length), "detect"))
@@ -334,8 +333,6 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
             phase = Phase.FULL
             if capture_bound:
                 a_target = d_target = dest
-            else:
-                _, a_target = breach_margin_point(a, d, params)
 
     if kind == "contact":
         terminal: Terminal = CaptureAt(Point2(0.5 * (a.x + d.x), 0.5 * (a.y + d.y)))

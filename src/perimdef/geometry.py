@@ -16,18 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 # Slack for arguments of acos/asin/sqrt that are exactly on a boundary in
 # real arithmetic.  Larger excursions indicate a logic error, not roundoff,
 # and are raised instead of clamped.
 CLAMP_TOL = 1e-9
-# Target-rim angles scanned by breach_margin_point, and the width to which
-# golden-section search refines the best one.
-BREACH_SCAN_POINTS = 2048
-BREACH_TOL = 1e-10
-_BREACH_ANGLES = np.linspace(0.0, 2.0 * math.pi, BREACH_SCAN_POINTS, endpoint=False)
-_BREACH_COS, _BREACH_SIN = np.cos(_BREACH_ANGLES), np.sin(_BREACH_ANGLES)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -225,28 +217,3 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float, tol: flo
             fd = f(d)
     return 0.5 * (a + b)
 
-
-def breach_margin_point(x_a: Point2, x_d: Point2, params: GameParams) -> tuple[float, Point2]:
-    """Best breaching location for the intruder on the target boundary.
-
-    Maximizes ``nu * |x - x_d| - |x - x_a|`` over the circle ``|x| = r_t``.
-    A positive margin means the intruder reaches that boundary point before
-    the defender can; the maximizer is its best aim point.  Dense angular
-    scan followed by golden-section refinement of the bracketing arc.
-    """
-    r_t, nu = params.r_t, params.nu
-
-    bx = r_t * _BREACH_COS
-    by = r_t * _BREACH_SIN
-    margins = nu * np.hypot(bx - x_d.x, by - x_d.y) - np.hypot(bx - x_a.x, by - x_a.y)
-    i = int(np.argmax(margins))
-
-    def margin(ang: float) -> float:
-        x = r_t * math.cos(ang)
-        y = r_t * math.sin(ang)
-        return nu * math.hypot(x - x_d.x, y - x_d.y) - math.hypot(x - x_a.x, y - x_a.y)
-
-    step = 2.0 * math.pi / BREACH_SCAN_POINTS
-    best_ang = golden_section_max(margin, _BREACH_ANGLES[i] - step, _BREACH_ANGLES[i] + step, BREACH_TOL)
-    best = margin(best_ang)
-    return best, Point2.from_polar(r_t, best_ang)

@@ -235,15 +235,6 @@ def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> floa
     return min(math.pi, reach + phi_eng)
 
 
-def engagement_radius(tau: float, theta: float, params: GameParams) -> float:
-    """Closed-form norm of the engagement point (defender position at contact)."""
-    a = _intruder_range(tau, params)
-    return math.sqrt(
-        (a - params.rho_a) ** 2
-        + 4.0 * a * params.rho_a * math.cos(theta / 2.0) ** 2
-    )
-
-
 def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[Point2, float]:
     """Where a doomed intruder drags the capture, and the bearing of that point.
 

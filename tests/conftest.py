@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from perimdef import validate_params
 from perimdef.geometry import assumption_clauses
@@ -35,3 +36,14 @@ def make_valid_params(rng: random.Random):
 @pytest.fixture
 def random_valid_params():
     return make_valid_params
+
+
+@st.composite
+def valid_params(draw):
+    """Valid params out to the edge regimes: nu near 1, small rho_a, and an
+    annulus whose binding clause only just holds (factor 1)."""
+    nu = draw(st.floats(0.05, 0.99))
+    rho_a = draw(st.floats(0.005, 5.0))
+    r_t = draw(st.floats(0.1, 30.0))
+    first, second = assumption_clauses(r_t, 1.0, rho_a, nu)
+    return validate_params(r_t, max(first, second) * draw(st.floats(1.0, 4.0)), rho_a, nu)

@@ -26,6 +26,7 @@ from perimdef.analytics import (
     travel_pmf,
 )
 from perimdef.engine import run_session
+from perimdef.geometry import validate_params
 from perimdef.strategy import capture_circle_solution
 
 P_STAR_BASELINE = 0.6389435320791843  # frozen after oracle cross-checks
@@ -219,6 +220,19 @@ def test_law_of_large_numbers(params):
     mean = float(np.mean(pcts))
     se = float(np.std(pcts, ddof=1)) / math.sqrt(len(pcts))
     assert abs(mean - expected) < 3.0 * se
+
+
+@pytest.mark.parametrize("raw", [(5.0, 10.0, 1.0, 0.8), (5.0, 14.0, 1.0, 0.9)], ids=["nu0.8", "nu0.9"])
+def test_session_breach_counts_follow_markov_pmf(raw):
+    # The capture mask is a two-state chain whatever phi and the mirror side
+    # are, so a session's breach count has exactly markov_oracle's pmf.  The
+    # bound is the asymptotic 1% Kolmogorov-Smirnov critical value.
+    params = validate_params(*raw)
+    n_games, n_sessions = 200, 2000
+    cdf = np.cumsum(markov_oracle(n_games, p_star(params)))
+    breaches = [run_session(params, n_games, seed=s).n_breach for s in range(1, n_sessions + 1)]
+    ecdf = np.cumsum(np.bincount(breaches, minlength=cdf.size)) / n_sessions
+    assert np.max(np.abs(ecdf - cdf)) <= 1.63 / math.sqrt(n_sessions)
 
 
 # ---------------------------------------------------------------------------

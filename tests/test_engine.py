@@ -28,7 +28,8 @@ from perimdef.engine import (
     verify_outcome_agreement,
     wrap_angle,
 )
-from perimdef.geometry import Point2, assumption_clauses, breach_margin_point, validate_params
+from conftest import valid_params
+from perimdef.geometry import Point2, assumption_clauses, validate_params
 from perimdef.strategy import (
     AtCenter,
     OnCaptureCircle,
@@ -238,6 +239,23 @@ def test_kinematic_breach_sends_defender_home(params):
     assert params.r_t - params.nu * 1e-4 <= r_a <= params.r_t + 1e-9
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(valid_params())
+def test_breach_bound_replay_is_never_detected_property(p):
+    # A defender walking home from a gap beyond theta_max is never sensed, so
+    # the intruder's radial run reaches the target rim undetected.
+    theta_max = capture_circle_solution(p).theta_max
+    if theta_max == math.pi:
+        return  # saturated: no gap is breach-bound
+    for k in range(1, 9):
+        gap = theta_max + (math.pi - theta_max) * k / 8
+        for side in (1.0, -1.0):
+            traj = simulate_kinematic(OnCaptureCircle(side * gap), 0.0, p)
+            assert all(piece[6] is Phase.PARTIAL for piece in traj.pieces)
+            assert isinstance(traj.terminal, BreachAt)
+            assert abs(traj.terminal.point.norm() - p.r_t) <= 1e-9 * (1.0 + p.r_t)
+
+
 def test_trajectory_step_bounds_and_phases(params):
     dt = 1e-3
     samples = list(simulate_kinematic(AtCenter(), -1.1, params).sample(dt))
@@ -358,7 +376,7 @@ def _stepped_terminal(state, theta_a, params, h):
         mirror = _capture_side(state.angle, theta_a, sol.theta_max)
         xd = r_cc * np.array([math.cos(state.angle), math.sin(state.angle)])
         if mirror is None:
-            waypoint, dest = np.zeros(2), None
+            waypoint, dest = np.zeros(2), None  # walk home; the intruder keeps its radial run
         else:
             eng = to_world(sol.candidate.x_d_eng, theta_a, mirror)
             x_p = to_world(sol.x_p, theta_a, mirror)
@@ -384,18 +402,13 @@ def _stepped_terminal(state, theta_a, params, h):
             return BreachAt(Point2(*xa))
         if kind == "detect":
             detected = True
-            if dest is None:
-                _, aim = breach_margin_point(Point2(*xa), Point2(*xd), params)
-                a_target = np.array([aim.x, aim.y])
-            else:
+            if dest is not None:
                 a_target = d_target = dest
     raise AssertionError("stepped replay did not terminate")
 
 
 # A capture from the center, captures from the circle on either mirror side,
-# and two breach-bound games.  Both breaches come on the radial run: a
-# defender walking home is never seen, so no valid game reaches the
-# breach_margin_point aim under the event-level branch rule.
+# and two breach-bound games, whose breaches come on the radial run.
 CONVERGENCE_GAMES = [
     (AtCenter(), 0.7),
     (OnCaptureCircle(0.4), -0.9),

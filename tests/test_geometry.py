@@ -1,11 +1,10 @@
-"""Parameter validation, dominance circles, and breach-margin geometry."""
+"""Parameter validation, dominance circles, and golden-section search."""
 
 from __future__ import annotations
 
 import math
 import random
 
-import numpy as np
 import pytest
 
 from perimdef.geometry import (
@@ -15,7 +14,6 @@ from perimdef.geometry import (
     Point2,
     apollonius,
     assumption_clauses,
-    breach_margin_point,
     classify,
     clamp_unit,
     golden_section_max,
@@ -172,42 +170,3 @@ def test_golden_section_max_finds_quadratic_peak(peak, tol):
     assert all(-5.0 <= x <= 5.0 for x in calls)
 
 
-def test_breach_margin_nonpositive_for_capture_safe_config(params):
-    # dominance circle well clear of the target
-    margin, _ = breach_margin_point(Point2(12.0, 0.0), Point2(11.5, 0.0), params)
-    assert margin <= 0.0
-
-
-def test_breach_margin_intruder_on_boundary_aims_at_itself(params):
-    x_a = Point2.from_polar(params.r_t, 0.83)
-    margin, point = breach_margin_point(x_a, Point2(9.0, 4.0), params)
-    assert margin > 0.0
-    assert point.distance_to(x_a) <= 1e-7
-
-
-@pytest.mark.parametrize("x_a, x_d, bits", [
-    ((9.0, 2.0), (6.0, -1.0),
-     ("-0x1.8482678ae8206p+0", "0x1.f1ebfa279d421p+1", "0x1.921640b6b1d1dp+1")),
-    ((-3.0, 8.5), (4.0, 4.0),
-     ("0x1.1a2e9e2f09be0p+0", "-0x1.8ba0f0437e00bp+1", "0x1.f7118c01af352p+1")),
-])
-def test_breach_margin_bits_pinned(params, x_a, x_d, bits):
-    margin, point = breach_margin_point(Point2(*x_a), Point2(*x_d), params)
-    assert (margin.hex(), point.x.hex(), point.y.hex()) == bits
-
-
-def test_breach_margin_sign_matches_classification(params):
-    rng = random.Random(2024)
-    checked = 0
-    for _ in range(10_000):
-        ang = rng.uniform(-math.pi, math.pi)
-        x_a = Point2.from_polar(rng.uniform(params.r_t, params.tsr_radius), ang)
-        x_d = Point2(rng.uniform(-16, 16), rng.uniform(-16, 16))
-        margin, _ = breach_margin_point(x_a, x_d, params)
-        if abs(margin) <= 1e-9:
-            continue  # exact tangency is a measure-zero knife edge
-        cls = classify(apollonius(x_a, x_d, params), params)
-        breachable = cls in (CircleClass.BREACH_POSSIBLE, CircleClass.BREACH_AND_EXIT)
-        assert (margin > 0.0) == breachable
-        checked += 1
-    assert checked > 9000

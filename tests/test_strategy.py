@@ -1,9 +1,9 @@
 """Guarded arc, engagement surface, reachability bound, and evasion endpoint.
 
 The closed forms here have no in-repo derivation, so each is pinned against
-a brute-force oracle: angular bisection over breach margins for the guarded
-arc, and exhaustive grid search plus ternary refinement for the engagement
-optimizer.
+a brute-force oracle: angular bisection over dominance-circle classification
+for the guarded arc, and exhaustive grid search plus ternary refinement for
+the engagement optimizer.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import valid_params
 from perimdef import analytics
 from perimdef.cli import main
 from perimdef.geometry import (
-    GameParams, Point2, assumption_clauses, breach_margin_point, validate_params,
+    CircleClass, GameParams, Point2, apollonius, classify, validate_params,
 )
 from perimdef.strategy import (
     TAU_GRID_POINTS,
@@ -38,7 +38,6 @@ from perimdef.strategy import (
     guarded_arc,
     optimize_engagement,
     sufficiency_holds,
-    engagement_radius,
     theta_max_at,
 )
 
@@ -61,18 +60,18 @@ PLATEAU_HEX = {
 
 
 def _guarded_arc_oracle(r: float, params: GameParams, iters: int = 50) -> float:
-    """Largest safe separation by bisection on the breach margin.
+    """Largest safe separation by bisection on the dominance-circle class.
 
-    Capture is possible exactly when no point of the target rim is reachable
-    by the intruder first, which is the breach-margin sign; this searches
-    arrival angles directly instead of using the closed form.
+    Capture is possible exactly when the intruder's dominance circle does not
+    reach the target; this searches arrival angles directly instead of using
+    the closed form.
     """
     x_d = Point2(r, 0.0)
 
     def breachable(sep: float) -> bool:
         x_a = Point2.from_polar(params.tsr_radius, sep)
-        margin, _ = breach_margin_point(x_a, x_d, params)
-        return margin > 0.0
+        cls = classify(apollonius(x_a, x_d, params), params)
+        return cls in (CircleClass.BREACH_POSSIBLE, CircleClass.BREACH_AND_EXIT)
 
     if not breachable(math.pi):
         return math.pi
@@ -104,9 +103,9 @@ def test_guarded_arc_regression_at_capture_radius(params):
 
 
 @pytest.mark.parametrize("r", [9.444444444444445, 8.0, 10.0, 12.5, 15.0])
-def test_guarded_arc_matches_breach_margin_oracle(params, r):
+def test_guarded_arc_matches_apollonius_oracle(params, r):
     assert guarded_arc(r, params) == pytest.approx(
-        _guarded_arc_oracle(r, params), abs=5e-6
+        _guarded_arc_oracle(r, params), abs=1e-12
     )
 
 
@@ -190,10 +189,13 @@ def test_engagement_surface_membership_random_params(random_valid_params):
 def test_theta_max_collinear_limits(params):
     tau = 9.0
     theta = engagement_theta(tau, params)
-    r_eng = engagement_radius(tau, theta, params)
-    phi_eng = engagement_candidate(tau, params).x_d_eng.bearing()
-    # defender exactly tau beyond the engagement point: only one bearing works
-    assert theta_max_at(tau, theta, tau + r_eng, params) == pytest.approx(phi_eng, abs=1e-9)
+    x_d_eng = engagement_candidate(tau, params).x_d_eng
+    r_eng, phi_eng = x_d_eng.norm(), x_d_eng.bearing()
+    # defender tau beyond the engagement point: only one bearing works.  It
+    # sits one ulp further out, because acos near 1 turns the law of cosines'
+    # last-bit rounding into ~2e-8.
+    r_far = math.nextafter(tau + r_eng, math.inf)
+    assert theta_max_at(tau, theta, r_far, params) == pytest.approx(phi_eng, abs=1e-9)
     # defender close enough to make the point from any bearing
     assert theta_max_at(tau, theta, 0.5 * (tau - r_eng), params) == math.pi
 
@@ -201,16 +203,6 @@ def test_theta_max_collinear_limits(params):
 def test_theta_max_rejects_non_surface_candidates(params):
     with pytest.raises(InvalidCandidate):
         theta_max_at(9.0, engagement_theta(9.0, params) + 0.01, 9.0, params)
-
-
-def test_r_eng_closed_form_matches_constructed_point(random_valid_params):
-    rng = random.Random(8)
-    for _ in range(100):
-        p = random_valid_params(rng)
-        tau_min, tau_max = engagement_domain(p)
-        cand = engagement_candidate(rng.uniform(tau_min, tau_max), p)
-        closed = engagement_radius(cand.tau, cand.theta, p)
-        assert abs(cand.x_d_eng.norm() - closed) <= 1e-9 * (1.0 + closed)
 
 
 def _brute_force_solution(r: float, params: GameParams, n: int = 2000) -> float:
@@ -412,19 +404,8 @@ def test_bundle_bits_independent_of_read_order(params):
         assert bits(phi_first) == bits(candidate_first)
 
 
-@st.composite
-def _valid_params(draw):
-    """Valid params out to the edge regimes: nu near 1, small rho_a, and an
-    annulus whose binding clause only just holds (factor 1)."""
-    nu = draw(st.floats(0.05, 0.99))
-    rho_a = draw(st.floats(0.005, 5.0))
-    r_t = draw(st.floats(0.1, 30.0))
-    first, second = assumption_clauses(r_t, 1.0, rho_a, nu)
-    return validate_params(r_t, max(first, second) * draw(st.floats(1.0, 4.0)), rho_a, nu)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_valid_params())
+@given(valid_params())
 def test_optimizer_dominates_fresh_grid_property(p):
     r = capture_circle_radius(p)
     sol = optimize_engagement(r, p)
