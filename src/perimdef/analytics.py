@@ -135,15 +135,17 @@ def markov_oracle(n: int, p_star: float) -> np.ndarray:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
     _check_probability(p_star)
-    max_k = n // 2 + 1
-    prob = np.zeros((max_k + 1, 2))  # columns: center, circle
-    prob[0, 0] = 1.0
+    # P(position, k breaches) over k, updated in place: ``spare`` takes the
+    # next circle column, then swaps with it.
+    center, circle, spare = (np.zeros(n // 2 + 2) for _ in range(3))
+    center[0] = 1.0
     for _ in range(n):
-        nxt = np.zeros_like(prob)
-        nxt[:, 1] = prob[:, 0] + p_star * prob[:, 1]
-        nxt[1:, 0] = (1.0 - p_star) * prob[:-1, 1]
-        prob = nxt
-    return prob.sum(axis=1)[: n // 2 + 1]
+        np.multiply(circle, p_star, out=spare)
+        spare += center
+        np.multiply(circle[:-1], 1.0 - p_star, out=center[1:])
+        center[0] = 0.0
+        circle, spare = spare, circle
+    return (center + circle)[: n // 2 + 1]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .geometry import GameParams, Point2
+from .geometry import GameParams, Point2, first_entry
 from .strategy import (
     AtCenter,
     DefenderState,
@@ -237,26 +237,6 @@ def to_world(p: Point2, theta_a: float, mirror: float) -> Point2:
     return Point2(p.x, mirror * p.y).rotated(theta_a)
 
 
-def _first_entry(p: Point2, v: Point2, radius: float, length: float) -> Optional[float]:
-    """Earliest ``s`` in ``[0, length]`` with ``|p + s v| <= radius``, or None.
-
-    The closest approach on the piece decides whether the disk is entered, so
-    rounding in the discriminant cannot hide a graze.
-    """
-    c = p.dot(p) - radius * radius
-    if c <= 0.0:
-        return 0.0
-    b = p.dot(v)
-    if b >= 0.0:
-        return None  # not closing in, or standing still
-    vv = v.dot(v)
-    s_near = min(-b / vv, length)
-    q = p + v * s_near
-    if q.dot(q) > radius * radius:
-        return None
-    return min(c / (math.sqrt(max(b * b - vv * c, 0.0)) - b), s_near)
-
-
 def _heading(pos: Point2, target: Point2, speed: float) -> tuple[Point2, float]:
     """Velocity toward ``target`` and the time to reach it (inf when already there)."""
     dist = pos.distance_to(target)
@@ -319,10 +299,10 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
         rel, vrel = a - d, va - vd
         hits = []  # in tie order
         if phase is Phase.FULL and capture_bound:
-            hits.append((_first_entry(rel, vrel, slack, length), "contact"))
-        hits.append((_first_entry(a, va, params.r_t, length), "breach"))
+            hits.append((first_entry(rel, vrel, slack, length), "contact"))
+        hits.append((first_entry(a, va, params.r_t, length), "breach"))
         if phase is Phase.PARTIAL:
-            hits.append((_first_entry(rel, vrel, params.rho_a, length), "detect"))
+            hits.append((first_entry(rel, vrel, params.rho_a, length), "detect"))
         s, kind = min(((s, k) for s, k in hits if s is not None),
                       key=lambda hit: hit[0], default=(length, None))
         pieces.append((t, t + s, a, va, d, vd, phase))

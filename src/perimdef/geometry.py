@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Optional
 
 # Slack for arguments of acos/asin/sqrt that are exactly on a boundary in
 # real arithmetic.  Larger excursions indicate a logic error, not roundoff,
@@ -195,6 +195,26 @@ def classify(circle: ApolloniusCircle, params: GameParams) -> CircleClass:
     if exits:
         return CircleClass.EXIT_POSSIBLE
     return CircleClass.CAPTURE_GUARANTEED
+
+
+def first_entry(p: Point2, v: Point2, radius: float, length: float) -> Optional[float]:
+    """Earliest ``s`` in ``[0, length]`` with ``|p + s v| <= radius``, or None.
+
+    The closest approach on the piece decides whether the disk is entered, so
+    rounding in the discriminant cannot hide a graze.
+    """
+    c = p.dot(p) - radius * radius
+    if c <= 0.0:
+        return 0.0
+    b = p.dot(v)
+    if b >= 0.0:
+        return None  # not closing in, or standing still
+    vv = v.dot(v)
+    s_near = min(-b / vv, length)
+    q = p + v * s_near
+    if q.dot(q) > radius * radius:
+        return None
+    return min(c / (math.sqrt(max(b * b - vv * c, 0.0)) - b), s_near)
 
 
 def golden_section_max(f: Callable[[float], float], a: float, b: float, tol: float) -> float:

@@ -19,15 +19,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, golden_section_max
+from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, first_entry, golden_section_max
 
 # Engagement times scanned by optimize_engagement, and the width to which
 # golden-section search refines the best grid bracket.
 TAU_GRID_POINTS = 1024
 TAU_TOL = 1e-9
-# Start bearings in [0, pi] from which a plateau candidate is audited.
-_AUDIT_BEARINGS = np.linspace(0.0, math.pi, 512)
-_AUDIT_COS, _AUDIT_SIN = np.cos(_AUDIT_BEARINGS), np.sin(_AUDIT_BEARINGS)
 
 
 class OutOfRange(ValueError):
@@ -254,38 +251,26 @@ def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[P
 def _plateau_is_stealthy(tau: float, params: GameParams, r: float) -> bool:
     """Whether a saturated candidate is reachable unseen from every bearing.
 
-    From each start ``r * u(bearing)``, bearings in [0, pi], the defender
-    walks straight to the engagement point and holds there while the
-    intruder runs radially inward.  Both paths are piecewise linear in time,
-    so the closest approach is exact; any late arrival or any approach
-    inside the intruder's sensing radius fails the candidate.
+    From a start ``r * u(bearing)`` the defender walks straight to the
+    engagement point and holds there while the intruder runs radially
+    inward.  The approach is replayed from the two ends of the start arc,
+    bearings 0 and pi, with the replay's event finder: any late arrival, or
+    any entry into the intruder's sensing radius on the walk or the hold,
+    fails the candidate.
     """
     eng = engagement_candidate(tau, params).x_d_eng
-    rtil = params.tsr_radius
-    nu = params.nu
-    sx, sy = r * _AUDIT_COS, r * _AUDIT_SIN
-    path = np.hypot(eng.x - sx, eng.y - sy)
-    if np.any(path > tau * (1.0 + 1e-12) + 1e-12):
-        return False
-
-    safe_path = np.where(path > 0.0, path, 1.0)
-    wx = (eng.x - sx) / safe_path + nu
-    wy = (eng.y - sy) / safe_path
-    ww = wx * wx + wy * wy
-    r0x = sx - rtil
-    t_star = np.clip(
-        np.where(ww > 0.0, -(r0x * wx + sy * wy) / np.where(ww > 0.0, ww, 1.0), 0.0),
-        0.0,
-        np.minimum(path, tau),
-    )
-    d_travel = np.hypot(r0x + t_star * wx, sy + t_star * wy)
-
-    hx = eng.x - (rtil - nu * path)
-    t_hold = np.clip(-hx / nu, 0.0, np.maximum(tau - path, 0.0))
-    d_hold = np.where(path < tau, np.hypot(hx + nu * t_hold, eng.y), np.inf)
-
-    clearance = np.minimum(d_travel, d_hold) - params.rho_a
-    return bool(np.all(clearance >= -1e-9))
+    a0, va = Point2(params.tsr_radius, 0.0), Point2(-params.nu, 0.0)
+    sensed = params.rho_a - 1e-9
+    for start in (Point2(r, 0.0), Point2(-r, 0.0)):
+        path = start.distance_to(eng)
+        if path > tau * (1.0 + 1e-12) + 1e-12:
+            return False
+        vd = (eng - start) * (1.0 / (path or 1.0))
+        if first_entry(a0 - start, va - vd, sensed, min(path, tau)) is not None:
+            return False
+        if path < tau and first_entry(a0 + va * path - eng, va, sensed, tau - path) is not None:
+            return False
+    return True
 
 
 def _objective_grid(taus: np.ndarray, r: float, params: GameParams) -> np.ndarray:
@@ -358,9 +343,10 @@ def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     golden-section refinement of the best bracket, with ties broken toward
     the smaller time.  When the objective saturates at pi, ``theta_max`` is
     pi and the maximizer is a whole plateau.  The tie then goes to the
-    smallest saturated time whose approach is provably never sensed early
-    from any start bearing (audited in closed form); candidates that would
-    be spotted en route cannot deliver the tangent engagement they promise.
+    smallest saturated time whose approach, replayed with the kinematic
+    replay's event finder from the two ends of the start arc (bearings 0 and
+    pi), is never sensed early; candidates that would be spotted en route
+    cannot deliver the tangent engagement they promise.
     That time is chosen on the first use of the solution's ``candidate``,
     ``x_p`` or ``phi``, since ``theta_max`` does not depend on it.  The
     result is deterministic.

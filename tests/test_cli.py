@@ -33,6 +33,15 @@ PINNED_TRACE_SHA256 = {
     ("0.6", "1.1"): "6887b27c8540568d2b26e1a085f9f1b6b65c91aa15f0c16d38ea55163fbea7df",
     ("3.0", "0.0"): "9d7f6d0fe51a8b4c58f0cd7658c7f4f5f242656e31b4223871bc627318748c5f",
 }
+# theta_max saturates at pi here, so the engagement time is the plateau time
+# chosen by the approach audit.  Every simulated game is then a capture; the
+# trace of a capture-bound game also pins the audited phi.
+PLATEAU = ["--r-t", "5", "--rho-t", "10", "--rho-a", "0.5", "--nu", "0.5"]
+PINNED_PLATEAU_SHA256 = {
+    "sim.csv": "c8b27531b7e1f4a245aa1ea3682a1e094057a903f720ce374268680778d88bf5",
+    "sim_trials.csv": "0341e40f3a7e56b607fded6ec1e1bbfbacfe09703403fb420c082975ffc472fc",
+    "trace.csv": "26a51da48697f3031bb60b8215394c277a926f23a81a114b0fd67dc9006383da",
+}
 
 
 def _read(path):
@@ -418,3 +427,13 @@ def test_trace_bytes_pinned(tmp_path):
                      "--dt", "1e-3", "--out", str(out)]) == 0
         digests[theta_a, angle] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_TRACE_SHA256
+
+
+def test_plateau_bytes_pinned(tmp_path):
+    assert main(["simulate", *PLATEAU, "--n", "40", "--trials", "5", "--seed", "9",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    assert main(["trace", *PLATEAU, "--theta-a", "0.6", "--defender-angle", "1.1",
+                 "--dt", "1e-2", "--out", str(tmp_path / "trace.csv")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_PLATEAU_SHA256}
+    assert digests == PINNED_PLATEAU_SHA256

@@ -18,7 +18,6 @@ from perimdef.engine import (
     GameResult,
     Phase,
     _capture_side,
-    _first_entry,
     _uniform_angles,
     play_game,
     run_session,
@@ -285,23 +284,6 @@ def test_committed_path_stays_in_dominance_region(params):
     slack = 5e-3  # discrete detection lags the exact crossing by O(dt)
     for s in full:
         assert params.nu * s.x_a.distance_to(x_d0) >= s.x_a.distance_to(x_a0) - slack
-
-
-def test_first_entry_roots():
-    # from (-5, 0) along +x at speed 2: the unit disk is entered at s = 2
-    p, v = Point2(-5.0, 0.0), Point2(2.0, 0.0)
-    assert _first_entry(p, v, 1.0, 10.0) == pytest.approx(2.0, abs=1e-15)
-    assert _first_entry(p, v, 1.0, 1.5) is None  # the piece ends first
-    assert _first_entry(p, v * -1.0, 1.0, 10.0) is None  # moving away
-    assert _first_entry(Point2(-5.0, 1.5), v, 1.0, 10.0) is None  # passes by
-    assert _first_entry(Point2(0.5, 0.0), v, 1.0, 10.0) == 0.0  # starts inside
-    # A tangent pass whose discriminant rounds below zero still enters.
-    p = Point2(-0.723599712379857, 4.0587566386802845)
-    v = Point2(-0.022942608975423977, -0.7996709552643517)
-    radius = 0.8397001746443229
-    c, b = p.dot(p) - radius * radius, p.dot(v)
-    assert b * b - v.dot(v) * c < 0.0
-    assert _first_entry(p, v, radius, 20.0) == pytest.approx(5.045419583098643, abs=1e-9)
 
 
 def test_to_world_mapping_round_trip():

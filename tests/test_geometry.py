@@ -16,6 +16,7 @@ from perimdef.geometry import (
     assumption_clauses,
     classify,
     clamp_unit,
+    first_entry,
     golden_section_max,
     validate_params,
 )
@@ -170,3 +171,18 @@ def test_golden_section_max_finds_quadratic_peak(peak, tol):
     assert all(-5.0 <= x <= 5.0 for x in calls)
 
 
+def test_first_entry_roots():
+    # from (-5, 0) along +x at speed 2: the unit disk is entered at s = 2
+    p, v = Point2(-5.0, 0.0), Point2(2.0, 0.0)
+    assert first_entry(p, v, 1.0, 10.0) == pytest.approx(2.0, abs=1e-15)
+    assert first_entry(p, v, 1.0, 1.5) is None  # the piece ends first
+    assert first_entry(p, v * -1.0, 1.0, 10.0) is None  # moving away
+    assert first_entry(Point2(-5.0, 1.5), v, 1.0, 10.0) is None  # passes by
+    assert first_entry(Point2(0.5, 0.0), v, 1.0, 10.0) == 0.0  # starts inside
+    # A tangent pass whose discriminant rounds below zero still enters.
+    p = Point2(-0.723599712379857, 4.0587566386802845)
+    v = Point2(-0.022942608975423977, -0.7996709552643517)
+    radius = 0.8397001746443229
+    c, b = p.dot(p) - radius * radius, p.dot(v)
+    assert b * b - v.dot(v) * c < 0.0
+    assert first_entry(p, v, radius, 20.0) == pytest.approx(5.045419583098643, abs=1e-9)

@@ -347,6 +347,47 @@ def test_plateau_bits_pinned():
     assert first_passes == [False, True]
 
 
+_FAN_BEARINGS = np.linspace(0.0, math.pi, 512)
+
+
+def _fan_is_stealthy(tau: float, p: GameParams, r: float) -> bool:
+    """Oracle for the plateau audit: the closest approach of the walk and the
+    hold, in closed form, from 512 start bearings in [0, pi]."""
+    eng = engagement_candidate(tau, p).x_d_eng
+    sx, sy = r * np.cos(_FAN_BEARINGS), r * np.sin(_FAN_BEARINGS)
+    path = np.hypot(eng.x - sx, eng.y - sy)
+    if np.any(path > tau * (1.0 + 1e-12) + 1e-12):
+        return False
+    safe_path = np.where(path > 0.0, path, 1.0)
+    wx = (eng.x - sx) / safe_path + p.nu
+    wy = (eng.y - sy) / safe_path
+    ww = wx * wx + wy * wy
+    r0x = sx - p.tsr_radius
+    t_walk = np.where(ww > 0.0, -(r0x * wx + sy * wy) / np.where(ww > 0.0, ww, 1.0), 0.0)
+    t_walk = np.clip(t_walk, 0.0, np.minimum(path, tau))
+    d_walk = np.hypot(r0x + t_walk * wx, sy + t_walk * wy)
+    hx = eng.x - (p.tsr_radius - p.nu * path)
+    t_hold = np.clip(-hx / p.nu, 0.0, np.maximum(tau - path, 0.0))
+    d_hold = np.where(path < tau, np.hypot(hx + p.nu * t_hold, eng.y), np.inf)
+    return bool(np.all(np.minimum(d_walk, d_hold) - p.rho_a >= -1e-9))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(valid_params())
+def test_plateau_audit_matches_bearing_fan_property(p):
+    """The two-start replay audit gives the fan's verdict on every 16th
+    saturated grid time, and on the chosen (first passing) time and the one
+    before it (the last failing)."""
+    r = capture_circle_radius(p)
+    sol = optimize_engagement(r, p)
+    if sol.theta_max != math.pi:
+        return
+    sat = _saturated_grid_times(r, p)
+    k = sat.index(sol.candidate.tau)
+    for i in {*range(0, len(sat), 16), k, max(k - 1, 0)}:
+        assert _plateau_is_stealthy(sat[i], p, r) == _fan_is_stealthy(sat[i], p, r), sat[i]
+
+
 def _no_audit(*args, **kwargs):
     raise AssertionError("the plateau audit ran")
 
