@@ -170,7 +170,8 @@ def aggregate_sessions(records: Sequence[SessionRecord]) -> PrefixStats:
     length = len(records[0].outcomes)
     if any(len(r.outcomes) != length for r in records):
         raise LengthMismatch("sessions have differing lengths")
-    captures = np.array([r.outcomes for r in records], dtype=float)
+    masks = b"".join(bytes(r.outcomes) for r in records)
+    captures = np.frombuffer(masks, dtype=np.uint8).reshape(len(records), length).astype(float)
     prefix_n = np.arange(1, length + 1, dtype=float)
     pct = 100.0 * np.cumsum(captures, axis=1) / prefix_n
     mean = pct.mean(axis=0)

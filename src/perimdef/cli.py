@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,44 +43,63 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: Sequence[str], rows, fmt: str, meta: Optional[dict] = None) -> None:
+def _write_rows(path: Path, header: Sequence[str], rows, fmt: str, meta: Optional[dict] = None,
+                template: Optional[str] = None) -> None:
+    """Write ``rows`` as they come, after the meta lines and the header.
+
+    With ``template``, each row is written as ``template % row`` instead of
+    cell by cell; a JSONL template takes the cells in sorted-key order.
+    """
     with open(path, "w", newline="\n") as fh:
         if fmt == "csv":
             if meta:
                 for key, value in meta.items():
                     fh.write(f"# {key} = {value}\n")
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        elif meta:
+            fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
+        if template is not None:
+            if fmt == "jsonl":
+                by_key = sorted(range(len(header)), key=header.__getitem__)
+                rows = map(itemgetter(*by_key), rows)
+            lines = (template % row for row in rows)
+        elif fmt == "csv":
+            lines = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
         else:
-            if meta:
-                fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-            for row in rows:
-                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+            lines = (json.dumps(dict(zip(header, row)), sort_keys=True) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
-# One trial's rows of the trials file as a single ``%`` template per format,
-# byte-identical to ``_write_rows`` on (trial, N, pct) rows: ``%.12g`` is
-# ``_fmt``'s float format, and ``%r`` is the float repr ``json.dumps`` writes.
-_TRIAL_ROW = {"csv": "%d,%d,%.12g\n", "jsonl": '{"N": %d, "pct": %r, "trial": %d}\n'}
+# Summary and trace rows as one ``%`` template per format, byte-identical to
+# ``_write_rows`` without a template: ``%.12g`` is ``_fmt``'s float format, and
+# ``%r`` is the float repr ``json.dumps`` writes.  JSONL keys are in sorted order.
+_SUMMARY_ROW = {"csv": "%d,%.12g,%.12g,%.12g,%.12g,%.12g\n",
+                "jsonl": '{"N": %d, "analytic_pct": %r, "asymptotic_pct": %r, "ci_hi": %r, "ci_lo": %r, '
+                         '"mean_pct": %r}\n'}
+_TRACE_ROW = {"csv": "%.12g,%.12g,%.12g,%.12g,%.12g,%s\n",
+              "jsonl": '{"ax": %r, "ay": %r, "dx": %r, "dy": %r, "phase": "%s", "t": %r}\n'}
+# One row of the trials file per format, the same bytes as ``_write_rows`` on
+# (trial, N, pct) rows.  ``N`` is filled in once per file, and a NUL marks where
+# each trial's number goes.
+_TRIAL_ROW = {"csv": "\0,%d,%%.12g\n", "jsonl": '{"N": %d, "pct": %%r, "trial": \0}\n'}
+# Rows per template: a long session is formatted and written a block at a time.
+_TRIAL_BLOCK = 16384
 
 
 def _write_trials(path: Path, pct, fmt: str) -> None:
-    """Write the per-trial prefix percentages ``pct`` (trials x n), one trial per write."""
-    n = len(pct[0])
-    template = _TRIAL_ROW[fmt] * n
-    # Field slot of each value within a row: CSV keeps the header's order,
-    # JSONL the sorted keys (N, pct, trial).
-    t_at, n_at, pct_at = (0, 1, 2) if fmt == "csv" else (2, 0, 1)
-    cells = [0] * (3 * n)
-    cells[n_at::3] = range(1, n + 1)
+    """Write the per-trial prefix percentages ``pct`` (a trials x n array)."""
+    n = pct.shape[1]
+    blocks = []
+    for start in range(0, n, _TRIAL_BLOCK):
+        ns = range(start + 1, min(start + _TRIAL_BLOCK, n) + 1)
+        blocks.append((start, (_TRIAL_ROW[fmt] * len(ns)) % tuple(ns)))
     with open(path, "w", newline="\n") as fh:
         if fmt == "csv":
             fh.write("trial,N,pct\n")
         for t, row in enumerate(pct):
-            cells[t_at::3] = [t] * n
-            cells[pct_at::3] = row
-            fh.write(template % tuple(cells))
+            mark = str(t)
+            for start, template in blocks:
+                fh.write((template % tuple(row[start:start + _TRIAL_BLOCK].tolist())).replace("\0", mark))
 
 
 def _load_config(path: str) -> dict:
@@ -180,13 +200,12 @@ def cmd_simulate(cfg: dict) -> int:
 
     out = Path(cfg["out"])
     fmt = cfg["format"]
-    summary_rows = [
-        (int(stats.n[i]), stats.mean_pct[i], stats.ci_lo[i], stats.ci_hi[i], analytic[i], asym)
-        for i in range(n)
-    ]
-    _write_rows(out, ["N", "mean_pct", "ci_lo", "ci_hi", "analytic_pct", "asymptotic_pct"], summary_rows, fmt)
+    summary_rows = zip(stats.n.tolist(), stats.mean_pct.tolist(), stats.ci_lo.tolist(),
+                       stats.ci_hi.tolist(), analytic, [asym] * n)
+    _write_rows(out, ["N", "mean_pct", "ci_lo", "ci_hi", "analytic_pct", "asymptotic_pct"], summary_rows, fmt,
+                template=_SUMMARY_ROW[fmt])
 
-    _write_trials(out.with_name(out.stem + "_trials" + out.suffix), stats.pct.tolist(), fmt)
+    _write_trials(out.with_name(out.stem + "_trials" + out.suffix), stats.pct, fmt)
     return 0
 
 
@@ -284,7 +303,8 @@ def cmd_trace(cfg: dict) -> int:
         "engagement_surface": " ".join(polyline),
     }
     rows = ((s.t, s.x_a.x, s.x_a.y, s.x_d.x, s.x_d.y, s.phase.value) for s in samples)
-    _write_rows(Path(cfg["out"]), ["t", "ax", "ay", "dx", "dy", "phase"], rows, cfg["format"], meta=meta)
+    _write_rows(Path(cfg["out"]), ["t", "ax", "ay", "dx", "dy", "phase"], rows, cfg["format"], meta=meta,
+                template=_TRACE_ROW[cfg["format"]])
     return 0
 
 

@@ -153,14 +153,37 @@ def run_session(params: GameParams, n: int, seed: int) -> SessionRecord:
     if n < 1:
         raise ValueError(f"session length must be >= 1, got {n!r}")
     sol = capture_circle_solution(params)
-    theta_max, phi = sol.theta_max, sol.phi
-    angle: Optional[float] = None
-    outcomes = []
-    for theta_a in _uniform_angles(seed, n).tolist():
-        angle = _next_bearing(angle, theta_a, theta_max, phi)
-        outcomes.append(angle is not None)
-    n_capture = sum(outcomes)
-    return SessionRecord(params, seed, tuple(outcomes), n_capture, n - n_capture)
+    outcomes = tuple(_session_mask(_uniform_angles(seed, n).tolist(), sol.theta_max, sol.phi))
+    n_capture = outcomes.count(True)
+    return SessionRecord(params, seed, outcomes, n_capture, n - n_capture)
+
+
+def _session_mask(arrivals: list[float], theta_max: float, phi: float) -> Iterator[bool]:
+    """Capture flag of each arrival, played in order from the center.
+
+    ``_next_bearing`` chained over ``arrivals``, with its wrap and side test
+    written inline: the same IEEE operations in the same order, so every
+    bearing and flag is bit-identical (``theta_a - phi`` is exactly
+    ``theta_a + (-1.0) * phi``).
+    """
+    pi, two_pi = math.pi, _TWO_PI
+    angle = None
+    for theta_a in arrivals:
+        if angle is None:
+            angle = theta_a % two_pi
+        else:
+            delta = (angle - theta_a) % two_pi
+            if delta > pi:
+                delta -= two_pi
+            if abs(delta) <= theta_max:
+                angle = (theta_a + phi if delta >= 0.0 else theta_a - phi) % two_pi
+            else:
+                angle = None
+                yield False
+                continue
+        if angle > pi:
+            angle -= two_pi
+        yield True
 
 
 class Phase(Enum):

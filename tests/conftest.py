@@ -8,6 +8,13 @@ from hypothesis import strategies as st
 from perimdef import validate_params
 from perimdef.geometry import assumption_clauses
 
+# float.hex of (tau, phi) of two saturated optima: at (5, 10, 0.5, 0.5) the
+# first saturated time fails its audit, at (5, 12, 1, 0.75) it passes.
+PLATEAU_HEX = {
+    (5.0, 10.0, 0.5, 0.5): ("0x1.356c05ac15b02p+4", "-0x1.000aa3a89065ep-5"),
+    (5.0, 12.0, 1.0, 0.75): ("0x1.cc25527930955p+3", "-0x1.7830f92cf76a4p-3"),
+}
+
 
 @pytest.fixture(scope="session")
 def params():

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from perimdef import analytics, engine, strategy
-from perimdef.cli import MAX_GRID_POINTS, MAX_SIM_GAMES, _write_rows, main
+from perimdef.cli import _TRIAL_BLOCK, MAX_GRID_POINTS, MAX_SIM_GAMES, _write_rows, main
 from perimdef.engine import MAX_TRACE_SAMPLES
 from perimdef.geometry import validate_params
 
@@ -84,6 +84,28 @@ def test_simulate_trials_match_row_writer(tmp_path, params, fmt):
     pct = analytics.aggregate_sessions(records).pct.tolist()
     rows = [(t, i, v) for t, row in enumerate(pct) for i, v in enumerate(row, start=1)]
     oracle = tmp_path / f"oracle.{fmt}"
+    _write_rows(oracle, ["trial", "N", "pct"], rows, fmt)
+    assert (tmp_path / f"sim_trials.{fmt}").read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("n, trials", [(1, 1), (1, 4), (5, 1), (_TRIAL_BLOCK + 1, 2)])
+def test_simulate_edge_shapes_match_row_writer(tmp_path, params, n, trials, fmt):
+    """The row templates write what the cell-by-cell writer writes, at the
+    edges of the trials writer's per-file templates: one row per trial, a
+    single trial, and a session one row longer than a block."""
+    out = tmp_path / f"sim.{fmt}"
+    assert main(["simulate", *BASE, "--n", str(n), "--trials", str(trials), "--seed", "11",
+                 "--format", fmt, "--out", str(out)]) == 0
+    stats = analytics.aggregate_sessions([engine.run_session(params, n, 11 + t) for t in range(trials)])
+    p = analytics.p_star(params)
+    summary = [(i, stats.mean_pct[i - 1], stats.ci_lo[i - 1], stats.ci_hi[i - 1],
+                analytics.expected_percentage(i, p), analytics.asymptotic_percentage(p))
+               for i in range(1, n + 1)]
+    oracle = tmp_path / f"oracle.{fmt}"
+    _write_rows(oracle, ["N", "mean_pct", "ci_lo", "ci_hi", "analytic_pct", "asymptotic_pct"], summary, fmt)
+    assert out.read_bytes() == oracle.read_bytes()
+    rows = [(t, i, v) for t, row in enumerate(stats.pct.tolist()) for i, v in enumerate(row, start=1)]
     _write_rows(oracle, ["trial", "N", "pct"], rows, fmt)
     assert (tmp_path / f"sim_trials.{fmt}").read_bytes() == oracle.read_bytes()
 
@@ -273,6 +295,23 @@ def test_trace_breach_bound_ends_on_target_rim(tmp_path):
     tx = float(next(l for l in meta if l.startswith("# terminal_x")).split("=")[1])
     ty = float(next(l for l in meta if l.startswith("# terminal_y")).split("=")[1])
     assert math.hypot(tx, ty) == pytest.approx(5.0, abs=0.8 * 1e-3 + 1e-9)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("theta_a, angle", [(0.6, 1.1), (3.0, 0.0)])
+def test_trace_rows_match_row_writer(tmp_path, params, fmt, theta_a, angle):
+    """The trace's row template writes the bytes that the cell-by-cell writer
+    writes for the same samples."""
+    out = tmp_path / f"trace.{fmt}"
+    assert main(["trace", *BASE, "--theta-a", str(theta_a), "--defender-angle", str(angle),
+                 "--dt", "1e-3", "--format", fmt, "--out", str(out)]) == 0
+    traj = engine.simulate_kinematic(strategy.OnCaptureCircle(angle), theta_a, params)
+    rows = [(s.t, s.x_a.x, s.x_a.y, s.x_d.x, s.x_d.y, s.phase.value) for s in traj.sample(1e-3)]
+    oracle = tmp_path / f"oracle.{fmt}"
+    _write_rows(oracle, ["t", "ax", "ay", "dx", "dy", "phase"], rows, fmt)
+    lines = out.read_bytes().splitlines(keepends=True)
+    meta = 1 if fmt == "jsonl" else sum(line.startswith(b"# ") for line in lines)
+    assert b"".join(lines[meta:]) == oracle.read_bytes()
 
 
 @pytest.mark.parametrize("dt", ["1e-320", "1e-9"])

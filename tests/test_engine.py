@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from perimdef.engine import (
@@ -18,6 +18,8 @@ from perimdef.engine import (
     GameResult,
     Phase,
     _capture_side,
+    _next_bearing,
+    _session_mask,
     _uniform_angles,
     play_game,
     run_session,
@@ -27,7 +29,7 @@ from perimdef.engine import (
     verify_outcome_agreement,
     wrap_angle,
 )
-from conftest import valid_params
+from conftest import PLATEAU_HEX, valid_params
 from perimdef.geometry import Point2, assumption_clauses, validate_params
 from perimdef.strategy import (
     AtCenter,
@@ -203,12 +205,63 @@ def _session_case(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_session_case())
+@example((validate_params(*list(PLATEAU_HEX)[0]), 9, 300))
+@example((validate_params(*list(PLATEAU_HEX)[1]), 2**64 - 1, 300))
 def test_session_mask_matches_play_game_chain_property(case):
     p, seed, n = case
     games = _replay(p, n, seed)
     assert run_session(p, n, seed).outcomes == tuple(
         out.result is GameResult.CAPTURE for out in games
     )
+
+
+def _bearing_chain(arrivals, theta_max, phi):
+    """Capture flags of ``arrivals`` played through the scalar rule ``_next_bearing``."""
+    angle, mask = None, []
+    for theta_a in arrivals:
+        angle = _next_bearing(angle, theta_a, theta_max, phi)
+        mask.append(angle is not None)
+    return mask
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_session_loop_captures_a_gap_of_exactly_theta_max(sign):
+    """theta_max is read off the gap itself, so the tie is exact; one ulp
+    narrower it is a breach.  The first bearing is wrapped from the center
+    (``wrap_angle(-0.3)`` is not -0.3), and the third arrival sits on the
+    mirrored evasion bearing of the tie's side, where the other side would
+    breach."""
+    arrivals = [-0.3, -0.3 - sign, -0.3 + sign]
+    gap = wrap_angle(wrap_angle(-0.3) - arrivals[1])
+    theta_max = abs(gap)
+    assert gap == sign * theta_max
+    phi = 2.0
+    assert list(_session_mask(arrivals, theta_max, phi)) == [True, True, True]
+    assert _bearing_chain(arrivals, theta_max, phi) == [True, True, True]
+    narrower = math.nextafter(theta_max, 0.0)
+    assert list(_session_mask(arrivals, narrower, phi)) == [True, False, True]
+    assert _bearing_chain(arrivals, narrower, phi) == [True, False, True]
+
+
+def test_session_loop_takes_side_plus_one_at_a_zero_gap():
+    """A gap of exactly 0 mirrors to side +1: the defender ends at 0.5 + phi,
+    where the third arrival is captured; side -1 would leave a gap of 2 phi."""
+    theta_max, phi = 0.5, 1.0
+    arrivals = [0.5, 0.5, 0.5 + phi]
+    assert wrap_angle(wrap_angle(0.5) - 0.5) == 0.0
+    assert list(_session_mask(arrivals, theta_max, phi)) == [True, True, True]
+    assert _bearing_chain(arrivals, theta_max, phi) == [True, True, True]
+    assert list(_session_mask([0.5, 0.5, 0.5 - phi], theta_max, phi)) == [True, True, False]
+
+
+def test_session_loop_restarts_from_the_center_after_a_breach():
+    """After a breach the next arrival is captured from the center and the
+    defender ends at its bearing, whatever the gap to its old one."""
+    theta_max, phi = 0.5, 1.0
+    arrivals = [0.0, 3.0, -2.9, -2.9 + 0.4, 1.0, 2.5, 2.5]
+    want = [True, False, True, True, False, True, True]
+    assert list(_session_mask(arrivals, theta_max, phi)) == want
+    assert _bearing_chain(arrivals, theta_max, phi) == want
 
 
 def test_kinematic_matches_event_level_from_center(params):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import valid_params
+from conftest import PLATEAU_HEX, valid_params
 from perimdef import analytics
 from perimdef.cli import main
 from perimdef.geometry import (
@@ -47,12 +47,6 @@ GUARDED_ARC_AT_CAPTURE_RADIUS = 1.8584730829635667
 THETA_MAX_STAR = 2.0073003064386796
 # float.hex of (tau, theta_max, phi) of the baseline optimum, for bit-level regressions.
 OPTIMUM_HEX = ("0x1.7d164377f9e7cp+3", "0x1.00ef3768b3d40p+1", "-0x1.9c4f93b3f31c4p-5")
-# float.hex of (tau, phi) of two saturated optima: at (5, 10, 0.5, 0.5) the
-# first saturated time fails its audit, at (5, 12, 1, 0.75) it passes.
-PLATEAU_HEX = {
-    (5.0, 10.0, 0.5, 0.5): ("0x1.356c05ac15b02p+4", "-0x1.000aa3a89065ep-5"),
-    (5.0, 12.0, 1.0, 0.75): ("0x1.cc25527930955p+3", "-0x1.7830f92cf76a4p-3"),
-}
 
 
 # ---------------------------------------------------------------------------
