@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .engine import SessionRecord
-from .geometry import AssumptionViolated, GameParams, validate_params
+from .geometry import GameParams, validate_params
 from .strategy import capture_circle_solution
 
 PARAM_NAMES = ("r_t", "rho_t", "rho_a", "nu")
@@ -236,24 +236,14 @@ def sweep(
             kv[inner[0]] = float(vi)
             try:
                 params = validate_params(**kv)
-            except (AssumptionViolated, ValueError):
-                rows.append(
-                    SweepRow(
-                        kv["r_t"], kv["rho_t"], kv["rho_a"], kv["nu"],
-                        feasible=False, theta_max=None, p_star=None, percentages=None,
-                    )
-                )
+            except ValueError:
+                rows.append(SweepRow(**kv, feasible=False, theta_max=None, p_star=None, percentages=None))
                 continue
             p = p_star(params)
             pairs = [(float(h), expected_percentage(h, p)) for h in horizons]
             pairs.append((math.inf, asymptotic_percentage(p)))
-            rows.append(
-                SweepRow(
-                    kv["r_t"], kv["rho_t"], kv["rho_a"], kv["nu"], feasible=True,
-                    theta_max=capture_circle_solution(params).theta_max,
-                    p_star=p, percentages=tuple(pairs),
-                )
-            )
+            rows.append(SweepRow(**kv, feasible=True, theta_max=capture_circle_solution(params).theta_max,
+                                 p_star=p, percentages=tuple(pairs)))
     return rows
 
 
@@ -316,9 +306,6 @@ def level_set_slope(
         if bracket is None:
             continue
         lo, hi = bracket
-        if lo == hi:
-            points.append((rho_a, lo))
-            continue
         f_lo = pct_at(rho_a, lo) - target_percentage
         while hi - lo > LEVEL_SET_TOL:
             mid = 0.5 * (lo + hi)

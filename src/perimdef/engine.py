@@ -31,6 +31,8 @@ _TWO_PI = 2.0 * math.pi
 CONTACT_SLACK = 1e-9
 # The band around theta_max whose games verify_outcome_agreement skips.
 BOUNDARY_MARGIN = 1e-3
+# Largest capture-point error between replay and event-level game that verify accepts.
+MAX_DISCREPANCY = 5e-3
 # Most samples one replay may be sampled at; it bounds a trace's run length and file size.
 MAX_TRACE_SAMPLES = 1_000_000
 
@@ -359,7 +361,7 @@ class AgreementReport:
 
     @property
     def all_agree(self) -> bool:
-        return self.n_mismatches == 0
+        return self.n_mismatches == 0 and self.max_capture_point_error <= MAX_DISCREPANCY
 
 
 def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> AgreementReport:

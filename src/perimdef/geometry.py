@@ -39,14 +39,14 @@ class AssumptionViolated(ValueError):
         self.which = which
 
 
-def clamp_unit(value: float, tol: float = CLAMP_TOL) -> float:
-    """Clamp a trig argument to [-1, 1] when it is within ``tol`` of it."""
+def clamp_unit(value: float) -> float:
+    """Clamp a trig argument to [-1, 1] when it is within ``CLAMP_TOL`` of it."""
     if value > 1.0:
-        if value > 1.0 + tol:
+        if value > 1.0 + CLAMP_TOL:
             raise ValueError(f"trig argument {value!r} exceeds 1 beyond tolerance")
         return 1.0
     if value < -1.0:
-        if value < -1.0 - tol:
+        if value < -1.0 - CLAMP_TOL:
             raise ValueError(f"trig argument {value!r} is below -1 beyond tolerance")
         return -1.0
     return value

@@ -282,10 +282,10 @@ def _objective_grid(taus: np.ndarray, r: float, params: GameParams) -> np.ndarra
     (which index is largest, which saturate at pi) and recompute values
     with the scalar functions.
     """
-    a = params.tsr_radius - taus * params.nu
+    a = _intruder_range(taus, params)
     inner = params.r_t + params.gamma * params.rho_a
     b = params.beta * params.rho_a
-    rhs = (inner * inner - (a - b) ** 2) / (4.0 * b * a)
+    rhs = _tangency_rhs(taus, params)
     outside = (rhs < -CLAMP_TOL) | (rhs > 1.0 + CLAMP_TOL)
     if outside.any():
         i = int(np.argmax(outside))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -10,7 +11,15 @@ import tracemalloc
 import pytest
 
 from perimdef import analytics, engine, strategy
-from perimdef.cli import _TRIAL_BLOCK, MAX_GRID_POINTS, MAX_SIM_GAMES, _write_rows, main
+from perimdef.cli import (
+    _TRIAL_BLOCK,
+    CONFIG_TYPES,
+    MAX_GRID_POINTS,
+    MAX_SIM_GAMES,
+    _write_rows,
+    build_parser,
+    main,
+)
 from perimdef.engine import MAX_TRACE_SAMPLES
 from perimdef.geometry import validate_params
 
@@ -121,6 +130,19 @@ def test_simulate_rejects_oversized_run(tmp_path, capsys, monkeypatch, n, trials
     assert code == 2
     assert str(MAX_SIM_GAMES) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_writes_its_summary_in_blocks(tmp_path):
+    """50,000 prefixes over four blocks; whole-column lists built before writing peaked at 11.3 MB."""
+    tracemalloc.start()
+    try:
+        code = main(["simulate", *BASE, "--n", "50000", "--trials", "1",
+                     "--out", str(tmp_path / "sim.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8_000_000
 
 
 def test_invalid_params_exit_2(tmp_path, capsys):
@@ -235,6 +257,20 @@ def test_sweep_rejects_nonfinite_grid_bounds(tmp_path, capsys, bounds):
     assert code == 2
     assert "bad grid range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_sweep_rejects_repeated_horizons(tmp_path, capsys, fmt):
+    """A repeated horizon gave the CSV two pct_n20 columns and each JSONL row one key."""
+    out = tmp_path / f"s.{fmt}"
+    code = main(["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2",
+                 "--grid", "rho_t=4:12:2", "--n", "20,20", "--format", fmt, "--out", str(out)])
+    assert code == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+    # analytic writes one row per horizon given, repeats included
+    assert main(["analytic", *BASE, "--n", "20,20", "--format", fmt, "--out", str(out)]) == 0
+    assert len(_read(out)) == {"csv": 4, "jsonl": 3}[fmt]
 
 
 def test_verify_agrees_and_exits_zero(tmp_path):
@@ -357,6 +393,17 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert main(["analytic", "--config", str(cfg), "--n", "9", "--out", str(out_b)]) == 0
     assert _read(out_a)[1].split(",")[0] == "4"
     assert _read(out_b)[1].split(",")[0] == "9"
+
+
+def test_config_types_match_parser():
+    """Every option but --config, --grid and --help is a config key read as its flag's type."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest in ("config", "grid", "help"):
+                continue
+            assert action.dest in CONFIG_TYPES, (command, action.option_strings)
+            assert (action.type or str) is CONFIG_TYPES[action.dest], (command, action.dest)
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

@@ -13,6 +13,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from perimdef.engine import (
+    MAX_DISCREPANCY,
+    AgreementReport,
     BreachAt,
     CaptureAt,
     GameResult,
@@ -356,6 +358,16 @@ def test_outcome_agreement_small_run(params):
     assert report.max_capture_point_error <= 5e-3
     assert report.max_breach_defender_offset <= 1e-3
     assert report.all_agree
+
+
+def test_all_agree_applies_the_capture_point_tolerance():
+    fields = dict(n_games=3, n_compared=3, n_boundary_skipped=0, n_mismatches=0,
+                  max_capture_point_error=MAX_DISCREPANCY, max_circle_distance=0.0,
+                  max_breach_defender_offset=0.0)
+    assert AgreementReport(**fields).all_agree
+    fields["max_capture_point_error"] = math.nextafter(MAX_DISCREPANCY, 1.0)
+    assert not AgreementReport(**fields).all_agree
+    assert not AgreementReport(**{**fields, "max_capture_point_error": 0.0, "n_mismatches": 1}).all_agree
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
