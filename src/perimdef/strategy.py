@@ -25,6 +25,12 @@ from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, first_entry, go
 # golden-section search refines the best grid bracket.
 TAU_GRID_POINTS = 1024
 TAU_TOL = 1e-9
+# Least lead of the engagement bearing past pi/2 that a plateau hold needs.  A
+# hold at theta stays unseen before tau exactly when theta >= pi/2, and at
+# pi/2 the intruder's sensing circle only grazes the hold point at tau, so
+# whether the replay detects it is decided by rounding; the margin makes the
+# detection at tau cross the sensing circle.
+HOLD_MARGIN = 1e-6
 
 
 class OutOfRange(ValueError):
@@ -253,12 +259,14 @@ def _plateau_is_stealthy(tau: float, params: GameParams, r: float) -> bool:
 
     From a start ``r * u(bearing)`` the defender walks straight to the
     engagement point and holds there while the intruder runs radially
-    inward.  The approach is replayed from the two ends of the start arc,
+    inward.  The walk is replayed from the two ends of the start arc,
     bearings 0 and pi, with the replay's event finder: any late arrival, or
-    any entry into the intruder's sensing radius on the walk or the hold,
-    fails the candidate.
+    any entry into the intruder's sensing radius on the walk, fails the
+    candidate.  A hold passes in closed form, when its bearing leads pi/2 by
+    ``HOLD_MARGIN``.
     """
-    eng = engagement_candidate(tau, params).x_d_eng
+    cand = engagement_candidate(tau, params)
+    eng = cand.x_d_eng
     a0, va = Point2(params.tsr_radius, 0.0), Point2(-params.nu, 0.0)
     sensed = params.rho_a - 1e-9
     for start in (Point2(r, 0.0), Point2(-r, 0.0)):
@@ -268,7 +276,7 @@ def _plateau_is_stealthy(tau: float, params: GameParams, r: float) -> bool:
         vd = (eng - start) * (1.0 / (path or 1.0))
         if first_entry(a0 - start, va - vd, sensed, min(path, tau)) is not None:
             return False
-        if path < tau and first_entry(a0 + va * path - eng, va, sensed, tau - path) is not None:
+        if path < tau and cand.theta - 0.5 * math.pi < HOLD_MARGIN:
             return False
     return True
 

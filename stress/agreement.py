@@ -1,0 +1,69 @@
+"""Stress tier: event-level play against the kinematic replay over many
+edge-regime draws, outside the tier-1 suite.
+
+    python stress/agreement.py --seed 11 --draws 1000
+
+Params are drawn with ``random.Random(seed)`` over the ranges of
+``tests/conftest.valid_params``; the annulus clause holds at factor 1 on
+even draws and at a uniform factor in the ``annulus`` range on odd ones.
+Draw ``i`` replays a 200-game session of seed ``i`` through
+``verify_outcome_agreement``.  A draw fails when ``all_agree`` does not hold,
+or when ``conftest.capture_off_circle`` finds a replay whose detection forces
+a capture farther than ``CIRCLE_TOL * (1 + r_cc)`` from the capture circle.
+The first failing draw's params are printed as ``repr`` floats and the exit
+code is 1; otherwise a summary line is printed.  Needs the ``dev`` extras,
+since it reads its ranges and its circle check from the tests' conftest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from conftest import CIRCLE_TOL, EDGE_RANGES, capture_off_circle  # noqa: E402
+from perimdef import assumption_clauses, validate_params, verify_outcome_agreement  # noqa: E402
+
+GAMES_PER_DRAW = 200
+
+
+def draw_params(rng: random.Random, i: int):
+    nu = rng.uniform(*EDGE_RANGES["nu"])
+    rho_a = rng.uniform(*EDGE_RANGES["rho_a"])
+    r_t = rng.uniform(*EDGE_RANGES["r_t"])
+    factor = 1.0 if i % 2 == 0 else rng.uniform(*EDGE_RANGES["annulus"])
+    return validate_params(r_t, max(assumption_clauses(r_t, 1.0, rho_a, nu)) * factor, rho_a, nu)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--draws", type=int, required=True)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    t0 = time.perf_counter()
+    games = skipped = 0
+    worst = 0.0
+    for i in range(args.draws):
+        p = draw_params(rng, i)
+        report = verify_outcome_agreement(p, GAMES_PER_DRAW, i)
+        off_circle = capture_off_circle(p)
+        if not report.all_agree or off_circle > CIRCLE_TOL:
+            print(f"FAIL seed {args.seed} draw {i}: params ({p.r_t!r}, {p.rho_t!r}, {p.rho_a!r}, {p.nu!r})")
+            print(f"  {report}; capture off the circle {off_circle:.3g} * (1 + r_cc)")
+            return 1
+        games += report.n_compared
+        skipped += report.n_boundary_skipped
+        worst = max(worst, off_circle)
+    print(f"seed {args.seed}: {args.draws} draws agree; {games} games compared, {skipped} skipped; "
+          f"worst capture off the circle {worst:.2g} * (1 + r_cc); {time.perf_counter() - t0:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 from perimdef import validate_params
-from perimdef.geometry import assumption_clauses
+from perimdef.engine import Phase, simulate_kinematic
+from perimdef.geometry import apollonius, assumption_clauses
+from perimdef.strategy import AtCenter, OnCaptureCircle, capture_circle_radius, capture_circle_solution
 
 # float.hex of (tau, phi) of two saturated optima: at (5, 10, 0.5, 0.5) the
 # first saturated time fails its audit, at (5, 12, 1, 0.75) it passes.
@@ -45,12 +47,43 @@ def random_valid_params():
     return make_valid_params
 
 
+# The ranges ``valid_params`` draws from, out to the edge regimes: nu near 1,
+# small rho_a, and an annulus whose binding clause only just holds (factor 1).
+# ``stress/agreement.py`` draws from the same ranges.
+EDGE_RANGES = {"nu": (0.05, 0.99), "rho_a": (0.005, 5.0), "r_t": (0.1, 30.0), "annulus": (1.0, 4.0)}
+# Largest distance of a replay's capture from the capture circle, in units of 1 + r_cc.
+CIRCLE_TOL = 1e-8
+
+
 @st.composite
 def valid_params(draw):
-    """Valid params out to the edge regimes: nu near 1, small rho_a, and an
-    annulus whose binding clause only just holds (factor 1)."""
-    nu = draw(st.floats(0.05, 0.99))
-    rho_a = draw(st.floats(0.005, 5.0))
-    r_t = draw(st.floats(0.1, 30.0))
+    """Valid params over ``EDGE_RANGES``; the annulus width is the binding
+    clause times a factor in the ``annulus`` range."""
+    nu = draw(st.floats(*EDGE_RANGES["nu"]))
+    rho_a = draw(st.floats(*EDGE_RANGES["rho_a"]))
+    r_t = draw(st.floats(*EDGE_RANGES["r_t"]))
     first, second = assumption_clauses(r_t, 1.0, rho_a, nu)
-    return validate_params(r_t, max(first, second) * draw(st.floats(1.0, 4.0)), rho_a, nu)
+    return validate_params(r_t, max(first, second) * draw(st.floats(*EDGE_RANGES["annulus"])), rho_a, nu)
+
+
+def capture_off_circle(params) -> float:
+    """Worst distance from the capture circle, in units of 1 + r_cc, of the
+    capture that a replay's detection forces, over replays from the center
+    and from the capture circle at gaps k/8 * theta_max on both sides.
+
+    That capture is the far rim of the intruder's dominance circle at the
+    start of the replay's first full-information piece: a doomed intruder's
+    best reply.  The replay itself steers both players to the event level's
+    endpoint, so its terminal point cannot show a detection made too early.
+    """
+    r_cc = capture_circle_radius(params)
+    theta_max = capture_circle_solution(params).theta_max
+    states = [AtCenter()] + [OnCaptureCircle(side * theta_max * k / 8) for k in range(1, 9) for side in (1.0, -1.0)]
+    worst = 0.0
+    for state in states:
+        detected = next((piece for piece in simulate_kinematic(state, 0.0, params).pieces
+                         if piece[6] is Phase.FULL), None)
+        if detected is not None:
+            circle = apollonius(detected[2], detected[4], params)
+            worst = max(worst, abs(circle.center.norm() + circle.radius - r_cc) / (1.0 + r_cc))
+    return worst

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import perimdef
 from perimdef import analytics, engine, strategy
 from perimdef.cli import (
     _TRIAL_BLOCK,
@@ -18,6 +24,7 @@ from perimdef.cli import (
     MAX_SIM_GAMES,
     _write_rows,
     build_parser,
+    entry,
     main,
 )
 from perimdef.engine import MAX_TRACE_SAMPLES
@@ -153,6 +160,49 @@ def test_invalid_params_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "second" in err
     assert not out.exists()
+
+
+def test_cli_process_matches_in_process_main(tmp_path):
+    """``python -m perimdef.cli`` runs through ``entry``: the same bytes and exit
+    codes as ``main`` in process, which leaves the collector's state alone."""
+    runs = {
+        "simulate": ["simulate", *BASE, "--n", "30", "--trials", "3", "--out", "sim.csv"],
+        "sweep": ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3", "--grid", "rho_t=4:12:3",
+                  "--n", "20", "--out", "sweep.csv"],
+        "invalid": ["simulate", "--r-t", "5", "--rho-t", "2", "--rho-a", "1", "--nu", "0.8", "--n", "5",
+                    "--out", "x.csv"],
+        "usage": ["simulate", *BASE, "--no-such-flag"],
+    }
+    src = str(Path(perimdef.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    procs = {}
+    for name, argv in runs.items():
+        (tmp_path / "spawned" / name).mkdir(parents=True)
+        procs[name] = subprocess.Popen([sys.executable, "-m", "perimdef.cli", *argv], cwd=tmp_path / "spawned" / name,
+                                       env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    codes = {name: proc.wait(timeout=60) for name, proc in procs.items()}
+    assert codes == {"simulate": 0, "sweep": 0, "invalid": 2, "usage": 2}
+    assert not (tmp_path / "spawned" / "invalid" / "x.csv").exists()
+
+    frozen = gc.get_freeze_count()
+    for name in ("simulate", "sweep"):
+        spawned, here = tmp_path / "spawned" / name, tmp_path / "here" / name
+        here.mkdir(parents=True)
+        assert main([arg if not arg.endswith(".csv") else str(here / arg) for arg in runs[name]]) == 0
+        assert sorted(f.name for f in spawned.iterdir()) == sorted(f.name for f in here.iterdir())
+        for f in spawned.iterdir():
+            assert f.read_bytes() == (here / f.name).read_bytes(), f.name
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entry_freezes_the_import_time_objects(tmp_path):
+    assert gc.get_freeze_count() == 0
+    try:
+        assert entry(["analytic", *BASE, "--n", "20", "--out", str(tmp_path / "a.csv")]) == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert (tmp_path / "a.csv").read_text().startswith("N,expected_resets,percentage\n")
 
 
 def test_analytic_rows_match_library(tmp_path):

@@ -31,7 +31,7 @@ from perimdef.engine import (
     verify_outcome_agreement,
     wrap_angle,
 )
-from conftest import PLATEAU_HEX, valid_params
+from conftest import CIRCLE_TOL, PLATEAU_HEX, capture_off_circle, valid_params
 from perimdef.geometry import Point2, assumption_clauses, validate_params
 from perimdef.strategy import (
     AtCenter,
@@ -383,6 +383,29 @@ def test_kinematic_rejects_bad_resolution(params, dt):
 def test_kinematic_rejects_nonfinite_bearing(params, state, theta_a):
     with pytest.raises(ValueError, match="finite"):
         simulate_kinematic(state, theta_a, params)
+
+
+# Plateaus whose first grid time past pi/2 leads it by less than HOLD_MARGIN:
+# there the replay's detection of a hold at tau is a graze (theta - pi/2 =
+# 6.7e-9), or comes before tau (theta - pi/2 = -3.5e-5).
+GRAZE_PLATEAU = (2.7654012936864945, 2.610318968761654, 2.1081991085555707, 0.11744478489412456)
+EARLY_PLATEAU = (8.299055581713581, 20.493301431276663, 1.2050155582037192, 0.7232170088097913)
+
+
+def test_outcome_agreement_on_a_grazing_plateau():
+    report = verify_outcome_agreement(validate_params(*GRAZE_PLATEAU), 500, seed=1)
+    assert report.n_mismatches == 0
+    assert report.all_agree
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(valid_params())
+@example(validate_params(*EARLY_PLATEAU))
+@example(validate_params(*GRAZE_PLATEAU))
+def test_replay_detection_forces_captures_onto_the_circle_property(p):
+    # Every chosen engagement is sensed at its own time, so the intruder's best
+    # reply at the replay's detection ends on the capture circle.
+    assert capture_off_circle(p) <= CIRCLE_TOL
 
 
 @pytest.mark.parametrize("n_games", [0, -3])

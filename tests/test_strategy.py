@@ -23,6 +23,7 @@ from perimdef.geometry import (
     CircleClass, GameParams, Point2, apollonius, classify, validate_params,
 )
 from perimdef.strategy import (
+    HOLD_MARGIN,
     TAU_GRID_POINTS,
     _objective_grid,
     _plateau_is_stealthy,
@@ -345,9 +346,11 @@ _FAN_BEARINGS = np.linspace(0.0, math.pi, 512)
 
 
 def _fan_is_stealthy(tau: float, p: GameParams, r: float) -> bool:
-    """Oracle for the plateau audit: the closest approach of the walk and the
-    hold, in closed form, from 512 start bearings in [0, pi]."""
-    eng = engagement_candidate(tau, p).x_d_eng
+    """Oracle for the plateau audit: the closest approach of the walk, in
+    closed form, from 512 start bearings in [0, pi]; a hold passes by the
+    audit's rule, when its bearing leads pi/2 by ``HOLD_MARGIN``."""
+    cand = engagement_candidate(tau, p)
+    eng = cand.x_d_eng
     sx, sy = r * np.cos(_FAN_BEARINGS), r * np.sin(_FAN_BEARINGS)
     path = np.hypot(eng.x - sx, eng.y - sy)
     if np.any(path > tau * (1.0 + 1e-12) + 1e-12):
@@ -360,10 +363,8 @@ def _fan_is_stealthy(tau: float, p: GameParams, r: float) -> bool:
     t_walk = np.where(ww > 0.0, -(r0x * wx + sy * wy) / np.where(ww > 0.0, ww, 1.0), 0.0)
     t_walk = np.clip(t_walk, 0.0, np.minimum(path, tau))
     d_walk = np.hypot(r0x + t_walk * wx, sy + t_walk * wy)
-    hx = eng.x - (p.tsr_radius - p.nu * path)
-    t_hold = np.clip(-hx / p.nu, 0.0, np.maximum(tau - path, 0.0))
-    d_hold = np.where(path < tau, np.hypot(hx + p.nu * t_hold, eng.y), np.inf)
-    return bool(np.all(np.minimum(d_walk, d_hold) - p.rho_a >= -1e-9))
+    hold_sensed = np.any(path < tau) and cand.theta - 0.5 * math.pi < HOLD_MARGIN
+    return bool(np.all(d_walk - p.rho_a >= -1e-9)) and not hold_sensed
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
