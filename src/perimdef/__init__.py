@@ -1,4 +1,8 @@
-"""Sequential perimeter-defense game: simulator, oracles, and analytics."""
+"""Sequential perimeter-defense game: simulator, oracles, and analytics.
+
+numpy is imported inside the functions that use it (the session hash and
+the array statistics), so importing the package does not load it.
+"""
 
 from .geometry import (
     ApolloniusCircle,

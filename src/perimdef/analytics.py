@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .engine import SessionRecord
 from .geometry import GameParams, validate_params
 from .strategy import capture_circle_solution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PARAM_NAMES = ("r_t", "rho_t", "rho_a", "nu")
 # Width in rho_t to which level_set_slope bisects each contour column.
@@ -87,6 +88,8 @@ def resets_tail_all(n: int, p_star: float) -> np.ndarray:
     rolled forward in ``j`` by Pascal's rule, so memory stays O(n);
     ``markov_oracle`` checks the result.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
     _check_probability(p_star)
@@ -132,6 +135,8 @@ def markov_oracle(n: int, p_star: float) -> np.ndarray:
     {center, circle}; the chain starts at the center.  Independent of the
     closed-form route, so it can arbitrate it.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
     _check_probability(p_star)
@@ -165,6 +170,8 @@ class PrefixStats:
 
 def aggregate_sessions(records: Sequence[SessionRecord]) -> PrefixStats:
     """Per-prefix mean and normal-approximation confidence band."""
+    import numpy as np
+
     if not records:
         raise ValueError("no sessions to aggregate")
     length = len(records[0].outcomes)
@@ -270,6 +277,8 @@ def level_set_slope(
     (re-evaluating the model, not interpolating the table), then the contour
     points are fit by least squares.
     """
+    import numpy as np
+
     r_t_values = {row.r_t for row in rows}
     nu_values = {row.nu for row in rows}
     if len(r_t_values) != 1 or len(nu_values) != 1:

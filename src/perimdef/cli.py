@@ -369,15 +369,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry(argv: Optional[Sequence[str]] = None) -> int:
-    """Run ``main`` as the process's command, after freezing the import-time objects.
+    """Run ``main`` as the process's command, freezing the import-time objects
+    before it and every object still alive after it.
 
     Frozen objects sit in the permanent generation, which the collections at
-    interpreter exit skip; the OS frees them anyway.  Objects the command
-    creates are collected as before.  ``main`` itself does not freeze, since
-    it also runs inside other processes.
+    interpreter exit skip; the OS frees them anyway.  numpy is imported
+    inside ``main`` by the commands that play games, so the second freeze
+    covers its objects too.  Garbage the command creates is collected as
+    before.  ``main`` itself does not freeze, since it also runs inside
+    other processes.
     """
     gc.freeze()
-    return main(argv)
+    code = main(argv)
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .geometry import GameParams, Point2, first_entry
 from .strategy import (
@@ -24,6 +22,9 @@ from .strategy import (
     capture_circle_radius,
     capture_circle_solution,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 # The replay's contact distance, relative to 1 + r_cc: exact walks meet
@@ -67,6 +68,8 @@ def _uniform_angles(seed: int, n: int) -> np.ndarray:
     Bit-identical to the scalar hash: ``uint64`` arithmetic wraps as the
     scalar's ``& mask`` does, and the seed is reduced modulo 2**64 first.
     """
+    import numpy as np
+
     x = np.arange(n, dtype=np.uint64)
     x *= np.uint64(0x9E3779B97F4A7C15)
     x ^= np.uint64(seed & ((1 << 64) - 1))

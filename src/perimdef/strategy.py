@@ -15,13 +15,11 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Optional, Union
-
-import numpy as np
+from typing import Callable, Optional, Union
 
 from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, first_entry, golden_section_max
 
-# Engagement times scanned by optimize_engagement, and the width to which
+# Engagement times searched by optimize_engagement, and the width to which
 # golden-section search refines the best grid bracket.
 TAU_GRID_POINTS = 1024
 TAU_TOL = 1e-9
@@ -229,7 +227,9 @@ def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> floa
     ey = params.rho_a * math.sin(theta)
     r_eng = math.hypot(ex, ey)
     phi_eng = math.atan2(ey, ex)
-    arg = (r_eng * r_eng + r * r - tau * tau) / (2.0 * r_eng * r)
+    num, den = r_eng * r_eng + r * r - tau * tau, 2.0 * r_eng * r
+    # At a subnormal radius den can round to zero; the limit has num's sign.
+    arg = num / den if den else math.copysign(math.inf, num)
     if arg > 1.0 + CLAMP_TOL:
         return 0.0
     if arg < -1.0 - CLAMP_TOL:
@@ -281,50 +281,48 @@ def _plateau_is_stealthy(tau: float, params: GameParams, r: float) -> bool:
     return True
 
 
-def _objective_grid(taus: np.ndarray, r: float, params: GameParams) -> np.ndarray:
-    """``theta_max_at(tau, engagement_theta(tau), r)`` over an array of times.
+def _objective(tau: float, r: float, params: GameParams) -> float:
+    """The guarded bearing gap of the engagement-surface point at time ``tau``."""
+    return theta_max_at(tau, engagement_theta(tau, params), r, params)
 
-    Applies every check and branch of the scalar chain to the whole array.
-    numpy's squaring and trigonometry may differ from ``math`` in the last
-    bits, so callers should act only on decisions taken over the grid
-    (which index is largest, which saturate at pi) and recompute values
-    with the scalar functions.
+
+def _grid_peak(r: float, params: GameParams) -> tuple[Callable[[int], float], Callable[[int], float], int]:
+    """The ``TAU_GRID_POINTS`` engagement times searched by ``optimize_engagement``,
+    the objective at each (by index, evaluated once), and the first grid maximum.
+
+    Time ``k`` is ``tau_min + span * k / (TAU_GRID_POINTS - 1)``.  Over the
+    grid the objective is zero on a leading run of times the defender cannot
+    reach, then rises strictly to its first maximum and never rises after
+    it.  So the first maximum is the first ``k`` with ``value(k) > 0`` and
+    ``value(k) >= value(k + 1)`` (the last index if there is none), and
+    bisection finds it from about 18 of the grid's values.
     """
-    a = _intruder_range(taus, params)
-    inner = params.r_t + params.gamma * params.rho_a
-    b = params.beta * params.rho_a
-    rhs = _tangency_rhs(taus, params)
-    outside = (rhs < -CLAMP_TOL) | (rhs > 1.0 + CLAMP_TOL)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise InfeasibleTau(
-            f"tau={float(taus[i])!r} outside the engagement window (rhs={float(rhs[i])!r})"
-        )
-    theta = 2.0 * np.arcsin(np.sqrt(np.clip(rhs, 0.0, 1.0)))
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-    off_surface = np.abs(np.hypot(a - b * cos_t, -b * sin_t) - inner) > 1e-9 * (1.0 + inner)
-    if off_surface.any():
-        i = int(np.argmax(off_surface))
-        raise InvalidCandidate(
-            f"(tau={float(taus[i])!r}, theta={float(theta[i])!r}) is not a tangent configuration"
-        )
-
-    ex = a + params.rho_a * cos_t
-    ey = params.rho_a * sin_t
-    r_eng = np.hypot(ex, ey)
-    arg = (r_eng * r_eng + r * r - taus * taus) / (2.0 * r_eng * r)
-    reach = np.arccos(np.clip(arg, -1.0, 1.0))
-    values = np.minimum(math.pi, reach + np.arctan2(ey, ex))
-    values[arg > 1.0 + CLAMP_TOL] = 0.0
-    values[arg < -1.0 - CLAMP_TOL] = math.pi
-    return values
-
-
-def _tau_grid(params: GameParams) -> np.ndarray:
-    """The ``TAU_GRID_POINTS`` engagement times scanned by ``optimize_engagement``."""
     tau_min, tau_max = engagement_domain(params)
-    return tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)
+    span = tau_max - tau_min
+
+    def time(k: int) -> float:
+        return tau_min + span * k / (TAU_GRID_POINTS - 1)
+
+    @lru_cache(maxsize=None)
+    def value(k: int) -> float:
+        return _objective(time(k), r, params)
+
+    def past_peak(k: int) -> bool:
+        return value(k) > 0.0 and value(k) >= value(k + 1)
+
+    return time, value, bisect.bisect_left(range(TAU_GRID_POINTS - 1), True, key=past_peak)
+
+
+def _plateau(r: float, params: GameParams) -> tuple[Callable[[int], float], range]:
+    """The grid times and the indices of the grid's saturated plateau.
+
+    The plateau runs from the first grid maximum, which must be pi, up to the
+    first later time below pi; bisection finds that end, since the objective
+    never rises after its maximum.
+    """
+    time, value, first = _grid_peak(r, params)
+    stop = bisect.bisect_left(range(TAU_GRID_POINTS), True, first, key=lambda k: value(k) < math.pi)
+    return time, range(first, stop)
 
 
 def _plateau_time(r: float, params: GameParams) -> float:
@@ -334,48 +332,42 @@ def _plateau_time(r: float, params: GameParams) -> float:
     approach is audited stealthy (the audit flips from failing to passing as
     the engagement tucks behind the intruder), else its first time.
     """
-    grid = _tau_grid(params)
-    sat = grid[_objective_grid(grid, r, params) == math.pi].tolist()
-    stealthy = partial(_plateau_is_stealthy, params=params, r=r)
-    k = 0 if stealthy(sat[0]) else bisect.bisect_left(sat, True, 1, key=stealthy)
-    return sat[k if k < len(sat) else 0]
+    time, sat = _plateau(r, params)
+
+    def stealthy(k: int) -> bool:
+        return _plateau_is_stealthy(time(k), params, r)
+
+    i = 0 if stealthy(sat[0]) else bisect.bisect_left(sat, True, 1, key=stealthy)
+    return time(sat[i if i < len(sat) else 0])
 
 
 def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     """Pick the engagement point maximizing the guarded bearing gap.
 
     One-dimensional search over the engagement time (the bearing is pinned
-    by tangency).  A coarse grid is scanned in one numpy pass, which only
-    decides where to look: the first grid maximum and the saturated grid
-    points.  Everything after that runs on the scalar functions:
-    golden-section refinement of the best bracket, with ties broken toward
-    the smaller time.  When the objective saturates at pi, ``theta_max`` is
-    pi and the maximizer is a whole plateau.  The tie then goes to the
-    smallest saturated time whose approach, replayed with the kinematic
-    replay's event finder from the two ends of the start arc (bearings 0 and
-    pi), is never sensed early; candidates that would be spotted en route
-    cannot deliver the tangent engagement they promise.
+    by tangency).  Bisection over a coarse grid of times finds the first
+    grid maximum (see ``_grid_peak``), evaluating the scalar objective only
+    where it looks; golden-section search then refines the best bracket,
+    with ties broken toward the smaller time.  When the objective saturates
+    at pi, ``theta_max`` is pi and the maximizer is a whole plateau.  The tie
+    then goes to the smallest saturated grid time whose approach, replayed
+    with the kinematic replay's event finder from the two ends of the start
+    arc (bearings 0 and pi), is never sensed early; candidates that would be
+    spotted en route cannot deliver the tangent engagement they promise.
     That time is chosen on the first use of the solution's ``candidate``,
     ``x_p`` or ``phi``, since ``theta_max`` does not depend on it.  The
     result is deterministic.
     """
     _check_radius(r)
-    grid = _tau_grid(params)
-    values = _objective_grid(grid, r, params)
-    best_i = int(np.argmax(values))
-    if values[best_i] == math.pi:
+    time, value, best_i = _grid_peak(r, params)
+    if value(best_i) == math.pi:
         return EngagementSolution(theta_max=math.pi, r=r, params=params, refined_tau=None)
 
-    def objective(tau: float) -> float:
-        return theta_max_at(tau, engagement_theta(tau, params), r, params)
-
-    taus = grid.tolist()
-    lo, hi = taus[max(0, best_i - 1)], taus[min(TAU_GRID_POINTS - 1, best_i + 1)]
-    tau_star = golden_section_max(objective, lo, hi, TAU_TOL)
-    theta_max, at_grid = objective(tau_star), objective(taus[best_i])
-    # Compared on the scalar objective, whose bits the grid's need not match.
-    if theta_max < at_grid:
-        tau_star, theta_max = taus[best_i], at_grid
+    lo, hi = time(max(0, best_i - 1)), time(min(TAU_GRID_POINTS - 1, best_i + 1))
+    tau_star = golden_section_max(partial(_objective, r=r, params=params), lo, hi, TAU_TOL)
+    theta_max = _objective(tau_star, r, params)
+    if theta_max < value(best_i):
+        tau_star, theta_max = time(best_i), value(best_i)
     return EngagementSolution(theta_max=theta_max, r=r, params=params, refined_tau=tau_star)
 
 

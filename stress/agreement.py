@@ -8,8 +8,11 @@ Params are drawn with ``random.Random(seed)`` over the ranges of
 even draws and at a uniform factor in the ``annulus`` range on odd ones.
 Draw ``i`` replays a 200-game session of seed ``i`` through
 ``verify_outcome_agreement``.  A draw fails when ``all_agree`` does not hold,
-or when ``conftest.capture_off_circle`` finds a replay whose detection forces
-a capture farther than ``CIRCLE_TOL * (1 + r_cc)`` from the capture circle.
+when ``conftest.capture_off_circle`` finds a replay whose detection forces
+a capture farther than ``CIRCLE_TOL * (1 + r_cc)`` from the capture circle,
+or when the optimizer's grid bisections at the capture radius read other
+decisions (first maximum, saturated plateau) than an exhaustive scan of the
+scalar objective (``conftest.scan_decisions``).
 The first failing draw's params are printed as ``repr`` floats and the exit
 code is 1; otherwise a summary line is printed.  Needs the ``dev`` extras,
 since it reads its ranges and its circle check from the tests' conftest.
@@ -26,8 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import CIRCLE_TOL, EDGE_RANGES, capture_off_circle  # noqa: E402
-from perimdef import assumption_clauses, validate_params, verify_outcome_agreement  # noqa: E402
+from conftest import CIRCLE_TOL, EDGE_RANGES, capture_off_circle, scan_decisions, search_decisions  # noqa: E402
+from perimdef import assumption_clauses, capture_circle_radius, validate_params, verify_outcome_agreement  # noqa: E402
 
 GAMES_PER_DRAW = 200
 
@@ -53,9 +56,15 @@ def main(argv=None) -> int:
         p = draw_params(rng, i)
         report = verify_outcome_agreement(p, GAMES_PER_DRAW, i)
         off_circle = capture_off_circle(p)
-        if not report.all_agree or off_circle > CIRCLE_TOL:
+        r_cc = capture_circle_radius(p)
+        scan, search = scan_decisions(r_cc, p), search_decisions(r_cc, p)
+        if not report.all_agree or off_circle > CIRCLE_TOL or search != scan:
             print(f"FAIL seed {args.seed} draw {i}: params ({p.r_t!r}, {p.rho_t!r}, {p.rho_a!r}, {p.nu!r})")
             print(f"  {report}; capture off the circle {off_circle:.3g} * (1 + r_cc)")
+            if search != scan:
+                print(f"  grid search read (max {search[1]}, plateau {search[2][:1]}..{search[2][-1:]}), "
+                      f"the scan (max {scan[1]}, plateau {scan[2][:1]}..{scan[2][-1:]}); "
+                      f"same times: {search[0] == scan[0]}")
             return 1
         games += report.n_compared
         skipped += report.n_boundary_skipped

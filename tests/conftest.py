@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from perimdef import validate_params
+from perimdef import GameParams, validate_params
 from perimdef.engine import Phase, simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
-from perimdef.strategy import AtCenter, OnCaptureCircle, capture_circle_radius, capture_circle_solution
+from perimdef.strategy import (
+    TAU_GRID_POINTS, AtCenter, OnCaptureCircle, _grid_peak, _plateau, capture_circle_radius,
+    capture_circle_solution, engagement_domain, engagement_theta, theta_max_at,
+)
 
 # float.hex of (tau, phi) of two saturated optima: at (5, 10, 0.5, 0.5) the
 # first saturated time fails its audit, at (5, 12, 1, 0.75) it passes.
@@ -87,3 +92,22 @@ def capture_off_circle(params) -> float:
             circle = apollonius(detected[2], detected[4], params)
             worst = max(worst, abs(circle.center.norm() + circle.radius - r_cc) / (1.0 + r_cc))
     return worst
+
+
+def scan_decisions(r: float, p: GameParams) -> tuple[list[float], int, list[int]]:
+    """An exhaustive scan of the scalar objective over the optimizer's grid:
+    the grid times, as the array expression gives them, the first index of
+    the maximum, and every index saturated at pi."""
+    tau_min, tau_max = engagement_domain(p)
+    taus = (tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)).tolist()
+    values = [theta_max_at(t, engagement_theta(t, p), r, p) for t in taus]
+    best = max(range(len(values)), key=lambda i: (values[i], -i))
+    return taus, best, [i for i, v in enumerate(values) if v == math.pi]
+
+
+def search_decisions(r: float, p: GameParams) -> tuple[list[float], int, list[int]]:
+    """The same, as the optimizer's bisections read them: its grid times, its
+    first grid maximum, and its plateau when that maximum is pi."""
+    time, value, best = _grid_peak(r, p)
+    plateau = list(_plateau(r, p)[1]) if value(best) == math.pi else []
+    return [time(k) for k in range(TAU_GRID_POINTS)], best, plateau

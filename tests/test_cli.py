@@ -38,6 +38,11 @@ PINNED_SHA256 = {
     "sim_trials.csv": "c8cc8e2a7f0aa1d393b2bdf5b51ceefd0db318a9ce52e57842f9522660f3c03d",
     "sweep.csv": "8f76fd9a0baaa3ce9c6fe652f8880268c9d5fba628c7154697b44e572e308907",
 }
+# The paper's 15 x 25 annulus sweep, whose 242 feasible points are each one
+# cold engagement solve.
+PAPER_SWEEP = ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.2:3:15", "--grid", "rho_t=4:16:25",
+               "--n", "20,100"]
+PINNED_PAPER_SWEEP_SHA256 = "beb11dfc95f2d94b887c2f998e3817ea080d363487388fd460ffd8428fb1051b"
 # The same simulate run written as JSONL.
 PINNED_JSONL_SHA256 = {
     "sim.jsonl": "da286e9dd5949e96f08b0311a916a0e978abba5a10401d06799a6c282104b278",
@@ -195,6 +200,30 @@ def test_cli_process_matches_in_process_main(tmp_path):
     assert gc.get_freeze_count() == frozen
 
 
+def test_commands_that_play_no_games_never_import_numpy(tmp_path):
+    """numpy is imported only by the functions that play or aggregate games.
+    In a fresh interpreter, importing perimdef, ``analytic`` and a 3x3
+    ``sweep`` leave it unloaded, and ``simulate`` still runs."""
+    script = f"BASE = {BASE!r}\n" + """
+import json, sys
+steps = {}
+import perimdef
+from perimdef.cli import main
+steps["import"] = [0, "numpy" in sys.modules]
+steps["analytic"] = [main(["analytic", *BASE, "--n", "1,20", "--out", "a.csv"]), "numpy" in sys.modules]
+steps["sweep"] = [main(["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3", "--grid", "rho_t=4:12:3",
+                        "--out", "s.csv"]), "numpy" in sys.modules]
+steps["simulate"] = [main(["simulate", *BASE, "--n", "20", "--trials", "2", "--out", "m.csv"]), "numpy" in sys.modules]
+print(json.dumps(steps))
+"""
+    src = str(Path(perimdef.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert json.loads(done.stdout) == {"import": [0, False], "analytic": [0, False], "sweep": [0, False],
+                                       "simulate": [0, True]}
+
+
 def test_entry_freezes_the_import_time_objects(tmp_path):
     assert gc.get_freeze_count() == 0
     try:
@@ -203,6 +232,24 @@ def test_entry_freezes_the_import_time_objects(tmp_path):
     finally:
         gc.unfreeze()
     assert (tmp_path / "a.csv").read_text().startswith("N,expected_resets,percentage\n")
+
+
+def test_entry_freezes_the_objects_the_command_leaves(monkeypatch):
+    """The second freeze covers objects made inside ``main`` that outlive it,
+    as numpy's do when a command imports it."""
+    left = []
+
+    def command(argv):
+        left.append(gc.get_freeze_count())
+        left.append([[] for _ in range(1000)])
+        return 0
+
+    monkeypatch.setattr("perimdef.cli.main", command)
+    try:
+        assert entry([]) == 0
+        assert gc.get_freeze_count() >= left[0] + 1000
+    finally:
+        gc.unfreeze()
 
 
 def test_analytic_rows_match_library(tmp_path):
@@ -545,6 +592,12 @@ def test_cli_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_SHA256}
     assert digests == PINNED_SHA256
+
+
+def test_paper_sweep_bytes_pinned(tmp_path):
+    out = tmp_path / "paper_sweep.csv"
+    assert main([*PAPER_SWEEP, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PAPER_SWEEP_SHA256
 
 
 def test_cli_jsonl_bytes_pinned(tmp_path):

@@ -15,8 +15,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import PLATEAU_HEX, valid_params
+from conftest import PLATEAU_HEX, scan_decisions, search_decisions, valid_params
 from perimdef import analytics
 from perimdef.cli import main
 from perimdef.geometry import (
@@ -24,8 +25,6 @@ from perimdef.geometry import (
 )
 from perimdef.strategy import (
     HOLD_MARGIN,
-    TAU_GRID_POINTS,
-    _objective_grid,
     _plateau_is_stealthy,
     InfeasibleTau,
     InvalidCandidate,
@@ -120,6 +119,17 @@ def test_engagement_rejects_nonpositive_radius(params, r):
             optimize_engagement(r, params)
         with pytest.raises(OutOfRange):
             theta_max_at(tau, engagement_theta(tau, params), r, params)
+
+
+def test_theta_max_at_smallest_radius_takes_the_limit():
+    """At a subnormal radius the law of cosines' denominator rounds to zero;
+    the value is then the limit r -> 0, as at a tiny normal radius."""
+    p = validate_params(0.5, 2.333333333333333, 1.0, 0.5)
+    tau_min, tau_max = engagement_domain(p)
+    for tau in np.linspace(tau_min, tau_max, 64).tolist():
+        theta = engagement_theta(tau, p)
+        assert theta_max_at(tau, theta, 5e-324, p) == theta_max_at(tau, theta, 1e-300, p)
+    assert optimize_engagement(5e-324, p).theta_max == math.pi
 
 
 def test_guarded_arc_nonincreasing(params):
@@ -244,50 +254,38 @@ def test_optimizer_bits_pinned(params):
     assert (sol.candidate.tau.hex(), sol.theta_max.hex(), sol.phi.hex()) == OPTIMUM_HEX
 
 
-def _grid_decisions(values) -> tuple[int, list[int]]:
-    """First index of the maximum, and every index saturated at pi."""
-    values = list(values)
-    best = max(range(len(values)), key=lambda i: (values[i], -i))
-    return best, [i for i, v in enumerate(values) if v == math.pi]
-
-
 def test_objective_grid_decisions_match_scalar_oracle(params, random_valid_params):
-    """The numpy scan may differ from the scalar chain in the last bits, but
-    never in what the optimizer reads from it.  Besides the capture-circle
-    radius, a random radius per case reaches the 0 and pi branches."""
+    """Bisection reads from the grid what an exhaustive scalar scan reads:
+    the same times, the first maximum, and the saturated plateau.  Besides
+    the capture-circle radius, a random radius per case reaches the 0 and pi
+    branches, and scans that begin with zeros."""
     rng = random.Random(0)
     cases = [params] + [random_valid_params(rng) for _ in range(200)]
     radius_rng = random.Random(1)
-    saturated_cases = 0
+    saturated_cases = leading_zero_cases = 0
     for p in cases:
-        tau_min, tau_max = engagement_domain(p)
-        taus = tau_min + (tau_max - tau_min) * np.arange(1024) / 1023
         for r in (capture_circle_radius(p), radius_rng.uniform(0.05, p.tsr_radius)):
-            scalar = [theta_max_at(t, engagement_theta(t, p), r, p) for t in taus.tolist()]
-            grid = _objective_grid(taus, r, p)
-            assert _grid_decisions(grid) == _grid_decisions(scalar)
-            assert np.allclose(grid, scalar, rtol=0.0, atol=1e-12)
-            saturated_cases += scalar[_grid_decisions(scalar)[0]] == math.pi
+            scan = scan_decisions(r, p)
+            assert search_decisions(r, p) == scan
+            saturated_cases += bool(scan[2])
+            leading_zero_cases += theta_max_at(scan[0][0], engagement_theta(scan[0][0], p), r, p) == 0.0
     # both branches of the optimizer are exercised
     assert 0 < saturated_cases < 2 * len(cases)
+    assert leading_zero_cases > 0
 
 
-def test_objective_grid_rejects_times_outside_window(params):
-    tau_min, tau_max = engagement_domain(params)
-    r = capture_circle_radius(params)
-    inside = np.linspace(tau_min, tau_max, 64)
-    assert _objective_grid(inside, r, params).shape == (64,)
-    for outside in (tau_min - 0.1, tau_max + 0.1):
-        with pytest.raises(InfeasibleTau):
-            _objective_grid(np.append(inside, outside), r, params)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), p=valid_params())
+def test_grid_search_matches_scalar_scan_property(data, p):
+    """The same over the edge regimes, at any radius up to the sensing rim."""
+    r = data.draw(st.floats(0.0, p.tsr_radius, exclude_min=True), label="r")
+    assert search_decisions(r, p) == scan_decisions(r, p)
 
 
 def _saturated_grid_times(r: float, p: GameParams) -> list[float]:
     """The optimizer's grid times at which the scalar objective saturates at pi."""
-    tau_min, tau_max = engagement_domain(p)
-    grid = tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)
-    return [tau for tau in grid.tolist()
-            if theta_max_at(tau, engagement_theta(tau, p), r, p) == math.pi]
+    taus, _, saturated = scan_decisions(r, p)
+    return [taus[i] for i in saturated]
 
 
 def test_plateau_choice_matches_linear_scan(random_valid_params):
