@@ -151,8 +151,8 @@ def _params_from(cfg: dict):
 
 def _parse_horizons(text: str) -> list[int]:
     horizons = [int(part) for part in text.split(",") if part.strip()]
-    if not horizons or any(h < 1 for h in horizons):
-        raise ValueError(f"horizons must be positive integers, got {text!r}")
+    if not horizons or any(h < 1 or h > sys.float_info.max for h in horizons):
+        raise ValueError(f"horizons must be positive integers no larger than a float, got {text!r}")
     return horizons
 
 

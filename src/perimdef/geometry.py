@@ -220,13 +220,15 @@ def first_entry(p: Point2, v: Point2, radius: float, length: float) -> Optional[
 def golden_section_max(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Maximizer of a unimodal ``f`` on [a, b], by golden-section search.
 
-    Shrinks the bracket until it is no wider than ``tol`` and returns its
-    midpoint; ties keep the right-hand part.
+    Shrinks the bracket until it is no wider than ``tol``, or until rounding
+    leaves no float strictly between its ends and the two probes (an absolute
+    ``tol`` below the ulp of large ends), and returns its midpoint; ties keep
+    the right-hand part.
     """
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _GOLDEN

@@ -43,8 +43,10 @@ class InvalidCandidate(ValueError):
     """The (time, bearing) pair does not lie on the engagement surface."""
 
 
-class EmptyDomain(RuntimeError):
-    """No feasible engagement time exists; impossible for validated params."""
+class EmptyDomain(ValueError):
+    """No consistent engagement window: for valid params, rounding puts the
+    tangency value at an end of the window off 0 or 1 by more than
+    ``CLAMP_TOL`` once rho_t / rho_a is about 1e7 at nu = 0.5 (3e5 at 0.05)."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def engagement_domain(params: GameParams) -> tuple[float, float]:
     lo = _tangency_rhs(tau_min, params)
     hi = _tangency_rhs(tau_max, params)
     if abs(lo) > CLAMP_TOL or abs(hi - 1.0) > CLAMP_TOL:
-        raise EmptyDomain(f"engagement window endpoints inconsistent: {lo}, {hi}")
+        raise EmptyDomain(f"engagement window endpoints inconsistent for {params!r}: {lo}, {hi}")
     return tau_min, tau_max
 
 
@@ -296,6 +298,15 @@ def _grid_peak(r: float, params: GameParams) -> tuple[Callable[[int], float], Ca
     it.  So the first maximum is the first ``k`` with ``value(k) > 0`` and
     ``value(k) >= value(k + 1)`` (the last index if there is none), and
     bisection finds it from about 18 of the grid's values.
+
+    A maximum of pi is a plateau that runs to ``tau_max``: saturation at
+    ``tau`` (the start at bearing pi arrives in time) is ``D <= 0`` for
+    ``D = |E + (r, 0)|^2 - tau^2``, ``E`` the engagement point, and ``D``
+    falls strictly in ``tau``.  With ``a = tsr_radius - nu*tau > 0``, the
+    tangency ``cos(theta) = 1 - 2*_tangency_rhs`` gives ``D = f(a) - tau^2``,
+    ``f(a) = (a + r)^2 + rho_a^2 + (a + r)(a^2 - K)/(beta*a)``, where
+    ``K = (r_t + gamma*rho_a)^2 - (beta*rho_a)^2 > 0`` as ``beta = nu*gamma``;
+    ``f'(a) = 2(a + r) + (2a^3 + r*a^2 + r*K)/(beta*a^2) > 0`` and ``a`` falls.
     """
     tau_min, tau_max = engagement_domain(params)
     span = tau_max - tau_min
@@ -313,32 +324,21 @@ def _grid_peak(r: float, params: GameParams) -> tuple[Callable[[int], float], Ca
     return time, value, bisect.bisect_left(range(TAU_GRID_POINTS - 1), True, key=past_peak)
 
 
-def _plateau(r: float, params: GameParams) -> tuple[Callable[[int], float], range]:
-    """The grid times and the indices of the grid's saturated plateau.
-
-    The plateau runs from the first grid maximum, which must be pi, up to the
-    first later time below pi; bisection finds that end, since the objective
-    never rises after its maximum.
-    """
-    time, value, first = _grid_peak(r, params)
-    stop = bisect.bisect_left(range(TAU_GRID_POINTS), True, first, key=lambda k: value(k) < math.pi)
-    return time, range(first, stop)
-
-
 def _plateau_time(r: float, params: GameParams) -> float:
     """The engagement time chosen when the objective saturates at pi.
 
-    The maximizer is then a whole plateau: take its earliest grid time whose
+    The maximizer is then a whole plateau, from the first grid maximum to
+    ``tau_max`` (see ``_grid_peak``): take its earliest grid time whose
     approach is audited stealthy (the audit flips from failing to passing as
     the engagement tucks behind the intruder), else its first time.
     """
-    time, sat = _plateau(r, params)
+    time, _, first = _grid_peak(r, params)
 
     def stealthy(k: int) -> bool:
         return _plateau_is_stealthy(time(k), params, r)
 
-    i = 0 if stealthy(sat[0]) else bisect.bisect_left(sat, True, 1, key=stealthy)
-    return time(sat[i if i < len(sat) else 0])
+    k = first if stealthy(first) else bisect.bisect_left(range(TAU_GRID_POINTS), True, first + 1, key=stealthy)
+    return time(k if k < TAU_GRID_POINTS else first)
 
 
 def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
@@ -349,11 +349,12 @@ def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     grid maximum (see ``_grid_peak``), evaluating the scalar objective only
     where it looks; golden-section search then refines the best bracket,
     with ties broken toward the smaller time.  When the objective saturates
-    at pi, ``theta_max`` is pi and the maximizer is a whole plateau.  The tie
-    then goes to the smallest saturated grid time whose approach, replayed
-    with the kinematic replay's event finder from the two ends of the start
-    arc (bearings 0 and pi), is never sensed early; candidates that would be
-    spotted en route cannot deliver the tangent engagement they promise.
+    at pi, ``theta_max`` is pi and the maximizer is a whole plateau, from
+    the first grid maximum to ``tau_max``.  The tie then goes to the
+    smallest saturated grid time whose approach, replayed with the kinematic
+    replay's event finder from the two ends of the start arc (bearings 0
+    and pi), is never sensed early; candidates that would be spotted en
+    route cannot deliver the tangent engagement they promise.
     That time is chosen on the first use of the solution's ``candidate``,
     ``x_p`` or ``phi``, since ``theta_max`` does not depend on it.  The
     result is deterministic.

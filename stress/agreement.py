@@ -10,9 +10,10 @@ Draw ``i`` replays a 200-game session of seed ``i`` through
 ``verify_outcome_agreement``.  A draw fails when ``all_agree`` does not hold,
 when ``conftest.capture_off_circle`` finds a replay whose detection forces
 a capture farther than ``CIRCLE_TOL * (1 + r_cc)`` from the capture circle,
-or when the optimizer's grid bisections at the capture radius read other
-decisions (first maximum, saturated plateau) than an exhaustive scan of the
-scalar objective (``conftest.scan_decisions``).
+or when the optimizer's decisions at the capture radius (its first grid
+maximum by bisection, and a saturated plateau taken to run from it to the
+last grid time) differ from an exhaustive scan of the scalar objective
+(``conftest.scan_decisions``).
 The first failing draw's params are printed as ``repr`` floats and the exit
 code is 1; otherwise a summary line is printed.  Needs the ``dev`` extras,
 since it reads its ranges and its circle check from the tests' conftest.

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from perimdef import strategy
 from perimdef.analytics import (
     ContourNotFound,
     DomainError,
@@ -208,6 +209,25 @@ def test_p_star_baseline_regression(params):
     assert asymptotic_percentage(p) == pytest.approx(
         asymptotic_percentage(P_STAR_BASELINE), abs=1e-6
     )
+
+
+@pytest.mark.parametrize("k", [20, 30, 40, 60])
+def test_p_star_at_large_units_matches_unscaled(params, monkeypatch, k):
+    """Lengths times 2^k put the engagement times past 2^23, where their ulp
+    exceeds ``TAU_TOL``; the solve still ends, with the unscaled p*.  A solve
+    that evaluates its objective a thousand times has stalled."""
+    objective, calls = strategy._objective, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1000:
+            raise AssertionError("the engagement solve stalled")
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(strategy, "_objective", counted)
+    s = 2.0 ** k
+    scaled = validate_params(s * params.r_t, s * params.rho_t, s * params.rho_a, params.nu)
+    assert p_star(scaled) == pytest.approx(p_star(params), abs=1e-14)
 
 
 def test_law_of_large_numbers(params):

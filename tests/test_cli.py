@@ -370,6 +370,31 @@ def test_sweep_rejects_repeated_horizons(tmp_path, capsys, fmt):
     assert len(_read(out)) == {"csv": 4, "jsonl": 3}[fmt]
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--r-t", "1", "--rho-t", "1e7", "--rho-a", "1", "--nu", "0.5", "--n", "20"],
+    ["sweep", "--r-t", "1", "--nu", "0.5", "--grid", "rho_a=1:1:1", "--grid", "rho_t=10:1e7:2"],
+])
+def test_inconsistent_engagement_window_exits_2(tmp_path, capsys, argv):
+    """Valid params with rho_t / rho_a = 1e7 at nu = 0.5, whose engagement
+    window rounding spoils, are refused with a message naming them."""
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "engagement window endpoints inconsistent" in err and "rho_t=10000000.0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", *BASE],
+    ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2", "--grid", "rho_t=4:12:2"],
+])
+def test_horizon_beyond_float_range_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--n", "20,1" + "0" * 400, "--out", str(out)]) == 2
+    assert "no larger than a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_agrees_and_exits_zero(tmp_path):
     out = tmp_path / "verify.txt"
     code = main(["verify", *BASE, "--n", "25", "--seed", "3", "--out", str(out)])

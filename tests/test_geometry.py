@@ -171,6 +171,21 @@ def test_golden_section_max_finds_quadratic_peak(peak, tol):
     assert all(-5.0 <= x <= 5.0 for x in calls)
 
 
+def test_golden_section_max_stops_when_the_bracket_cannot_shrink():
+    """Near 1e10 a float's ulp (1.9e-6) exceeds ``tol``, so the bracket can
+    never be ``tol`` wide; the search stops once rounding stalls it."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 300:
+            raise AssertionError("golden-section search did not stop")
+        return -((x - 1e10 - 0.3) ** 2)
+
+    best = golden_section_max(f, 1e10, 1e10 + 1.0, 1e-9)
+    assert abs(best - (1e10 + 0.3)) <= 1e-5
+
+
 def test_first_entry_roots():
     # from (-5, 0) along +x at speed 2: the unit disk is entered at s = 2
     p, v = Point2(-5.0, 0.0), Point2(2.0, 0.0)
