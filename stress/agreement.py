@@ -30,18 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import CIRCLE_TOL, EDGE_RANGES, capture_off_circle, scan_decisions, search_decisions  # noqa: E402
-from perimdef import assumption_clauses, capture_circle_radius, validate_params, verify_outcome_agreement  # noqa: E402
+from conftest import CIRCLE_TOL, capture_off_circle, edge_params, scan_decisions, search_decisions  # noqa: E402
+from perimdef import capture_circle_radius, verify_outcome_agreement  # noqa: E402
 
 GAMES_PER_DRAW = 200
-
-
-def draw_params(rng: random.Random, i: int):
-    nu = rng.uniform(*EDGE_RANGES["nu"])
-    rho_a = rng.uniform(*EDGE_RANGES["rho_a"])
-    r_t = rng.uniform(*EDGE_RANGES["r_t"])
-    factor = 1.0 if i % 2 == 0 else rng.uniform(*EDGE_RANGES["annulus"])
-    return validate_params(r_t, max(assumption_clauses(r_t, 1.0, rho_a, nu)) * factor, rho_a, nu)
 
 
 def main(argv=None) -> int:
@@ -54,7 +46,7 @@ def main(argv=None) -> int:
     games = skipped = 0
     worst = 0.0
     for i in range(args.draws):
-        p = draw_params(rng, i)
+        p = edge_params(rng, i)
         report = verify_outcome_agreement(p, GAMES_PER_DRAW, i)
         off_circle = capture_off_circle(p)
         r_cc = capture_circle_radius(p)

@@ -60,6 +60,17 @@ EDGE_RANGES = {"nu": (0.05, 0.99), "rho_a": (0.005, 5.0), "r_t": (0.1, 30.0), "a
 CIRCLE_TOL = 1e-8
 
 
+def edge_params(rng: random.Random, i: int):
+    """Draw ``i`` over ``EDGE_RANGES`` with ``rng``: the annulus clause holds at
+    factor 1 on even draws and at a uniform factor in the ``annulus`` range
+    on odd ones."""
+    nu = rng.uniform(*EDGE_RANGES["nu"])
+    rho_a = rng.uniform(*EDGE_RANGES["rho_a"])
+    r_t = rng.uniform(*EDGE_RANGES["r_t"])
+    factor = 1.0 if i % 2 == 0 else rng.uniform(*EDGE_RANGES["annulus"])
+    return validate_params(r_t, max(assumption_clauses(r_t, 1.0, rho_a, nu)) * factor, rho_a, nu)
+
+
 @st.composite
 def valid_params(draw):
     """Valid params over ``EDGE_RANGES``; the annulus width is the binding

@@ -43,6 +43,14 @@ PINNED_SHA256 = {
 PAPER_SWEEP = ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.2:3:15", "--grid", "rho_t=4:16:25",
                "--n", "20,100"]
 PINNED_PAPER_SWEEP_SHA256 = "beb11dfc95f2d94b887c2f998e3817ea080d363487388fd460ffd8428fb1051b"
+# The benchmark's sweep grid shifted by seeds 1 and 2, where over half the
+# feasible points saturate at pi.
+SHIFTED_SWEEPS_SHA256 = {
+    ("rho_a=0.22687284882248027:3.0268728488224803:15", "rho_t=4.0671821220562006:16.067182122056202:25"):
+        "6ebb67b756fd7a61d7da8111297b0b39ef7d1b0f5e0df9c0fa8f739aa97de98d",
+    ("rho_a=0.39120685437784986:3.19120685437785:15", "rho_t=4.478017135944625:16.478017135944626:25"):
+        "d81e754f8047a9dc4c9857ec212b76b34dd916936acdfa9d7b09a1a22455846b",
+}
 # The same simulate run written as JSONL.
 PINNED_JSONL_SHA256 = {
     "sim.jsonl": "da286e9dd5949e96f08b0311a916a0e978abba5a10401d06799a6c282104b278",
@@ -623,6 +631,15 @@ def test_paper_sweep_bytes_pinned(tmp_path):
     out = tmp_path / "paper_sweep.csv"
     assert main([*PAPER_SWEEP, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PAPER_SWEEP_SHA256
+
+
+def test_shifted_sweep_bytes_pinned(tmp_path):
+    out, digests = tmp_path / "sweep.csv", {}
+    for grids in SHIFTED_SWEEPS_SHA256:
+        assert main(["sweep", "--r-t", "5.0", "--nu", "0.75", "--grid", grids[0], "--grid", grids[1],
+                     "--n", "20,100", "--out", str(out)]) == 0
+        digests[grids] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == SHIFTED_SWEEPS_SHA256
 
 
 def test_cli_jsonl_bytes_pinned(tmp_path):

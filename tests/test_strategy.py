@@ -8,6 +8,7 @@ the engagement optimizer.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import warnings
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PLATEAU_HEX, scan_decisions, search_decisions, valid_params
+from conftest import PLATEAU_HEX, edge_params, make_valid_params, scan_decisions, search_decisions, valid_params
 from perimdef import analytics
 from perimdef.cli import main
 from perimdef.geometry import (
@@ -47,6 +48,10 @@ GUARDED_ARC_AT_CAPTURE_RADIUS = 1.8584730829635667
 THETA_MAX_STAR = 2.0073003064386796
 # float.hex of (tau, theta_max, phi) of the baseline optimum, for bit-level regressions.
 OPTIMUM_HEX = ("0x1.7d164377f9e7cp+3", "0x1.00ef3768b3d40p+1", "-0x1.9c4f93b3f31c4p-5")
+# sha256 over float.hex of (theta_max, refined_tau) of 4,000 solves: 1,000
+# make_valid_params and 1,000 edge_params draws, each at its capture radius
+# and at a random radius up to the sensing rim.
+PINNED_SOLVES_SHA256 = "6718d5a169e0643282d09f5bcceafb08f0fec88ed74fe78c360fe70c9211b541"
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,20 @@ def test_optimizer_dominates_fresh_audit_grid(params):
 def test_optimizer_bits_pinned(params):
     sol = optimize_engagement(capture_circle_radius(params), params)
     assert (sol.candidate.tau.hex(), sol.theta_max.hex(), sol.phi.hex()) == OPTIMUM_HEX
+
+
+def test_solve_bits_pinned():
+    rng, radius_rng = random.Random(20), random.Random(21)
+    draws = [make_valid_params(rng) for _ in range(1000)] + [edge_params(rng, i) for i in range(1000)]
+    digest, saturated = hashlib.sha256(), 0
+    for p in draws:
+        for r in (capture_circle_radius(p), p.tsr_radius * (1.0 - radius_rng.random())):
+            sol = optimize_engagement(r, p)
+            tau = sol.refined_tau
+            saturated += tau is None
+            digest.update(f"{sol.theta_max.hex()} {tau if tau is None else tau.hex()}\n".encode())
+    assert digest.hexdigest() == PINNED_SOLVES_SHA256
+    assert 0 < saturated < 2 * len(draws)
 
 
 def test_objective_grid_decisions_match_scalar_oracle(params, random_valid_params):
