@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import analytics, engine, strategy
-from .geometry import AssumptionViolated, validate_params
+from .geometry import AssumptionViolated, _check_length, validate_params
 
 # Each config key and the type its value is read as, the type its flag declares.
 CONFIG_TYPES = {
@@ -234,6 +234,9 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
         raise ValueError("grid parameters must be two distinct names")
     _require(cfg, *fixed_names)
     fixed = {name: float(cfg[name]) for name in fixed_names}
+    for name in fixed_names:
+        if name != "nu":
+            _check_length(name, fixed[name])
     horizons = _parse_horizons(str(cfg.get("n", "20")))
     if len(set(horizons)) != len(horizons):
         raise ValueError(f"sweep horizons must be distinct, got {cfg.get('n')!r}")

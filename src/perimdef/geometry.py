@@ -23,6 +23,12 @@ CLAMP_TOL = 1e-9
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# The lengths (r_t, rho_t, rho_a) a game may have: their squares lie about
+# eight decades inside the normal floats, so the squares, sums of squares and
+# products of two lengths that the solver and the replay form stay finite
+# and normal.  Beyond it a solve overflows or divides by an underflowed zero.
+LENGTH_RANGE = (1e-150, 1e150)
+
 
 class AssumptionViolated(ValueError):
     """Game parameters fall outside the supported regime.
@@ -145,15 +151,20 @@ def assumption_clauses(r_t: float, rho_t: float, rho_a: float, nu: float) -> tup
     return first, second
 
 
+def _check_length(name: str, value: float) -> None:
+    lo, hi = LENGTH_RANGE
+    if not lo <= value <= hi:
+        raise ValueError(f"{name}={value!r} is outside the supported length range [{lo:g}, {hi:g}]")
+
+
 def validate_params(r_t: float, rho_t: float, rho_a: float, nu: float) -> GameParams:
     """Validate raw inputs and derive the dominance-circle constants.
 
     Raises ``AssumptionViolated`` naming the failed condition, or plain
-    ``ValueError`` for non-positive lengths.
+    ``ValueError`` naming a length outside ``LENGTH_RANGE``.
     """
     for name, value in (("r_t", r_t), ("rho_t", rho_t), ("rho_a", rho_a)):
-        if not (value > 0.0) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a positive finite length, got {value!r}")
+        _check_length(name, value)
     if not (0.0 < nu < 1.0):
         raise AssumptionViolated(
             "speed", f"speed ratio nu={nu!r} must lie strictly in (0, 1)"

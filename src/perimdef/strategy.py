@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
 
 from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, first_entry, golden_section_max
@@ -155,25 +155,60 @@ def engagement_domain(params: GameParams) -> tuple[float, float]:
         raise EmptyDomain(
             f"no feasible engagement window for {params!r}: [{tau_min}, {tau_max}]"
         )
-    lo = _tangency_rhs(tau_min, params)
-    hi = _tangency_rhs(tau_max, params)
+    rhs = _surface(params)[0]
+    lo, hi = rhs(tau_min), rhs(tau_max)
     if abs(lo) > CLAMP_TOL or abs(hi - 1.0) > CLAMP_TOL:
         raise EmptyDomain(f"engagement window endpoints inconsistent for {params!r}: {lo}, {hi}")
     return tau_min, tau_max
 
 
-def _intruder_range(tau: float, params: GameParams) -> float:
-    """Distance of the inbound intruder from the center at time ``tau``."""
-    return params.tsr_radius - tau * params.nu
+def _surface(params: GameParams) -> tuple[Callable, ...]:
+    """The engagement surface of ``params`` as closures over its params-only
+    products, which are formed once per call:
 
+    - ``rhs(tau)``, the value of sin^2(theta/2) that makes the dominance
+      circle tangent;
+    - ``theta(tau)``, the defender's canonical bearing in [0, pi]
+      (``engagement_theta``);
+    - ``point(tau, theta)``, the intruder's range from the center and the
+      engagement point;
+    - ``gap(tau, theta, r)``, ``theta_max_at`` for a radius already checked.
+    """
+    tsr, nu, rho_a = params.tsr_radius, params.nu, params.rho_a
+    b = params.beta * rho_a
+    inner = params.r_t + params.gamma * rho_a
+    inner2, den4 = inner * inner, 4.0 * params.beta * rho_a
+    off_tol = 1e-9 * (1.0 + inner)
 
-def _tangency_rhs(tau: float, params: GameParams) -> float:
-    """Value of sin^2(theta/2) that makes the dominance circle tangent."""
-    a = _intruder_range(tau, params)
-    inner = params.r_t + params.gamma * params.rho_a
-    return (inner * inner - (a - params.beta * params.rho_a) ** 2) / (
-        4.0 * params.beta * params.rho_a * a
-    )
+    def rhs(tau: float) -> float:
+        a = tsr - tau * nu
+        return (inner2 - (a - b) ** 2) / (den4 * a)
+
+    def theta(tau: float) -> float:
+        value = rhs(tau)
+        if value < -CLAMP_TOL or value > 1.0 + CLAMP_TOL:
+            raise InfeasibleTau(f"tau={tau!r} outside the engagement window (rhs={value!r})")
+        return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, value))))
+
+    def point(tau: float, theta: float) -> tuple[float, float, float]:
+        a = tsr - tau * nu
+        return a, a + rho_a * math.cos(theta), rho_a * math.sin(theta)
+
+    def gap(tau: float, theta: float, r: float) -> float:
+        a, ex, ey = point(tau, theta)
+        if abs(math.hypot(a - b * math.cos(theta), -b * math.sin(theta)) - inner) > off_tol:
+            raise InvalidCandidate(f"(tau={tau!r}, theta={theta!r}) is not a tangent configuration")
+        r_eng = math.hypot(ex, ey)
+        num, den = r_eng * r_eng + r * r - tau * tau, 2.0 * r_eng * r
+        # At a subnormal radius den can round to zero; the limit has num's sign.
+        arg = num / den if den else math.copysign(math.inf, num)
+        if arg > 1.0 + CLAMP_TOL:
+            return 0.0
+        if arg < -1.0 - CLAMP_TOL:
+            return math.pi
+        return min(math.pi, math.acos(clamp_unit(arg)) + math.atan2(ey, ex))
+
+    return rhs, theta, point, gap
 
 
 def engagement_theta(tau: float, params: GameParams) -> float:
@@ -181,32 +216,15 @@ def engagement_theta(tau: float, params: GameParams) -> float:
 
     Returns the canonical branch in [0, pi]; callers mirror it as needed.
     """
-    rhs = _tangency_rhs(tau, params)
-    if rhs < -CLAMP_TOL or rhs > 1.0 + CLAMP_TOL:
-        raise InfeasibleTau(f"tau={tau!r} outside the engagement window (rhs={rhs!r})")
-    rhs = min(1.0, max(0.0, rhs))
-    return 2.0 * math.asin(math.sqrt(rhs))
+    return _surface(params)[1](tau)
 
 
 def engagement_candidate(tau: float, params: GameParams) -> EngagementCandidate:
     """Build the canonical engagement-surface point at time ``tau``."""
-    theta = engagement_theta(tau, params)
-    a = _intruder_range(tau, params)
-    x_a = Point2(a, 0.0)
-    x_d = Point2(a + params.rho_a * math.cos(theta), params.rho_a * math.sin(theta))
-    return EngagementCandidate(tau=tau, theta=theta, x_a_eng=x_a, x_d_eng=x_d)
-
-
-def _check_candidate(tau: float, theta: float, params: GameParams) -> None:
-    a = _intruder_range(tau, params)
-    cx = a - params.beta * params.rho_a * math.cos(theta)
-    cy = -params.beta * params.rho_a * math.sin(theta)
-    want = params.r_t + params.gamma * params.rho_a
-    scale = 1.0 + want
-    if abs(math.hypot(cx, cy) - want) > 1e-9 * scale:
-        raise InvalidCandidate(
-            f"(tau={tau!r}, theta={theta!r}) is not a tangent configuration"
-        )
+    _, theta_at, point, _ = _surface(params)
+    theta = theta_at(tau)
+    a, ex, ey = point(tau, theta)
+    return EngagementCandidate(tau=tau, theta=theta, x_a_eng=Point2(a, 0.0), x_d_eng=Point2(ex, ey))
 
 
 def _check_radius(r: float) -> None:
@@ -223,21 +241,7 @@ def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> floa
     zero; when every bearing works, it saturates at pi.
     """
     _check_radius(r)
-    _check_candidate(tau, theta, params)
-    a = _intruder_range(tau, params)
-    ex = a + params.rho_a * math.cos(theta)
-    ey = params.rho_a * math.sin(theta)
-    r_eng = math.hypot(ex, ey)
-    phi_eng = math.atan2(ey, ex)
-    num, den = r_eng * r_eng + r * r - tau * tau, 2.0 * r_eng * r
-    # At a subnormal radius den can round to zero; the limit has num's sign.
-    arg = num / den if den else math.copysign(math.inf, num)
-    if arg > 1.0 + CLAMP_TOL:
-        return 0.0
-    if arg < -1.0 - CLAMP_TOL:
-        return math.pi
-    reach = math.acos(clamp_unit(arg))
-    return min(math.pi, reach + phi_eng)
+    return _surface(params)[3](tau, theta, r)
 
 
 def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[Point2, float]:
@@ -283,30 +287,21 @@ def _plateau_is_stealthy(tau: float, params: GameParams, r: float) -> bool:
     return True
 
 
-def _objective(tau: float, r: float, params: GameParams) -> float:
-    """The guarded bearing gap of the engagement-surface point at time ``tau``."""
-    return theta_max_at(tau, engagement_theta(tau, params), r, params)
+def _objective(r: float, params: GameParams) -> Callable[[float], float]:
+    """The guarded bearing gap of the engagement-surface point at time ``tau``,
+    as a function of ``tau`` for a defender at radius ``r``: the operations
+    of ``theta_max_at(tau, engagement_theta(tau, params), r, params)``, with
+    the params-only products formed once."""
+    _check_radius(r)
+    _, theta, _, gap = _surface(params)
+    return lambda tau: gap(tau, theta(tau), r)
 
 
-def _grid_peak(r: float, params: GameParams) -> tuple[Callable[[int], float], Callable[[int], float], int]:
+def _grid(objective: Callable[[float], float], params: GameParams) -> tuple[Callable[[int], float], ...]:
     """The ``TAU_GRID_POINTS`` engagement times searched by ``optimize_engagement``,
-    the objective at each (by index, evaluated once), and the first grid maximum.
+    and ``objective`` at each (by index, evaluated once).
 
-    Time ``k`` is ``tau_min + span * k / (TAU_GRID_POINTS - 1)``.  Over the
-    grid the objective is zero on a leading run of times the defender cannot
-    reach, then rises strictly to its first maximum and never rises after
-    it.  So the first maximum is the first ``k`` with ``value(k) > 0`` and
-    ``value(k) >= value(k + 1)`` (the last index if there is none), and
-    bisection finds it from about 18 of the grid's values.
-
-    A maximum of pi is a plateau that runs to ``tau_max``: saturation at
-    ``tau`` (the start at bearing pi arrives in time) is ``D <= 0`` for
-    ``D = |E + (r, 0)|^2 - tau^2``, ``E`` the engagement point, and ``D``
-    falls strictly in ``tau``.  With ``a = tsr_radius - nu*tau > 0``, the
-    tangency ``cos(theta) = 1 - 2*_tangency_rhs`` gives ``D = f(a) - tau^2``,
-    ``f(a) = (a + r)^2 + rho_a^2 + (a + r)(a^2 - K)/(beta*a)``, where
-    ``K = (r_t + gamma*rho_a)^2 - (beta*rho_a)^2 > 0`` as ``beta = nu*gamma``;
-    ``f'(a) = 2(a + r) + (2a^3 + r*a^2 + r*K)/(beta*a^2) > 0`` and ``a`` falls.
+    Time ``k`` is ``tau_min + span * k / (TAU_GRID_POINTS - 1)``.
     """
     tau_min, tau_max = engagement_domain(params)
     span = tau_max - tau_min
@@ -316,12 +311,35 @@ def _grid_peak(r: float, params: GameParams) -> tuple[Callable[[int], float], Ca
 
     @lru_cache(maxsize=None)
     def value(k: int) -> float:
-        return _objective(time(k), r, params)
+        return objective(time(k))
 
+    return time, value
+
+
+def _grid_peak(value: Callable[[int], float]) -> int:
+    """The first maximum of the objective over the grid, from its ``value`` by index.
+
+    Over the grid the objective is zero on a leading run of times the
+    defender cannot reach, then rises strictly to its first maximum and
+    never rises after it.  So the first maximum is the first ``k`` with
+    ``value(k) > 0`` and ``value(k) >= value(k + 1)`` (the last index if
+    there is none), and bisection finds it from about 18 of the grid's values.
+
+    A maximum of pi is a plateau that runs to ``tau_max``: saturation at
+    ``tau`` (the start at bearing pi arrives in time) is ``D <= 0`` for
+    ``D = |E + (r, 0)|^2 - tau^2``, ``E`` the engagement point, and ``D``
+    falls strictly in ``tau``.  With ``a = tsr_radius - nu*tau > 0``, the
+    tangency ``cos(theta) = 1 - 2*rhs(tau)`` gives ``D = f(a) - tau^2``,
+    ``f(a) = (a + r)^2 + rho_a^2 + (a + r)(a^2 - K)/(beta*a)``, where
+    ``K = (r_t + gamma*rho_a)^2 - (beta*rho_a)^2 > 0`` as ``beta = nu*gamma``;
+    ``f'(a) = 2(a + r) + (2a^3 + r*a^2 + r*K)/(beta*a^2) > 0`` and ``a`` falls.
+    So the grid saturates exactly when its last value is pi, which
+    ``optimize_engagement`` reads before it looks for this maximum.
+    """
     def past_peak(k: int) -> bool:
         return value(k) > 0.0 and value(k) >= value(k + 1)
 
-    return time, value, bisect.bisect_left(range(TAU_GRID_POINTS - 1), True, key=past_peak)
+    return bisect.bisect_left(range(TAU_GRID_POINTS - 1), True, key=past_peak)
 
 
 def _plateau_time(r: float, params: GameParams) -> float:
@@ -332,7 +350,8 @@ def _plateau_time(r: float, params: GameParams) -> float:
     approach is audited stealthy (the audit flips from failing to passing as
     the engagement tucks behind the intruder), else its first time.
     """
-    time, _, first = _grid_peak(r, params)
+    time, value = _grid(_objective(r, params), params)
+    first = _grid_peak(value)
 
     def stealthy(k: int) -> bool:
         return _plateau_is_stealthy(time(k), params, r)
@@ -345,28 +364,33 @@ def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     """Pick the engagement point maximizing the guarded bearing gap.
 
     One-dimensional search over the engagement time (the bearing is pinned
-    by tangency).  Bisection over a coarse grid of times finds the first
-    grid maximum (see ``_grid_peak``), evaluating the scalar objective only
-    where it looks; golden-section search then refines the best bracket,
-    with ties broken toward the smaller time.  When the objective saturates
-    at pi, ``theta_max`` is pi and the maximizer is a whole plateau, from
-    the first grid maximum to ``tau_max``.  The tie then goes to the
-    smallest saturated grid time whose approach, replayed with the kinematic
-    replay's event finder from the two ends of the start arc (bearings 0
-    and pi), is never sensed early; candidates that would be spotted en
-    route cannot deliver the tangent engagement they promise.
-    That time is chosen on the first use of the solution's ``candidate``,
-    ``x_p`` or ``phi``, since ``theta_max`` does not depend on it.  The
-    result is deterministic.
+    by tangency), on one closure of the objective per solve.  The objective
+    is read first at the last time of a coarse grid: the grid saturates at
+    pi somewhere exactly when it does there (see ``_grid_peak``), so a
+    saturated ``theta_max`` costs one evaluation.  Otherwise bisection over
+    the grid finds its first maximum, evaluating the objective only where it
+    looks, and golden-section search refines the best bracket, with ties
+    broken toward the smaller time.
+
+    A saturated maximizer is a whole plateau, from the first grid maximum to
+    ``tau_max``.  The tie then goes to the smallest saturated grid time whose
+    approach, replayed with the kinematic replay's event finder from the two
+    ends of the start arc (bearings 0 and pi), is never sensed early;
+    candidates that would be spotted en route cannot deliver the tangent
+    engagement they promise.  That time, and the first maximum it starts
+    from, are found on the first use of the solution's ``candidate``, ``x_p``
+    or ``phi``, since ``theta_max`` does not depend on them.  The result is
+    deterministic.
     """
-    _check_radius(r)
-    time, value, best_i = _grid_peak(r, params)
-    if value(best_i) == math.pi:
+    objective = _objective(r, params)
+    time, value = _grid(objective, params)
+    if value(TAU_GRID_POINTS - 1) == math.pi:
         return EngagementSolution(theta_max=math.pi, r=r, params=params, refined_tau=None)
 
+    best_i = _grid_peak(value)
     lo, hi = time(max(0, best_i - 1)), time(min(TAU_GRID_POINTS - 1, best_i + 1))
-    tau_star = golden_section_max(partial(_objective, r=r, params=params), lo, hi, TAU_TOL)
-    theta_max = _objective(tau_star, r, params)
+    tau_star = golden_section_max(objective, lo, hi, TAU_TOL)
+    theta_max = objective(tau_star)
     if theta_max < value(best_i):
         tau_star, theta_max = time(best_i), value(best_i)
     return EngagementSolution(theta_max=theta_max, r=r, params=params, refined_tau=tau_star)

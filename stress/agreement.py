@@ -3,17 +3,20 @@ edge-regime draws, outside the tier-1 suite.
 
     python stress/agreement.py --seed 11 --draws 1000
 
-Params are drawn with ``random.Random(seed)`` over the ranges of
-``tests/conftest.valid_params``; the annulus clause holds at factor 1 on
-even draws and at a uniform factor in the ``annulus`` range on odd ones.
+Params are drawn by ``tests/conftest.edge_params`` with
+``random.Random(seed)``, over the ranges of ``conftest.valid_params``; the
+annulus clause holds at factor 1 on even draws and at a uniform factor in
+the ``annulus`` range on odd ones.
 Draw ``i`` replays a 200-game session of seed ``i`` through
 ``verify_outcome_agreement``.  A draw fails when ``all_agree`` does not hold,
 when ``conftest.capture_off_circle`` finds a replay whose detection forces
 a capture farther than ``CIRCLE_TOL * (1 + r_cc)`` from the capture circle,
-or when the optimizer's decisions at the capture radius (its first grid
-maximum by bisection, and a saturated plateau taken to run from it to the
-last grid time) differ from an exhaustive scan of the scalar objective
-(``conftest.scan_decisions``).
+when the optimizer's decisions at the capture radius (its first grid
+maximum by bisection, and a saturated plateau read from the last grid time
+and taken to run from that maximum to it) differ from an exhaustive scan of
+the scalar objective (``conftest.scan_decisions``), or when the cached
+solution's verdict on saturation (``refined_tau is None``) differs from the
+scan's (some grid time saturates at pi).
 The first failing draw's params are printed as ``repr`` floats and the exit
 code is 1; otherwise a summary line is printed.  Needs the ``dev`` extras,
 since it reads its ranges and its circle check from the tests' conftest.
@@ -31,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import CIRCLE_TOL, capture_off_circle, edge_params, scan_decisions, search_decisions  # noqa: E402
-from perimdef import capture_circle_radius, verify_outcome_agreement  # noqa: E402
+from perimdef import capture_circle_radius, capture_circle_solution, verify_outcome_agreement  # noqa: E402
 
 GAMES_PER_DRAW = 200
 
@@ -51,13 +54,17 @@ def main(argv=None) -> int:
         off_circle = capture_off_circle(p)
         r_cc = capture_circle_radius(p)
         scan, search = scan_decisions(r_cc, p), search_decisions(r_cc, p)
-        if not report.all_agree or off_circle > CIRCLE_TOL or search != scan:
+        saturated = capture_circle_solution(p).refined_tau is None
+        if not report.all_agree or off_circle > CIRCLE_TOL or search != scan or saturated != bool(scan[2]):
             print(f"FAIL seed {args.seed} draw {i}: params ({p.r_t!r}, {p.rho_t!r}, {p.rho_a!r}, {p.nu!r})")
             print(f"  {report}; capture off the circle {off_circle:.3g} * (1 + r_cc)")
             if search != scan:
                 print(f"  grid search read (max {search[1]}, plateau {search[2][:1]}..{search[2][-1:]}), "
                       f"the scan (max {scan[1]}, plateau {scan[2][:1]}..{scan[2][-1:]}); "
                       f"same times: {search[0] == scan[0]}")
+            if saturated != bool(scan[2]):
+                print(f"  the solution reads {'' if saturated else 'no '}saturation, "
+                      f"the scan {len(scan[2])} saturated grid times")
             return 1
         games += report.n_compared
         skipped += report.n_boundary_skipped

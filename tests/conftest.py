@@ -11,7 +11,7 @@ from perimdef import GameParams, validate_params
 from perimdef.engine import Phase, simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
 from perimdef.strategy import (
-    TAU_GRID_POINTS, AtCenter, OnCaptureCircle, _grid_peak, capture_circle_radius,
+    TAU_GRID_POINTS, AtCenter, OnCaptureCircle, _grid, _grid_peak, _objective, capture_circle_radius,
     capture_circle_solution, engagement_domain, engagement_theta, theta_max_at,
 )
 
@@ -118,9 +118,10 @@ def scan_decisions(r: float, p: GameParams) -> tuple[list[float], int, list[int]
 
 def search_decisions(r: float, p: GameParams) -> tuple[list[float], int, list[int]]:
     """The same, as the optimizer reads them: its grid times, its first grid
-    maximum by bisection, and, when that maximum is pi, the plateau from it
-    to the last grid time (``_grid_peak`` proves that every later time
-    saturates too)."""
-    time, value, best = _grid_peak(r, p)
-    plateau = list(range(best, TAU_GRID_POINTS)) if value(best) == math.pi else []
+    maximum by bisection, and, when the last grid time saturates at pi, the
+    plateau from that maximum to it (``_grid_peak`` proves that saturation
+    anywhere on the grid lasts to its last time)."""
+    time, value = _grid(_objective(r, p), p)
+    best = _grid_peak(value)
+    plateau = list(range(best, TAU_GRID_POINTS)) if value(TAU_GRID_POINTS - 1) == math.pi else []
     return [time(k) for k in range(TAU_GRID_POINTS)], best, plateau

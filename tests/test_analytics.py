@@ -218,11 +218,16 @@ def test_p_star_at_large_units_matches_unscaled(params, monkeypatch, k):
     that evaluates its objective a thousand times has stalled."""
     objective, calls = strategy._objective, []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        if len(calls) > 1000:
-            raise AssertionError("the engagement solve stalled")
-        return objective(*args, **kwargs)
+    def counted(r, p):
+        f = objective(r, p)
+
+        def evaluate(tau):
+            calls.append(None)
+            if len(calls) > 1000:
+                raise AssertionError("the engagement solve stalled")
+            return f(tau)
+
+        return evaluate
 
     monkeypatch.setattr(strategy, "_objective", counted)
     s = 2.0 ** k

@@ -175,6 +175,58 @@ def test_invalid_params_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# Games with lengths at the ends of geometry.LENGTH_RANGE (rho_a at 1e-150;
+# r_t and rho_t at 1e150), and the flag and value that put one of their
+# lengths an ulp beyond that end.
+LENGTH_ENDS = {
+    "low": (["--r-t", "5e-150", "--rho-t", "1e-149", "--rho-a", "1e-150", "--nu", "0.8"],
+            "--rho-a", "9.999999999999999e-151"),
+    "high": (["--r-t", "1e150", "--rho-t", "1e150", "--rho-a", "1e149", "--nu", "0.5"],
+             "--r-t", "1.0000000000000002e+150"),
+}
+
+
+@pytest.mark.parametrize("end", LENGTH_ENDS)
+@pytest.mark.parametrize("command, extra", [
+    ("analytic", ["--n", "20"]), ("simulate", ["--n", "20", "--trials", "2"]), ("verify", ["--n", "20"]),
+    ("trace", ["--theta-a", "0.6", "--defender-angle", "1.1"]),
+])
+def test_lengths_at_the_range_ends_run_and_beyond_them_exit_2(tmp_path, capsys, command, extra, end):
+    game, flag, beyond = LENGTH_ENDS[end]
+    out = tmp_path / "x.out"
+    code = main([command, *game, *extra, "--out", str(out)])
+    if command == "verify":
+        # every game agrees; the verdict also bounds the capture-point error by
+        # an absolute length, engine.MAX_DISCREPANCY, which games at 1e150 exceed
+        assert code in (0, 1) and "n_mismatches = 0" in out.read_text()
+    else:
+        assert code == 0
+    out.unlink()
+    i = game.index(flag)
+    assert main([command, *game[:i + 1], beyond, *game[i + 2:], *extra, "--out", str(out)]) == 2
+    assert f"{flag[2:].replace('-', '_')}={beyond} is outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r_t, nu, grids, feasible, beyond", [
+    ("5e-150", "0.8", ["rho_a=9.999999999999999e-151:1e-150:2", "rho_t=1e-149:1e-149:1"], ["0", "1"],
+     "9.999999999999999e-151"),
+    ("1e150", "0.5", ["rho_a=1e149:1e149:1", "rho_t=1e150:1.0000000000000002e+150:2"], ["1", "0"],
+     "1.0000000000000002e+150"),
+], ids=["low", "high"])
+def test_sweep_lengths_beyond_the_range(tmp_path, capsys, r_t, nu, grids, feasible, beyond):
+    """A grid point with a length beyond ``LENGTH_RANGE`` is an infeasible row
+    next to a feasible one at the range's end; a fixed length beyond it exits 2."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--nu", nu, "--grid", grids[0], "--grid", grids[1], "--out", str(out)]
+    assert main([*argv, "--r-t", r_t]) == 0
+    assert [row.split(",")[2] for row in _read(out)[1:]] == feasible
+    out.unlink()
+    assert main([*argv, "--r-t", beyond]) == 2
+    assert f"r_t={beyond} is outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_process_matches_in_process_main(tmp_path):
     """``python -m perimdef.cli`` runs through ``entry``: the same bytes and exit
     codes as ``main`` in process, which leaves the collector's state alone."""

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
 from perimdef.geometry import (
+    LENGTH_RANGE,
     ApolloniusCircle,
     AssumptionViolated,
     CircleClass,
@@ -75,6 +77,20 @@ def test_nonpositive_lengths_rejected(bad):
     kwargs.update(bad)
     with pytest.raises(ValueError):
         validate_params(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["r_t", "rho_t", "rho_a"])
+def test_lengths_outside_the_range_rejected(name):
+    """A game with lengths at an end of ``LENGTH_RANGE`` is valid; with any
+    length one ulp beyond that end it is refused, naming the length."""
+    lo, hi = LENGTH_RANGE
+    for game, beyond in (((lo, 10 * lo, lo, 0.5), math.nextafter(lo, 0.0)),
+                         ((hi, hi, hi / 10, 0.5), math.nextafter(hi, math.inf))):
+        kwargs = dict(zip(("r_t", "rho_t", "rho_a", "nu"), game))
+        validate_params(**kwargs)
+        kwargs[name] = beyond
+        with pytest.raises(ValueError, match=re.escape(f"{name}={beyond!r} is outside")):
+            validate_params(**kwargs)
 
 
 def test_clamp_unit_policy():
