@@ -62,6 +62,16 @@ PINNED_TRACE_SHA256 = {
     ("0.6", "1.1"): "6887b27c8540568d2b26e1a085f9f1b6b65c91aa15f0c16d38ea55163fbea7df",
     ("3.0", "0.0"): "9d7f6d0fe51a8b4c58f0cd7658c7f4f5f242656e31b4223871bc627318748c5f",
 }
+# The same two traces written as JSONL.
+PINNED_TRACE_JSONL_SHA256 = {
+    ("0.6", "1.1"): "bd8afd5d766cf7fb0c6c9a45d239bf62d7bc2449e159acfec2d4c9ea87fc07c3",
+    ("3.0", "0.0"): "0a426db488df7f9f2e49f88682df8fd52dc051561e0fe66887be36e9e41cb786",
+}
+# verify's report at the baseline and at a plateau, keyed by --rho-a and --nu.
+PINNED_VERIFY_SHA256 = {
+    ("1", "0.8"): "455135ffae6424b9622c518a17b679d758415dbf973f3e8271650e36b6455d13",
+    ("0.5", "0.5"): "5dd6460d51574bf1d986d6ac918dd0a06e250cfa75ac52d122ed54b3e37f9b9a",
+}
 # theta_max saturates at pi here, so the engagement time is the plateau time
 # chosen by the approach audit.  Every simulated game is then a capture; the
 # trace of a capture-bound game also pins the audited phi.
@@ -710,6 +720,26 @@ def test_trace_bytes_pinned(tmp_path):
                      "--dt", "1e-3", "--out", str(out)]) == 0
         digests[theta_a, angle] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_TRACE_SHA256
+
+
+def test_trace_jsonl_bytes_pinned(tmp_path):
+    digests = {}
+    for theta_a, angle in PINNED_TRACE_JSONL_SHA256:
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", *BASE, "--theta-a", theta_a, "--defender-angle", angle,
+                     "--dt", "1e-3", "--format", "jsonl", "--out", str(out)]) == 0
+        digests[theta_a, angle] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_TRACE_JSONL_SHA256
+
+
+def test_verify_bytes_pinned(tmp_path):
+    digests = {}
+    for rho_a, nu in PINNED_VERIFY_SHA256:
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--r-t", "5", "--rho-t", "10", "--rho-a", rho_a, "--nu", nu,
+                     "--n", "500", "--seed", "1", "--out", str(out)]) == 0
+        digests[rho_a, nu] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_VERIFY_SHA256
 
 
 def test_plateau_bytes_pinned(tmp_path):
