@@ -34,10 +34,7 @@ from .strategy import (
 )
 from .engine import (
     AgreementReport,
-    BreachAt,
-    CaptureAt,
     GameOutcome,
-    GameResult,
     Phase,
     SessionRecord,
     Trajectory,

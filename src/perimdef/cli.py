@@ -289,12 +289,12 @@ def cmd_trace(cfg: dict) -> int:
         cand = strategy.engagement_candidate(tau, params)
         world = engine.to_world(cand.x_d_eng, theta_a, mirror)
         polyline.append(f"{world.x:.9g}:{world.y:.9g}")
-    terminal = traj.terminal
+    end = traj.end
     meta = {
         "capture_circle_radius": _fmt(strategy.capture_circle_radius(params)),
-        "terminal": "capture" if isinstance(terminal, engine.CaptureAt) else "breach",
-        "terminal_x": _fmt(terminal.point.x),
-        "terminal_y": _fmt(terminal.point.y),
+        "terminal": "capture" if traj.captured else "breach",
+        "terminal_x": _fmt(end.x),
+        "terminal_y": _fmt(end.y),
         "engagement_surface": " ".join(polyline),
     }
     rows = ((s.t, s.x_a.x, s.x_a.y, s.x_d.x, s.x_d.y, s.phase.value) for s in samples)

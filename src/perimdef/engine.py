@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .geometry import GameParams, Point2, first_entry
 from .strategy import (
@@ -83,18 +83,12 @@ def _uniform_angles(seed: int, n: int) -> np.ndarray:
     return -math.pi + _TWO_PI * u
 
 
-class GameResult(Enum):
-    CAPTURE = "capture"
-    BREACH = "breach"
-
-
 @dataclass(frozen=True)
 class GameOutcome:
-    """Resolution of a single arrival."""
+    """Resolution of a single arrival: ``captured`` is True on a capture and
+    False on a breach, and ``capture_point`` is None on a breach."""
 
-    result: GameResult
-    arrival_angle: float
-    defender_angle_before: Optional[float]
+    captured: bool
     defender_state_after: DefenderState
     capture_point: Optional[Point2]
 
@@ -103,8 +97,8 @@ class GameOutcome:
 class SessionRecord:
     """Capture mask of a seeded sequence of arrivals played in order.
 
-    ``outcomes[i]`` is True when game ``i`` ended in a capture.  Replaying
-    the seed through ``play_game`` gives the per-game detail.
+    ``outcomes[i]`` is the ``captured`` that ``play_game`` reports for game
+    ``i``.  Replaying the seed through ``play_game`` gives the per-game detail.
     """
 
     params: GameParams
@@ -148,9 +142,9 @@ def play_game(state: DefenderState, theta_a: float, params: GameParams) -> GameO
     sol = capture_circle_solution(params)
     after = _next_bearing(before, theta_a, sol.theta_max, sol.phi)
     if after is None:
-        return GameOutcome(GameResult.BREACH, theta_a, before, AtCenter(), None)
+        return GameOutcome(False, AtCenter(), None)
     point = Point2.from_polar(capture_circle_radius(params), after)
-    return GameOutcome(GameResult.CAPTURE, theta_a, before, OnCaptureCircle(after), point)
+    return GameOutcome(True, OnCaptureCircle(after), point)
 
 
 def run_session(params: GameParams, n: int, seed: int) -> SessionRecord:
@@ -205,33 +199,28 @@ class TrajectorySample:
 
 
 @dataclass(frozen=True)
-class CaptureAt:
-    point: Point2
-
-
-@dataclass(frozen=True)
-class BreachAt:
-    point: Point2
-
-
-Terminal = Union[CaptureAt, BreachAt]
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """One replayed game as the exact straight pieces that tile ``[0, t]``.
 
     Each piece ``(start, end, a, va, d, vd, phase)`` puts the intruder at
     ``a + va * h`` and the defender at ``d + vd * h`` at time ``start + h``,
     for ``start + h`` in ``[start, end]``.  The game ends at ``t`` with the
-    intruder at ``x_a`` and the defender at ``x_d``.
+    intruder at ``x_a`` and the defender at ``x_d``: in a capture (``captured``
+    True, as ``play_game`` reports it) or in a breach.
     """
 
     pieces: tuple[tuple, ...]
-    terminal: Terminal
+    captured: bool
     t: float
     x_a: Point2
     x_d: Point2
+
+    @property
+    def end(self) -> Point2:
+        """Where the game ends: midway between the players on a capture, the
+        intruder's position on a breach."""
+        a, d = self.x_a, self.x_d
+        return Point2(0.5 * (a.x + d.x), 0.5 * (a.y + d.y)) if self.captured else a
 
     def sample(self, dt: float) -> Iterator[TrajectorySample]:
         """Positions at ``k * dt`` for every ``k * dt < t`` (and ``k = 0``), then at ``t``.
@@ -342,12 +331,7 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
             if capture_bound:
                 a_target = d_target = dest
 
-    if kind == "contact":
-        terminal: Terminal = CaptureAt(Point2(0.5 * (a.x + d.x), 0.5 * (a.y + d.y)))
-    else:
-        terminal = BreachAt(a)
-
-    return Trajectory(tuple(pieces), terminal, t, a, d)
+    return Trajectory(tuple(pieces), kind == "contact", t, a, d)
 
 
 @dataclass(frozen=True)
@@ -397,13 +381,12 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
         else:
             traj = simulate_kinematic(state, theta_a, params)
             n_compared += 1
-            kin_capture = isinstance(traj.terminal, CaptureAt)
-            if kin_capture != (outcome.result is GameResult.CAPTURE):
+            if traj.captured != outcome.captured:
                 n_mismatch += 1
-            elif kin_capture:
-                err = traj.terminal.point.distance_to(outcome.capture_point)
-                max_pt_err = max(max_pt_err, err)
-                max_circ = max(max_circ, abs(traj.terminal.point.norm() - r_cc))
+            elif traj.captured:
+                end = traj.end
+                max_pt_err = max(max_pt_err, end.distance_to(outcome.capture_point))
+                max_circ = max(max_circ, abs(end.norm() - r_cc))
             else:
                 home = traj.x_d.norm()
                 max_home = max(max_home, home)

@@ -126,7 +126,6 @@ class ApolloniusCircle:
 
     center: Point2
     radius: float
-    nu: float
 
 
 class CircleClass(Enum):
@@ -187,7 +186,7 @@ def apollonius(x_a: Point2, x_d: Point2, params: GameParams) -> ApolloniusCircle
     """Dominance circle of the intruder at ``x_a`` against the defender at ``x_d``."""
     center = params.alpha * x_a - params.beta * x_d
     radius = params.gamma * x_a.distance_to(x_d)
-    return ApolloniusCircle(center=center, radius=radius, nu=params.nu)
+    return ApolloniusCircle(center=center, radius=radius)
 
 
 def classify(circle: ApolloniusCircle, params: GameParams) -> CircleClass:

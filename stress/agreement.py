@@ -10,7 +10,8 @@ the ``annulus`` range on odd ones.
 Draw ``i`` replays a 200-game session of seed ``i`` through
 ``verify_outcome_agreement``.  A draw fails when ``all_agree`` does not hold,
 when ``conftest.capture_off_circle`` finds a replay whose detection forces
-a capture farther than ``CIRCLE_TOL * (1 + r_cc)`` from the capture circle,
+a capture farther than ``CIRCLE_TOL * (1 + r_cc)`` from the capture circle
+or lets the intruder reach deeper than that inside the target,
 when the optimizer's decisions at the capture radius (its first grid
 maximum by bisection, and a saturated plateau read from the last grid time
 and taken to run from that maximum to it) differ from an exhaustive scan of
@@ -57,7 +58,7 @@ def main(argv=None) -> int:
         saturated = capture_circle_solution(p).refined_tau is None
         if not report.all_agree or off_circle > CIRCLE_TOL or search != scan or saturated != bool(scan[2]):
             print(f"FAIL seed {args.seed} draw {i}: params ({p.r_t!r}, {p.rho_t!r}, {p.rho_a!r}, {p.nu!r})")
-            print(f"  {report}; capture off the circle {off_circle:.3g} * (1 + r_cc)")
+            print(f"  {report}; rim miss at detection {off_circle:.3g} * (1 + r_cc)")
             if search != scan:
                 print(f"  grid search read (max {search[1]}, plateau {search[2][:1]}..{search[2][-1:]}), "
                       f"the scan (max {scan[1]}, plateau {scan[2][:1]}..{scan[2][-1:]}); "
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
         skipped += report.n_boundary_skipped
         worst = max(worst, off_circle)
     print(f"seed {args.seed}: {args.draws} draws agree; {games} games compared, {skipped} skipped; "
-          f"worst capture off the circle {worst:.2g} * (1 + r_cc); {time.perf_counter() - t0:.1f} s")
+          f"worst rim miss at detection {worst:.2g} * (1 + r_cc); {time.perf_counter() - t0:.1f} s")
     return 0
 
 

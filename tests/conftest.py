@@ -56,7 +56,8 @@ def random_valid_params():
 # small rho_a, and an annulus whose binding clause only just holds (factor 1).
 # ``stress/agreement.py`` draws from the same ranges.
 EDGE_RANGES = {"nu": (0.05, 0.99), "rho_a": (0.005, 5.0), "r_t": (0.1, 30.0), "annulus": (1.0, 4.0)}
-# Largest distance of a replay's capture from the capture circle, in units of 1 + r_cc.
+# Largest distance of a replay's capture from the capture circle, and largest
+# depth of a detection's dominance circle inside the target, in units of 1 + r_cc.
 CIRCLE_TOL = 1e-8
 
 
@@ -83,14 +84,17 @@ def valid_params(draw):
 
 
 def capture_off_circle(params) -> float:
-    """Worst distance from the capture circle, in units of 1 + r_cc, of the
-    capture that a replay's detection forces, over replays from the center
-    and from the capture circle at gaps k/8 * theta_max on both sides.
+    """Worst miss, in units of 1 + r_cc, of the intruder's dominance circle at
+    a replay's detection, over replays from the center and from the capture
+    circle at gaps k/8 * theta_max on both sides: the far rim's distance from
+    the capture circle, or the near rim's depth inside the target.
 
-    That capture is the far rim of the intruder's dominance circle at the
-    start of the replay's first full-information piece: a doomed intruder's
-    best reply.  The replay itself steers both players to the event level's
-    endpoint, so its terminal point cannot show a detection made too early.
+    The circle is taken at the start of the replay's first full-information
+    piece.  Its far rim is the capture a doomed intruder's best reply forces;
+    the replay itself steers both players to the event level's endpoint, so
+    its terminal point cannot show a detection made too early.  Its near rim
+    is the intruder's closest reach toward the center, so a rim inside
+    ``r_t`` would let the intruder breach from detection.
     """
     r_cc = capture_circle_radius(params)
     theta_max = capture_circle_solution(params).theta_max
@@ -101,7 +105,9 @@ def capture_off_circle(params) -> float:
                          if piece[6] is Phase.FULL), None)
         if detected is not None:
             circle = apollonius(detected[2], detected[4], params)
-            worst = max(worst, abs(circle.center.norm() + circle.radius - r_cc) / (1.0 + r_cc))
+            d = circle.center.norm()
+            miss = max(abs(d + circle.radius - r_cc), params.r_t - (d - circle.radius))
+            worst = max(worst, miss / (1.0 + r_cc))
     return worst
 
 

@@ -15,9 +15,6 @@ from hypothesis import strategies as st
 from perimdef.engine import (
     MAX_DISCREPANCY,
     AgreementReport,
-    BreachAt,
-    CaptureAt,
-    GameResult,
     Phase,
     _capture_side,
     _next_bearing,
@@ -80,8 +77,7 @@ def test_uniform_angles_match_scalar_hash_property(seed, n):
 
 def test_play_from_center_always_captures(params):
     out = play_game(AtCenter(), 1.234, params)
-    assert out.result is GameResult.CAPTURE
-    assert out.defender_angle_before is None
+    assert out.captured
     assert out.defender_state_after == OnCaptureCircle(1.234)
     assert out.capture_point.norm() == pytest.approx(capture_circle_radius(params), abs=1e-9)
     assert out.capture_point.bearing() == pytest.approx(1.234, abs=1e-12)
@@ -91,7 +87,7 @@ def test_play_on_circle_breach_at_antipode(params):
     # theta_max < pi for these parameters, so the antipodal arrival wins
     assert capture_circle_solution(params).theta_max < math.pi
     out = play_game(OnCaptureCircle(0.0), math.pi, params)
-    assert out.result is GameResult.BREACH
+    assert not out.captured
     assert out.defender_state_after == AtCenter()
     assert out.capture_point is None
 
@@ -99,7 +95,7 @@ def test_play_on_circle_breach_at_antipode(params):
 def test_play_on_circle_zero_gap_captures(params):
     sol = capture_circle_solution(params)
     out = play_game(OnCaptureCircle(0.7), 0.7, params)
-    assert out.result is GameResult.CAPTURE
+    assert out.captured
     # tie at zero gap resolves to the positive side
     assert out.defender_state_after == OnCaptureCircle(wrap_angle(0.7 + sol.phi))
 
@@ -109,7 +105,7 @@ def test_play_mirror_symmetry(params):
     gap = 0.5 * sol.theta_max
     plus = play_game(OnCaptureCircle(gap), 0.0, params)
     minus = play_game(OnCaptureCircle(-gap), 0.0, params)
-    assert plus.result is minus.result is GameResult.CAPTURE
+    assert plus.captured and minus.captured
     assert plus.capture_point.x == pytest.approx(minus.capture_point.x, abs=1e-12)
     assert plus.capture_point.y == pytest.approx(-minus.capture_point.y, abs=1e-12)
 
@@ -125,9 +121,9 @@ def test_play_depends_only_on_state_and_arrival(params):
 def test_capture_threshold_inclusive(params):
     sol = capture_circle_solution(params)
     out = play_game(OnCaptureCircle(sol.theta_max), 0.0, params)
-    assert out.result is GameResult.CAPTURE
+    assert out.captured
     out = play_game(OnCaptureCircle(sol.theta_max + 1e-9), 0.0, params)
-    assert out.result is GameResult.BREACH
+    assert not out.captured
 
 
 def _replay(params, n, seed):
@@ -178,7 +174,7 @@ def test_session_structure(params):
     """Captures park the defender on the capture circle; breaches reset it."""
     rec = run_session(params, 400, seed=77)
     games = _replay(params, 400, 77)
-    assert rec.outcomes == tuple(out.result is GameResult.CAPTURE for out in games)
+    assert rec.outcomes == tuple(out.captured for out in games)
     assert 0 < rec.n_breach < rec.n_capture
     r_cc = capture_circle_radius(params)
     for captured, out in zip(rec.outcomes, games):
@@ -212,9 +208,7 @@ def _session_case(draw):
 def test_session_mask_matches_play_game_chain_property(case):
     p, seed, n = case
     games = _replay(p, n, seed)
-    assert run_session(p, n, seed).outcomes == tuple(
-        out.result is GameResult.CAPTURE for out in games
-    )
+    assert run_session(p, n, seed).outcomes == tuple(out.captured for out in games)
 
 
 def _bearing_chain(arrivals, theta_max, phi):
@@ -269,27 +263,27 @@ def test_session_loop_restarts_from_the_center_after_a_breach():
 def test_kinematic_matches_event_level_from_center(params):
     out = play_game(AtCenter(), 0.7, params)
     traj = simulate_kinematic(AtCenter(), 0.7, params)
-    assert isinstance(traj.terminal, CaptureAt)
-    assert traj.terminal.point.distance_to(out.capture_point) <= 5e-3
+    assert traj.captured
+    assert traj.end.distance_to(out.capture_point) <= 5e-3
 
 
 def test_kinematic_matches_event_level_on_circle(params):
     state = OnCaptureCircle(0.4)
     out = play_game(state, -0.9, params)
-    assert out.result is GameResult.CAPTURE
+    assert out.captured
     traj = simulate_kinematic(state, -0.9, params)
-    assert isinstance(traj.terminal, CaptureAt)
-    assert traj.terminal.point.distance_to(out.capture_point) <= 5e-3
+    assert traj.captured
+    assert traj.end.distance_to(out.capture_point) <= 5e-3
 
 
 def test_kinematic_breach_sends_defender_home(params):
     state = OnCaptureCircle(0.0)
     theta_a = 2.5
-    assert play_game(state, theta_a, params).result is GameResult.BREACH
+    assert not play_game(state, theta_a, params).captured
     traj = simulate_kinematic(state, theta_a, params)
-    assert isinstance(traj.terminal, BreachAt)
+    assert not traj.captured
     assert traj.x_d.norm() <= 1e-3
-    r_a = traj.terminal.point.norm()
+    r_a = traj.end.norm()
     assert params.r_t - params.nu * 1e-4 <= r_a <= params.r_t + 1e-9
 
 
@@ -306,8 +300,8 @@ def test_breach_bound_replay_is_never_detected_property(p):
         for side in (1.0, -1.0):
             traj = simulate_kinematic(OnCaptureCircle(side * gap), 0.0, p)
             assert all(piece[6] is Phase.PARTIAL for piece in traj.pieces)
-            assert isinstance(traj.terminal, BreachAt)
-            assert abs(traj.terminal.point.norm() - p.r_t) <= 1e-9 * (1.0 + p.r_t)
+            assert not traj.captured
+            assert abs(traj.end.norm() - p.r_t) <= 1e-9 * (1.0 + p.r_t)
 
 
 def test_trajectory_step_bounds_and_phases(params):
@@ -404,7 +398,8 @@ def test_outcome_agreement_on_a_grazing_plateau():
 @example(validate_params(*GRAZE_PLATEAU))
 def test_replay_detection_forces_captures_onto_the_circle_property(p):
     # Every chosen engagement is sensed at its own time, so the intruder's best
-    # reply at the replay's detection ends on the capture circle.
+    # reply at the replay's detection ends on the capture circle, and no reply
+    # reaches inside the target.
     assert capture_off_circle(p) <= CIRCLE_TOL
 
 
@@ -432,7 +427,8 @@ def _stepped_terminal(state, theta_a, params, h):
 
     The same routes, evaluated at multiples of ``h``: detection and breach
     are tested after each step, and capture is declared at separation ``h``
-    and reported at the midpoint, so terminals converge at rate O(h).
+    and reported at the midpoint, so end points converge at rate O(h).
+    Returns the capture flag and the end point.
     """
     r_cc = capture_circle_radius(params)
     u = np.array([math.cos(theta_a), math.sin(theta_a)])
@@ -467,9 +463,9 @@ def _stepped_terminal(state, theta_a, params, h):
         i, kind = min(hits, key=lambda hit: hit[0], default=(block.size - 1, None))
         xa, xd = a[i], d[i]
         if kind == "capture":
-            return CaptureAt(Point2(*(0.5 * (xa + xd))))
+            return True, Point2(*(0.5 * (xa + xd)))
         if kind == "breach":
-            return BreachAt(Point2(*xa))
+            return False, Point2(*xa)
         if kind == "detect":
             detected = True
             if dest is not None:
@@ -493,16 +489,15 @@ def test_stepped_replay_converges_to_exact_terminals(params):
     sides = {_capture_side(s.angle, th, sol.theta_max)
              for s, th in CONVERGENCE_GAMES if isinstance(s, OnCaptureCircle)}
     assert sides == {1.0, -1.0, None}
-    exact = [simulate_kinematic(s, th, params).terminal
-             for s, th in CONVERGENCE_GAMES]
-    assert [type(t) for t in exact] == [CaptureAt] * 3 + [BreachAt] * 2
+    exact = [simulate_kinematic(s, th, params) for s, th in CONVERGENCE_GAMES]
+    assert [traj.captured for traj in exact] == [True] * 3 + [False] * 2
     capture_errors = []
     for h in (4e-4, 2e-4, 1e-4):
         errors = []
         for (state, theta_a), want in zip(CONVERGENCE_GAMES, exact):
-            got = _stepped_terminal(state, theta_a, params, h)
-            assert type(got) is type(want)
-            errors.append(got.point.distance_to(want.point))
+            captured, end = _stepped_terminal(state, theta_a, params, h)
+            assert captured is want.captured
+            errors.append(end.distance_to(want.end))
         assert max(errors) <= 10.0 * h
         capture_errors.append(max(errors[:3]))
     assert capture_errors[2] < capture_errors[1] < capture_errors[0]

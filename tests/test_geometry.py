@@ -150,13 +150,13 @@ def test_apollonius_rigid_motion_equivariance(params):
 
 def test_classify_examples(params):
     g = params.gamma
-    assert classify(ApolloniusCircle(Point2(4.0, 0.0), g, params.nu), params) is CircleClass.BREACH_POSSIBLE
-    assert classify(ApolloniusCircle(Point2(14.0, 0.0), g, params.nu), params) is CircleClass.EXIT_POSSIBLE
+    assert classify(ApolloniusCircle(Point2(4.0, 0.0), g), params) is CircleClass.BREACH_POSSIBLE
+    assert classify(ApolloniusCircle(Point2(14.0, 0.0), g), params) is CircleClass.EXIT_POSSIBLE
     # tangency is inclusive: center exactly at r_t + radius counts as safe
-    tangent = ApolloniusCircle(Point2(5.0 + g, 0.0), g, params.nu)
+    tangent = ApolloniusCircle(Point2(5.0 + g, 0.0), g)
     assert classify(tangent, params) is CircleClass.CAPTURE_GUARANTEED
     # radius wider than half the annulus can violate both sides at once
-    wide = ApolloniusCircle(Point2(9.0, 0.0), 7.0, params.nu)
+    wide = ApolloniusCircle(Point2(9.0, 0.0), 7.0)
     assert classify(wide, params) is CircleClass.BREACH_AND_EXIT
 
 
