@@ -14,8 +14,7 @@ can be checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import SessionRecord
 from .geometry import GameParams, validate_params
@@ -153,8 +152,7 @@ def markov_oracle(n: int, p_star: float) -> np.ndarray:
     return (center + circle)[: n // 2 + 1]
 
 
-@dataclass(frozen=True)
-class PrefixStats:
+class PrefixStats(NamedTuple):
     """Mean capture percentage per prefix across sessions, with 95% CI.
 
     ``pct[t, i]`` is session ``t``'s capture percentage over its first
@@ -191,8 +189,7 @@ def aggregate_sessions(records: Sequence[SessionRecord]) -> PrefixStats:
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point of a parameter sweep.
 
     ``percentages`` pairs each requested horizon (``math.inf`` for the
@@ -254,8 +251,7 @@ def sweep(
     return rows
 
 
-@dataclass(frozen=True)
-class LevelSetFit:
+class LevelSetFit(NamedTuple):
     """Least-squares line through an iso-percentage contour."""
 
     slope: float

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
-from dataclasses import fields
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -49,6 +47,8 @@ def _write_rows(path: Path, header: Sequence[str], rows, fmt: str, meta: Optiona
     With ``template``, each row is written as ``template % row`` instead of
     cell by cell; a JSONL template takes the cells in sorted-key order.
     """
+    if fmt != "csv":
+        import json
     with open(path, "w", newline="\n") as fh:
         if fmt == "csv":
             if meta:
@@ -263,7 +263,7 @@ def cmd_verify(cfg: dict) -> int:
     if n > MAX_SIM_GAMES:
         raise ValueError(f"verify asks for {n} games, more than the limit of {MAX_SIM_GAMES}")
     report = engine.verify_outcome_agreement(params, n, int(cfg["seed"]))
-    lines = [f"{f.name} = {_fmt(getattr(report, f.name))}" for f in fields(report)]
+    lines = [f"{name} = {_fmt(value)}" for name, value in zip(report._fields, report)]
     lines.append(f"verdict = {'agree' if report.all_agree else 'disagree'}")
     Path(cfg["out"]).write_text("\n".join(lines) + "\n")
     return 0 if report.all_agree else 1

@@ -10,9 +10,8 @@ bookkeeping, so the two can be cross-checked game by game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .geometry import GameParams, Point2, first_entry
 from .strategy import (
@@ -83,8 +82,7 @@ def _uniform_angles(seed: int, n: int) -> np.ndarray:
     return -math.pi + _TWO_PI * u
 
 
-@dataclass(frozen=True)
-class GameOutcome:
+class GameOutcome(NamedTuple):
     """Resolution of a single arrival: ``captured`` is True on a capture and
     False on a breach, and ``capture_point`` is None on a breach."""
 
@@ -93,8 +91,7 @@ class GameOutcome:
     capture_point: Optional[Point2]
 
 
-@dataclass(frozen=True)
-class SessionRecord:
+class SessionRecord(NamedTuple):
     """Capture mask of a seeded sequence of arrivals played in order.
 
     ``outcomes[i]`` is the ``captured`` that ``play_game`` reports for game
@@ -190,16 +187,14 @@ class Phase(Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     t: float
     x_a: Point2
     x_d: Point2
     phase: Phase
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One replayed game as the exact straight pieces that tile ``[0, t]``.
 
     Each piece ``(start, end, a, va, d, vd, phase)`` puts the intruder at
@@ -334,8 +329,7 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
     return Trajectory(tuple(pieces), kind == "contact", t, a, d)
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Comparison of event-level verdicts against kinematic replays."""
 
     n_games: int

@@ -12,9 +12,8 @@ it overlaps the target decides breach versus capture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 # Slack for arguments of acos/asin/sqrt that are exactly on a boundary in
 # real arithmetic.  Larger excursions indicate a logic error, not roundoff,
@@ -58,12 +57,26 @@ def clamp_unit(value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
 class Point2:
-    """Immutable planar point."""
+    """Planar point, immutable by convention: cached solutions hold points
+    that every later game reads, so nothing may assign ``x`` or ``y``."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        self.x = x
+        self.y = y
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, y={self.y!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     @staticmethod
     def from_polar(r: float, angle: float) -> "Point2":
@@ -97,8 +110,7 @@ class Point2:
         return math.atan2(self.y, self.x)
 
 
-@dataclass(frozen=True)
-class GameParams:
+class GameParams(NamedTuple):
     """Validated game parameters plus the derived dominance-circle constants.
 
     ``alpha``, ``beta`` and ``gamma`` are the coefficients of the
@@ -120,8 +132,7 @@ class GameParams:
         return self.r_t + self.rho_t
 
 
-@dataclass(frozen=True)
-class ApolloniusCircle:
+class ApolloniusCircle(NamedTuple):
     """Boundary of the intruder's dominance region for one agent pair."""
 
     center: Point2

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, first_entry, golden_section_max
 
@@ -49,8 +48,7 @@ class EmptyDomain(ValueError):
     ``CLAMP_TOL`` once rho_t / rho_a is about 1e7 at nu = 0.5 (3e5 at 0.05)."""
 
 
-@dataclass(frozen=True)
-class EngagementCandidate:
+class EngagementCandidate(NamedTuple):
     """One point of the engagement surface, in the canonical frame.
 
     The intruder arrives on the sensing boundary at bearing zero and moves
@@ -64,21 +62,23 @@ class EngagementCandidate:
     x_d_eng: Point2
 
 
-@dataclass(frozen=True)
-class EngagementSolution:
-    """Optimized engagement bundle for a defender at radius ``r``.
-
-    ``theta_max`` is computed when the solution is made.  The rest of the
-    bundle (``candidate``, ``x_p``, ``phi``) is derived on first use and
-    cached.  ``refined_tau`` is the engagement time found by golden-section
-    refinement, or None when the objective saturates at pi; the plateau time
-    is then chosen by the stealth audit on the first use of any of them.
-    """
-
+class _SolutionFields(NamedTuple):
     theta_max: float
     r: float
     params: GameParams
     refined_tau: Optional[float]
+
+
+class EngagementSolution(_SolutionFields):
+    """Optimized engagement bundle for a defender at radius ``r``.
+
+    ``theta_max`` is computed when the solution is made.  The rest of the
+    bundle (``candidate``, ``x_p``, ``phi``) is derived on first use and
+    cached in the ``__dict__`` this subclass of the fields' tuple has.
+    ``refined_tau`` is the engagement time found by golden-section
+    refinement, or None when the objective saturates at pi; the plateau time
+    is then chosen by the stealth audit on the first use of any of them.
+    """
 
     @cached_property
     def candidate(self) -> EngagementCandidate:
@@ -96,13 +96,11 @@ class EngagementSolution:
         return evasion_point(self.candidate, self.params)[1]
 
 
-@dataclass(frozen=True)
-class AtCenter:
+class AtCenter(NamedTuple):
     """Defender waiting at the target center."""
 
 
-@dataclass(frozen=True)
-class OnCaptureCircle:
+class OnCaptureCircle(NamedTuple):
     """Defender parked on the capture circle at the given world bearing."""
 
     angle: float

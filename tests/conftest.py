@@ -83,31 +83,38 @@ def valid_params(draw):
     return validate_params(r_t, max(first, second) * draw(st.floats(*EDGE_RANGES["annulus"])), rho_a, nu)
 
 
-def capture_off_circle(params) -> float:
-    """Worst miss, in units of 1 + r_cc, of the intruder's dominance circle at
-    a replay's detection, over replays from the center and from the capture
-    circle at gaps k/8 * theta_max on both sides: the far rim's distance from
-    the capture circle, or the near rim's depth inside the target.
-
-    The circle is taken at the start of the replay's first full-information
-    piece.  Its far rim is the capture a doomed intruder's best reply forces;
-    the replay itself steers both players to the event level's endpoint, so
-    its terminal point cannot show a detection made too early.  Its near rim
-    is the intruder's closest reach toward the center, so a rim inside
-    ``r_t`` would let the intruder breach from detection.
-    """
-    r_cc = capture_circle_radius(params)
+def detections(params):
+    """The intruder's and the defender's positions at each capture-bound
+    replay's detection, from the center and from the capture circle at gaps
+    k/8 * theta_max on both sides: the start of the replay's first
+    full-information piece."""
     theta_max = capture_circle_solution(params).theta_max
     states = [AtCenter()] + [OnCaptureCircle(side * theta_max * k / 8) for k in range(1, 9) for side in (1.0, -1.0)]
-    worst = 0.0
     for state in states:
         detected = next((piece for piece in simulate_kinematic(state, 0.0, params).pieces
                          if piece[6] is Phase.FULL), None)
         if detected is not None:
-            circle = apollonius(detected[2], detected[4], params)
-            d = circle.center.norm()
-            miss = max(abs(d + circle.radius - r_cc), params.r_t - (d - circle.radius))
-            worst = max(worst, miss / (1.0 + r_cc))
+            yield detected[2], detected[4]
+
+
+def capture_off_circle(params) -> float:
+    """Worst miss, in units of 1 + r_cc, of the intruder's dominance circle at
+    a replay's detection (see ``detections``): the far rim's distance from
+    the capture circle, or the near rim's depth inside the target.
+
+    The far rim is the capture a doomed intruder's best reply forces; the
+    replay itself steers both players to the event level's endpoint, so its
+    terminal point cannot show a detection made too early.  The near rim is
+    the intruder's closest reach toward the center, so a rim inside ``r_t``
+    would let the intruder breach from detection.
+    """
+    r_cc = capture_circle_radius(params)
+    worst = 0.0
+    for x_a, x_d in detections(params):
+        circle = apollonius(x_a, x_d, params)
+        d = circle.center.norm()
+        miss = max(abs(d + circle.radius - r_cc), params.r_t - (d - circle.radius))
+        worst = max(worst, miss / (1.0 + r_cc))
     return worst
 
 

