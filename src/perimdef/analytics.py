@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .engine import SessionRecord
 from .geometry import GameParams, validate_params
 from .strategy import capture_circle_solution
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .engine import SessionRecord
 
 PARAM_NAMES = ("r_t", "rho_t", "rho_a", "nu")
 # Width in rho_t to which level_set_slope bisects each contour column.
@@ -101,23 +102,36 @@ def resets_tail_all(n: int, p_star: float) -> np.ndarray:
     return tails
 
 
-def expected_resets(n: int, p_star: float) -> float:
+def expected_resets(n: int | np.ndarray, p_star: float) -> float | np.ndarray:
     """E[breach count after ``n`` games], in closed form.
 
     The chain starts at the center, so before game k the defender is on the
     capture circle with probability ``(1 - q^(k-1)) / (2 - p)``, where
     ``q = -(1 - p)``; each game played from the circle is lost with
     probability ``1 - p``.  Summing over k = 1..n gives the expression below.
+
+    ``n`` may be a numpy array of horizons; each value then has the bits of
+    the scalar.  ``np.float_power`` calls the C ``pow`` behind Python's
+    ``q**n``; ``np.power`` takes a SIMD loop on AVX-512 hosts whose results
+    can differ from it in the last bit.
     """
-    if n < 1:
+    scalar = isinstance(n, (int, float))
+    if (n < 1) if scalar else (n < 1).any():
         raise DomainError(f"need n >= 1, got {n!r}")
     _check_probability(p_star)
     q = -(1.0 - p_star)
-    return (1.0 - p_star) * (n - (1.0 - q**n) / (1.0 - q)) / (2.0 - p_star)
+    if scalar:
+        power = q**n
+    else:
+        import numpy as np
+
+        power = np.float_power(q, n)
+    return (1.0 - p_star) * (n - (1.0 - power) / (1.0 - q)) / (2.0 - p_star)
 
 
-def expected_percentage(n: int, p_star: float) -> float:
-    """Expected percentage of captures over the first ``n`` games."""
+def expected_percentage(n: int | np.ndarray, p_star: float) -> float | np.ndarray:
+    """Expected percentage of captures over the first ``n`` games, for an
+    int or, elementwise, an array of horizons."""
     return 100.0 * (n - expected_resets(n, p_star)) / n
 
 

@@ -15,10 +15,13 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import analytics, engine, strategy
+from . import strategy
 from .geometry import AssumptionViolated, _check_length, validate_params
+
+if TYPE_CHECKING:
+    from . import analytics
 
 # Each config key and the type its value is read as, the type its flag declares.
 CONFIG_TYPES = {
@@ -157,10 +160,12 @@ def _parse_horizons(text: str) -> list[int]:
 
 
 def _parse_grid(spec: str) -> tuple[str, float, float, int]:
+    from .analytics import PARAM_NAMES
+
     name, _, rng = spec.partition("=")
     name = name.strip()
-    if name not in analytics.PARAM_NAMES:
-        raise ValueError(f"grid parameter must be one of {analytics.PARAM_NAMES}, got {name!r}")
+    if name not in PARAM_NAMES:
+        raise ValueError(f"grid parameter must be one of {PARAM_NAMES}, got {name!r}")
     parts = rng.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must look like name=lo:hi:steps, got {spec!r}")
@@ -178,10 +183,12 @@ def _grid_axis(name: str, lo: float, hi: float, steps: int) -> tuple[str, list[f
 
 def _summary_rows(stats: analytics.PrefixStats, p: float, asym: float):
     """The summary's rows, made ``_TRIAL_BLOCK`` prefixes at a time."""
+    from . import analytics
+
     for start in range(0, len(stats.n), _TRIAL_BLOCK):
-        cols = [c[start:start + _TRIAL_BLOCK].tolist()
-                for c in (stats.n, stats.mean_pct, stats.ci_lo, stats.ci_hi)]
-        yield from zip(*cols, map(analytics.expected_percentage, cols[0], repeat(p)), repeat(asym))
+        cols = [c[start:start + _TRIAL_BLOCK] for c in (stats.n, stats.mean_pct, stats.ci_lo, stats.ci_hi)]
+        cols.append(analytics.expected_percentage(cols[0], p))
+        yield from zip(*(c.tolist() for c in cols), repeat(asym))
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -194,6 +201,8 @@ def cmd_simulate(cfg: dict) -> int:
         raise ValueError("--n and --trials must be >= 1")
     if n * trials > MAX_SIM_GAMES:
         raise ValueError(f"simulation asks for {n * trials} games, more than the limit of {MAX_SIM_GAMES}")
+    from . import analytics, engine
+
     records = [engine.run_session(params, n, seed + t) for t in range(trials)]
     stats = analytics.aggregate_sessions(records)
     p = analytics.p_star(params)
@@ -212,6 +221,8 @@ def cmd_analytic(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
     horizons = _parse_horizons(str(cfg["n"]))
+    from . import analytics
+
     p = analytics.p_star(params)
     rows = [(h, analytics.expected_resets(h, p), analytics.expected_percentage(h, p)) for h in horizons]
     rows.append(("inf", None, analytics.asymptotic_percentage(p)))
@@ -229,6 +240,8 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
         raise ValueError(f"sweep grid has {points} points, more than the limit of {MAX_GRID_POINTS}")
     outer = _grid_axis(*outer_spec)
     inner = _grid_axis(*inner_spec)
+    from . import analytics
+
     fixed_names = [p for p in analytics.PARAM_NAMES if p not in (outer[0], inner[0])]
     if len(fixed_names) != 2:
         raise ValueError("grid parameters must be two distinct names")
@@ -262,6 +275,8 @@ def cmd_verify(cfg: dict) -> int:
     n = int(cfg["n"])
     if n > MAX_SIM_GAMES:
         raise ValueError(f"verify asks for {n} games, more than the limit of {MAX_SIM_GAMES}")
+    from . import engine
+
     report = engine.verify_outcome_agreement(params, n, int(cfg["seed"]))
     lines = [f"{name} = {_fmt(value)}" for name, value in zip(report._fields, report)]
     lines.append(f"verdict = {'agree' if report.all_agree else 'disagree'}")
@@ -273,6 +288,8 @@ def cmd_trace(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "theta_a", "out")
     theta_a = float(cfg["theta_a"])
+    from . import engine
+
     if cfg.get("defender_angle") is None:
         state: strategy.DefenderState = strategy.AtCenter()
         mirror = 1.0
@@ -376,9 +393,9 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     before it and every object still alive after it.
 
     Frozen objects sit in the permanent generation, which the collections at
-    interpreter exit skip; the OS frees them anyway.  numpy is imported
-    inside ``main`` by the commands that play games, so the second freeze
-    covers its objects too.  Garbage the command creates is collected as
+    interpreter exit skip; the OS frees them anyway.  Each command imports
+    ``engine`` or ``analytics`` inside ``main``, and numpy if it plays
+    games, so the second freeze covers their objects too.  Garbage the command creates is collected as
     before.  ``main`` itself does not freeze, since it also runs inside
     other processes.
     """

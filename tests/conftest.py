@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import perimdef
 from perimdef import GameParams, validate_params
 from perimdef.engine import Phase, simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
@@ -21,6 +26,18 @@ PLATEAU_HEX = {
     (5.0, 10.0, 0.5, 0.5): ("0x1.356c05ac15b02p+4", "-0x1.000aa3a89065ep-5"),
     (5.0, 12.0, 1.0, 0.75): ("0x1.cc25527930955p+3", "-0x1.7830f92cf76a4p-3"),
 }
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports the perimdef under test."""
+    src = str(Path(perimdef.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_fresh(script: str, cwd, *args: str) -> str:
+    """Run ``script`` with ``args`` in a fresh interpreter in ``cwd`` and return what it prints."""
+    return subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=fresh_env(), capture_output=True,
+                          text=True, timeout=60, check=True).stdout
 
 
 @pytest.fixture(scope="session")

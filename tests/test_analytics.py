@@ -152,6 +152,23 @@ def test_expected_resets_domain():
                 fn(10, p)
 
 
+@pytest.mark.parametrize("p", [0.0, 1e-6, 0.0017043959164706468, 0.03133023496140541, 0.05, P_STAR_BASELINE, 0.95,
+                               1.0 - 2**-53, 1.0])
+def test_closed_form_on_an_array_of_horizons_has_the_scalar_bits(p):
+    """``simulate`` writes its ``analytic_pct`` column with one call per block
+    of prefixes; each value must be the scalar's, bit for bit, whatever the
+    horizons' dtype.  At p = 0.0017... (n = 180) and 0.0313... (n = 2),
+    ``np.power`` on an AVX-512 host moves the result by an ulp."""
+    n = np.unique(np.r_[1:5001, np.geomspace(1, 10**6, 3000).round().astype(int)])
+    assert n[-1] == 10**6
+    for fn in (expected_resets, expected_percentage):
+        want = np.array([fn(k, p) for k in n.tolist()])
+        for horizons in (n, n.astype(float)):
+            assert fn(horizons, p).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    with pytest.raises(DomainError):
+        expected_resets(np.array([1, 0]), p)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6389435320791843, 0.95, 1.0])
 def test_expected_percentage_at_huge_horizon_meets_asymptote(p):
     # The closed form costs O(1), so a billion-game horizon is cheap.

@@ -7,15 +7,13 @@ import gc
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-import perimdef
+from conftest import fresh_env, run_fresh
 from perimdef import analytics, engine, strategy
 from perimdef.cli import (
     _TRIAL_BLOCK,
@@ -248,8 +246,7 @@ def test_cli_process_matches_in_process_main(tmp_path):
                     "--out", "x.csv"],
         "usage": ["simulate", *BASE, "--no-such-flag"],
     }
-    src = str(Path(perimdef.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = fresh_env()
     procs = {}
     for name, argv in runs.items():
         (tmp_path / "spawned" / name).mkdir(parents=True)
@@ -270,28 +267,51 @@ def test_cli_process_matches_in_process_main(tmp_path):
     assert gc.get_freeze_count() == frozen
 
 
-def test_commands_that_play_no_games_never_import_numpy(tmp_path):
-    """numpy is imported only by the functions that play or aggregate games.
-    In a fresh interpreter, importing perimdef, ``analytic`` and a 3x3
-    ``sweep`` leave it unloaded, and ``simulate`` still runs."""
-    script = f"BASE = {BASE!r}\n" + """
+# A fresh interpreter that imports perimdef, runs ``main`` on each of the
+# (step, argv) pairs in ``sys.argv[1]`` and prints, for the import and after
+# each step, its exit code and the perimdef modules and numpy it has loaded.
+LOADED_SCRIPT = """
 import json, sys
-steps = {}
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("perimdef.") or m == "numpy")
 import perimdef
+steps = {"import": [0, loaded()]}
 from perimdef.cli import main
-steps["import"] = [0, "numpy" in sys.modules]
-steps["analytic"] = [main(["analytic", *BASE, "--n", "1,20", "--out", "a.csv"]), "numpy" in sys.modules]
-steps["sweep"] = [main(["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3", "--grid", "rho_t=4:12:3",
-                        "--out", "s.csv"]), "numpy" in sys.modules]
-steps["simulate"] = [main(["simulate", *BASE, "--n", "20", "--trials", "2", "--out", "m.csv"]), "numpy" in sys.modules]
+for step, argv in json.loads(sys.argv[1]):
+    steps[step] = [main(argv), loaded()]
 print(json.dumps(steps))
 """
-    src = str(Path(perimdef.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert json.loads(done.stdout) == {"import": [0, False], "analytic": [0, False], "sweep": [0, False],
-                                       "simulate": [0, True]}
+
+
+def _loaded_by(steps: list, cwd) -> dict:
+    return json.loads(run_fresh(LOADED_SCRIPT, cwd, json.dumps(steps)))
+
+
+def test_commands_that_play_no_games_never_import_numpy(tmp_path):
+    """numpy is imported only by the functions that play or aggregate games,
+    and ``engine`` only by the commands that play them.  In a fresh
+    interpreter, importing perimdef loads none of its modules, ``analytic``
+    and a 3x3 ``sweep`` leave ``engine`` and numpy unloaded, and
+    ``simulate`` still runs."""
+    sweep = ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3", "--grid", "rho_t=4:12:3",
+             "--out", "s.csv"]
+    no_games = ["perimdef.analytics", "perimdef.cli", "perimdef.geometry", "perimdef.strategy"]
+    assert _loaded_by([["analytic", ["analytic", *BASE, "--n", "1,20", "--out", "a.csv"]], ["sweep", sweep],
+                       ["simulate", ["simulate", *BASE, "--n", "20", "--trials", "2", "--out", "m.csv"]]],
+                      tmp_path) == {
+        "import": [0, []], "analytic": [0, no_games], "sweep": [0, no_games],
+        "simulate": [0, sorted([*no_games, "perimdef.engine", "numpy"])],
+    }
+
+
+def test_commands_that_need_no_statistics_never_import_analytics(tmp_path):
+    """``verify`` and ``trace`` replay games and leave ``analytics`` unloaded."""
+    replay = ["numpy", "perimdef.cli", "perimdef.engine", "perimdef.geometry", "perimdef.strategy"]
+    assert _loaded_by([["verify", ["verify", *BASE, "--n", "20", "--out", "v.txt"]],
+                       ["trace", ["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2",
+                                  "--out", "t.csv"]]], tmp_path) == {
+        "import": [0, []], "verify": [0, replay], "trace": [0, replay],
+    }
 
 
 def test_entry_freezes_the_import_time_objects(tmp_path):

@@ -1,0 +1,76 @@
+"""The package namespace: every public name resolves to its module's object,
+and nothing is imported before it is asked for."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import perimdef
+from conftest import run_fresh
+from perimdef import analytics, engine, geometry, strategy
+
+# The public names, by the module that defines them.
+PUBLIC = {
+    geometry: ["ApolloniusCircle", "AssumptionViolated", "CircleClass", "GameParams", "Point2", "apollonius",
+               "assumption_clauses", "classify", "validate_params"],
+    strategy: ["AtCenter", "DefenderState", "EngagementCandidate", "EngagementSolution", "OnCaptureCircle",
+               "capture_circle_radius", "capture_circle_solution", "engagement_candidate", "engagement_domain",
+               "engagement_theta", "evasion_point", "guarded_arc", "optimize_engagement", "sufficiency_holds",
+               "theta_max_at"],
+    engine: ["AgreementReport", "GameOutcome", "Phase", "SessionRecord", "Trajectory", "play_game", "run_session",
+             "simulate_kinematic", "uniform_angle", "verify_outcome_agreement", "wrap_angle"],
+    analytics: ["LevelSetFit", "PrefixStats", "SweepRow", "aggregate_sessions", "asymptotic_percentage",
+                "expected_percentage", "expected_resets", "level_set_slope", "markov_oracle", "p_star",
+                "resets_tail_all", "sweep", "total_captures_pmf", "travel_pmf"],
+}
+MODULES = ["analytics", "cli", "engine", "geometry", "strategy"]
+
+
+def test_public_names_are_their_modules_objects():
+    names = sorted(name for names in PUBLIC.values() for name in names)
+    assert len(names) == 49
+    assert sorted(perimdef.__all__) == names
+    for module, module_names in PUBLIC.items():
+        for name in module_names:
+            assert getattr(perimdef, name) is getattr(module, name)
+    assert set(names) | set(MODULES) <= set(dir(perimdef))
+    star: dict = {}
+    exec("from perimdef import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    assert vars(perimdef)["__version__"] == "0.1.0"
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("no_such_name", "numpy", "PARAM_NAMES", "tracer"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(perimdef, name)
+    assert not hasattr(perimdef, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from perimdef import no_such_name", {})
+
+
+def test_names_and_modules_load_on_first_access(tmp_path):
+    """After a bare import nothing is loaded; a name loads its module (and
+    what that imports) and is then kept in the namespace, and each module
+    resolves as an attribute."""
+    script = """
+import json, sys
+import perimdef
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("perimdef."))
+
+steps = {"import": loaded()}
+run_session = perimdef.run_session
+steps["name"] = [loaded(), vars(perimdef).get("run_session") is run_session,
+                 run_session is sys.modules["perimdef.engine"].run_session]
+steps["modules"] = [getattr(perimdef, m) is sys.modules["perimdef." + m] for m in %r]
+print(json.dumps(steps))
+""" % (MODULES,)
+    assert json.loads(run_fresh(script, tmp_path)) == {
+        "import": [],
+        "name": [["perimdef.engine", "perimdef.geometry", "perimdef.strategy"], True, True],
+        "modules": [True] * len(MODULES),
+    }
