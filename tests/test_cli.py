@@ -65,6 +65,11 @@ PINNED_TRACE_JSONL_SHA256 = {
     ("0.6", "1.1"): "bd8afd5d766cf7fb0c6c9a45d239bf62d7bc2449e159acfec2d4c9ea87fc07c3",
     ("3.0", "0.0"): "0a426db488df7f9f2e49f88682df8fd52dc051561e0fe66887be36e9e41cb786",
 }
+# A capture-bound trace from the center (no --defender-angle), keyed by format.
+PINNED_CENTER_TRACE_SHA256 = {
+    "csv": "f0977d06550182e75abc263db8847cd15b29ea2b464e5b0ab8a5b10ced9c0e80",
+    "jsonl": "4a999aaa19934c12f2a7fded0b91f8c468856b4c7e87e54718b4848840d613ff",
+}
 # verify's report at the baseline and at a plateau, keyed by --rho-a and --nu.
 PINNED_VERIFY_SHA256 = {
     ("1", "0.8"): "455135ffae6424b9622c518a17b679d758415dbf973f3e8271650e36b6455d13",
@@ -750,6 +755,15 @@ def test_trace_jsonl_bytes_pinned(tmp_path):
                      "--dt", "1e-3", "--format", "jsonl", "--out", str(out)]) == 0
         digests[theta_a, angle] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_TRACE_JSONL_SHA256
+
+
+def test_center_trace_bytes_pinned(tmp_path):
+    digests = {}
+    for fmt in PINNED_CENTER_TRACE_SHA256:
+        out = tmp_path / f"trace.{fmt}"
+        assert main(["trace", *BASE, "--theta-a", "-1.1", "--dt", "1e-3", "--format", fmt, "--out", str(out)]) == 0
+        digests[fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_CENTER_TRACE_SHA256
 
 
 def test_verify_bytes_pinned(tmp_path):
