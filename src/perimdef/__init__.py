@@ -23,7 +23,7 @@ _NAMES = {
         "theta_max_at",
     ),
     "engine": (
-        "AgreementReport", "GameOutcome", "Phase", "SessionRecord", "Trajectory", "play_game", "run_session",
+        "AgreementReport", "GameOutcome", "SessionRecord", "Trajectory", "play_game", "run_session",
         "simulate_kinematic", "uniform_angle", "verify_outcome_agreement", "wrap_angle",
     ),
     "analytics": (

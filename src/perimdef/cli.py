@@ -297,7 +297,7 @@ def cmd_trace(cfg: dict) -> int:
         state = strategy.OnCaptureCircle(float(cfg["defender_angle"]))
         mirror = engine._capture_side(state.angle, theta_a, math.pi)
     traj = engine.simulate_kinematic(state, theta_a, params)
-    samples = traj.sample(cfg.get("dt", 1e-4 * params.tsr_radius))
+    rows = traj.sample(cfg.get("dt", 1e-4 * params.tsr_radius))
 
     tau_min, tau_max = strategy.engagement_domain(params)
     polyline = []
@@ -314,7 +314,6 @@ def cmd_trace(cfg: dict) -> int:
         "terminal_y": _fmt(end.y),
         "engagement_surface": " ".join(polyline),
     }
-    rows = ((s.t, s.x_a.x, s.x_a.y, s.x_d.x, s.x_d.y, s.phase.value) for s in samples)
     _write_rows(Path(cfg["out"]), ["t", "ax", "ay", "dx", "dy", "phase"], rows, cfg["format"], meta=meta,
                 template=_TRACE_ROW[cfg["format"]])
     return 0
@@ -394,10 +393,10 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
 
     Frozen objects sit in the permanent generation, which the collections at
     interpreter exit skip; the OS frees them anyway.  Each command imports
-    ``engine`` or ``analytics`` inside ``main``, and numpy if it plays
-    games, so the second freeze covers their objects too.  Garbage the command creates is collected as
-    before.  ``main`` itself does not freeze, since it also runs inside
-    other processes.
+    ``engine`` or ``analytics`` inside ``main``, and ``simulate`` numpy too,
+    so the second freeze covers their objects as well.  Garbage the command
+    creates is collected as before.  ``main`` itself does not freeze, since
+    it also runs inside other processes.
     """
     gc.freeze()
     code = main(argv)

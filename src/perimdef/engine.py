@@ -10,7 +10,6 @@ bookkeeping, so the two can be cross-checked game by game.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .geometry import GameParams, Point2, first_entry
@@ -182,24 +181,13 @@ def _session_mask(arrivals: list[float], theta_max: float, phi: float) -> Iterat
         yield True
 
 
-class Phase(Enum):
-    PARTIAL = "partial"
-    FULL = "full"
-
-
-class TrajectorySample(NamedTuple):
-    t: float
-    x_a: Point2
-    x_d: Point2
-    phase: Phase
-
-
 class Trajectory(NamedTuple):
     """One replayed game as the exact straight pieces that tile ``[0, t]``.
 
     Each piece ``(start, end, a, va, d, vd, phase)`` puts the intruder at
     ``a + va * h`` and the defender at ``d + vd * h`` at time ``start + h``,
-    for ``start + h`` in ``[start, end]``.  The game ends at ``t`` with the
+    for ``start + h`` in ``[start, end]``; ``phase`` is ``"partial"`` before
+    detection and ``"full"`` after it.  The game ends at ``t`` with the
     intruder at ``x_a`` and the defender at ``x_d``: in a capture (``captured``
     True, as ``play_game`` reports it) or in a breach.
     """
@@ -217,11 +205,13 @@ class Trajectory(NamedTuple):
         a, d = self.x_a, self.x_d
         return Point2(0.5 * (a.x + d.x), 0.5 * (a.y + d.y)) if self.captured else a
 
-    def sample(self, dt: float) -> Iterator[TrajectorySample]:
-        """Positions at ``k * dt`` for every ``k * dt < t`` (and ``k = 0``), then at ``t``.
+    def sample(self, dt: float) -> Iterator[tuple]:
+        """Rows ``(t, ax, ay, dx, dy, phase)`` at ``t = k * dt`` for every
+        ``k * dt < t`` (and ``k = 0``), then at the end time ``t``.
 
-        The spacing and the ``MAX_TRACE_SAMPLES`` cap are checked here, before
-        any sample is made; the samples are then yielded one at a time.
+        These are the rows a trace file holds.  The spacing and the
+        ``MAX_TRACE_SAMPLES`` cap are checked here, before any row is made;
+        the rows are then yielded one at a time.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -229,7 +219,7 @@ class Trajectory(NamedTuple):
             raise ValueError(f"dt={dt!r} would record more than the limit of {MAX_TRACE_SAMPLES} samples")
         return self._samples(dt)
 
-    def _samples(self, dt: float) -> Iterator[TrajectorySample]:
+    def _samples(self, dt: float) -> Iterator[tuple]:
         i, k = 0, 0
         while k == 0 or k * dt < self.t:
             ts = k * dt
@@ -237,11 +227,9 @@ class Trajectory(NamedTuple):
                 i += 1
             start, _, a0, va, d0, vd, ph = self.pieces[i]
             h = ts - start
-            yield TrajectorySample(
-                ts, Point2(a0.x + va.x * h, a0.y + va.y * h), Point2(d0.x + vd.x * h, d0.y + vd.y * h), ph,
-            )
+            yield ts, a0.x + va.x * h, a0.y + va.y * h, d0.x + vd.x * h, d0.y + vd.y * h, ph
             k += 1
-        yield TrajectorySample(self.t, self.x_a, self.x_d, self.pieces[-1][6])
+        yield self.t, self.x_a.x, self.x_a.y, self.x_d.x, self.x_d.y, self.pieces[-1][6]
 
 
 def to_world(p: Point2, theta_a: float, mirror: float) -> Point2:
@@ -300,7 +288,7 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
     # Walk piece by piece; each piece ends at an arrival or at an event.  The
     # radial run breaches long before it reaches the center.
     a_target, d_target = origin, waypoint
-    phase = Phase.PARTIAL
+    phase = "partial"
     t = 0.0
     pieces = []  # (start, end, a, va, d, vd, phase)
     kind = None
@@ -310,10 +298,10 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
         length = min(ta, td)
         rel, vrel = a - d, va - vd
         hits = []  # in tie order
-        if phase is Phase.FULL and capture_bound:
+        if phase == "full" and capture_bound:
             hits.append((first_entry(rel, vrel, slack, length), "contact"))
         hits.append((first_entry(a, va, params.r_t, length), "breach"))
-        if phase is Phase.PARTIAL:
+        if phase == "partial":
             hits.append((first_entry(rel, vrel, params.rho_a, length), "detect"))
         s, kind = min(((s, k) for s, k in hits if s is not None),
                       key=lambda hit: hit[0], default=(length, None))
@@ -322,7 +310,7 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
         a = a_target if kind is None and ta <= length else a + va * s
         d = d_target if kind is None and td <= length else d + vd * s
         if kind == "detect":
-            phase = Phase.FULL
+            phase = "full"
             if capture_bound:
                 a_target = d_target = dest
 
@@ -364,7 +352,7 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
     max_pt_err = 0.0
     max_circ = 0.0
     max_home = 0.0
-    for theta_a in _uniform_angles(seed, n_games).tolist():
+    for theta_a in (uniform_angle(seed, i) for i in range(n_games)):
         outcome = play_game(state, theta_a, params)
         near_boundary = False
         if isinstance(state, OnCaptureCircle):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import perimdef
 from perimdef import GameParams, validate_params
-from perimdef.engine import Phase, simulate_kinematic
+from perimdef.engine import simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
 from perimdef.strategy import (
     TAU_GRID_POINTS, AtCenter, OnCaptureCircle, _grid, _grid_peak, _objective, capture_circle_radius,
@@ -109,7 +109,7 @@ def detections(params):
     states = [AtCenter()] + [OnCaptureCircle(side * theta_max * k / 8) for k in range(1, 9) for side in (1.0, -1.0)]
     for state in states:
         detected = next((piece for piece in simulate_kinematic(state, 0.0, params).pieces
-                         if piece[6] is Phase.FULL), None)
+                         if piece[6] == "full"), None)
         if detected is not None:
             yield detected[2], detected[4]
 

@@ -310,13 +310,12 @@ def test_commands_that_play_no_games_never_import_numpy(tmp_path):
 
 
 def test_commands_that_need_no_statistics_never_import_analytics(tmp_path):
-    """``verify`` and ``trace`` replay games and leave ``analytics`` unloaded."""
-    replay = ["numpy", "perimdef.cli", "perimdef.engine", "perimdef.geometry", "perimdef.strategy"]
-    assert _loaded_by([["verify", ["verify", *BASE, "--n", "20", "--out", "v.txt"]],
-                       ["trace", ["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2",
-                                  "--out", "t.csv"]]], tmp_path) == {
-        "import": [0, []], "verify": [0, replay], "trace": [0, replay],
-    }
+    """``verify`` and ``trace`` replay games one at a time: each, in its own
+    fresh interpreter, leaves ``analytics`` and numpy unloaded."""
+    replay = ["perimdef.cli", "perimdef.engine", "perimdef.geometry", "perimdef.strategy"]
+    for argv in (["verify", *BASE, "--n", "20", "--out", "v.txt"],
+                 ["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2", "--out", "t.csv"]):
+        assert _loaded_by([[argv[0], argv]], tmp_path) == {"import": [0, []], argv[0]: [0, replay]}
 
 
 def test_entry_freezes_the_import_time_objects(tmp_path):
@@ -559,7 +558,7 @@ def test_trace_rows_match_row_writer(tmp_path, params, fmt, theta_a, angle):
     assert main(["trace", *BASE, "--theta-a", str(theta_a), "--defender-angle", str(angle),
                  "--dt", "1e-3", "--format", fmt, "--out", str(out)]) == 0
     traj = engine.simulate_kinematic(strategy.OnCaptureCircle(angle), theta_a, params)
-    rows = [(s.t, s.x_a.x, s.x_a.y, s.x_d.x, s.x_d.y, s.phase.value) for s in traj.sample(1e-3)]
+    rows = list(traj.sample(1e-3))
     oracle = tmp_path / f"oracle.{fmt}"
     _write_rows(oracle, ["t", "ax", "ay", "dx", "dy", "phase"], rows, fmt)
     lines = out.read_bytes().splitlines(keepends=True)
@@ -574,7 +573,7 @@ def test_trace_rejects_too_many_samples(tmp_path, capsys, monkeypatch, dt):
     def no_sample(*args):
         raise AssertionError("a sample was built")
 
-    monkeypatch.setattr(engine, "TrajectorySample", no_sample)
+    monkeypatch.setattr(engine.Trajectory, "_samples", no_sample)
     out = tmp_path / "trace.csv"
     code = main(["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1",
                  "--dt", dt, "--out", str(out)])
@@ -696,7 +695,7 @@ def test_verify_rejects_oversized_run(tmp_path, capsys, monkeypatch):
     def no_angles(*args):
         raise AssertionError("arrival bearings were drawn")
 
-    monkeypatch.setattr(engine, "_uniform_angles", no_angles)
+    monkeypatch.setattr(engine, "uniform_angle", no_angles)
     out = tmp_path / "verify.txt"
     assert main(["verify", *BASE, "--n", str(MAX_SIM_GAMES + 1), "--out", str(out)]) == 2
     assert str(MAX_SIM_GAMES) in capsys.readouterr().err

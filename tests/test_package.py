@@ -19,7 +19,7 @@ PUBLIC = {
                "capture_circle_radius", "capture_circle_solution", "engagement_candidate", "engagement_domain",
                "engagement_theta", "evasion_point", "guarded_arc", "optimize_engagement", "sufficiency_holds",
                "theta_max_at"],
-    engine: ["AgreementReport", "GameOutcome", "Phase", "SessionRecord", "Trajectory", "play_game", "run_session",
+    engine: ["AgreementReport", "GameOutcome", "SessionRecord", "Trajectory", "play_game", "run_session",
              "simulate_kinematic", "uniform_angle", "verify_outcome_agreement", "wrap_angle"],
     analytics: ["LevelSetFit", "PrefixStats", "SweepRow", "aggregate_sessions", "asymptotic_percentage",
                 "expected_percentage", "expected_resets", "level_set_slope", "markov_oracle", "p_star",
@@ -30,7 +30,7 @@ MODULES = ["analytics", "cli", "engine", "geometry", "strategy"]
 
 def test_public_names_are_their_modules_objects():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 49
+    assert len(names) == 48
     assert sorted(perimdef.__all__) == names
     for module, module_names in PUBLIC.items():
         for name in module_names:
