@@ -70,6 +70,12 @@ PINNED_CENTER_TRACE_SHA256 = {
     "csv": "f0977d06550182e75abc263db8847cd15b29ea2b464e5b0ab8a5b10ced9c0e80",
     "jsonl": "4a999aaa19934c12f2a7fded0b91f8c468856b4c7e87e54718b4848840d613ff",
 }
+# A capture-bound trace from the capture circle at bearing 0, keyed by format:
+# a bearing of 0 is a defender on the circle, not one at the center.
+PINNED_BEARING_ZERO_TRACE_SHA256 = {
+    "csv": "5ad24c21c3d6a61e0af648d7d1c33140a0a44189be67cce58544c7bbc62fbfd7",
+    "jsonl": "20b241304614a4e6b8f0920d52c64f4f1b296008d5647e6020937d0d2a2d6e1b",
+}
 # verify's report at the baseline and at a plateau, keyed by --rho-a and --nu.
 PINNED_VERIFY_SHA256 = {
     ("1", "0.8"): "455135ffae6424b9622c518a17b679d758415dbf973f3e8271650e36b6455d13",
@@ -763,6 +769,16 @@ def test_center_trace_bytes_pinned(tmp_path):
         assert main(["trace", *BASE, "--theta-a", "-1.1", "--dt", "1e-3", "--format", fmt, "--out", str(out)]) == 0
         digests[fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_CENTER_TRACE_SHA256
+
+
+def test_bearing_zero_trace_bytes_pinned(tmp_path):
+    digests = {}
+    for fmt in PINNED_BEARING_ZERO_TRACE_SHA256:
+        out = tmp_path / f"trace.{fmt}"
+        assert main(["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
+                     "--format", fmt, "--out", str(out)]) == 0
+        digests[fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_BEARING_ZERO_TRACE_SHA256
 
 
 def test_verify_bytes_pinned(tmp_path):
