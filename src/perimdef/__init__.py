@@ -17,14 +17,13 @@ _NAMES = {
         "assumption_clauses", "classify", "validate_params",
     ),
     "strategy": (
-        "AtCenter", "DefenderState", "EngagementCandidate", "EngagementSolution", "OnCaptureCircle",
-        "capture_circle_radius", "capture_circle_solution", "engagement_candidate", "engagement_domain",
-        "engagement_theta", "evasion_point", "guarded_arc", "optimize_engagement", "sufficiency_holds",
-        "theta_max_at",
+        "EngagementCandidate", "EngagementSolution", "capture_circle_radius", "capture_circle_solution",
+        "engagement_candidate", "engagement_domain", "engagement_theta", "evasion_point", "guarded_arc",
+        "optimize_engagement", "sufficiency_holds", "theta_max_at",
     ),
     "engine": (
-        "AgreementReport", "GameOutcome", "SessionRecord", "Trajectory", "play_game", "run_session",
-        "simulate_kinematic", "uniform_angle", "verify_outcome_agreement", "wrap_angle",
+        "AgreementReport", "SessionRecord", "Trajectory", "play_game", "run_session", "simulate_kinematic",
+        "uniform_angle", "verify_outcome_agreement", "wrap_angle",
     ),
     "analytics": (
         "LevelSetFit", "PrefixStats", "SweepRow", "aggregate_sessions", "asymptotic_percentage",

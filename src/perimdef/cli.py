@@ -290,13 +290,9 @@ def cmd_trace(cfg: dict) -> int:
     theta_a = float(cfg["theta_a"])
     from . import engine
 
-    if cfg.get("defender_angle") is None:
-        state: strategy.DefenderState = strategy.AtCenter()
-        mirror = 1.0
-    else:
-        state = strategy.OnCaptureCircle(float(cfg["defender_angle"]))
-        mirror = engine._capture_side(state.angle, theta_a, math.pi)
-    traj = engine.simulate_kinematic(state, theta_a, params)
+    angle = cfg.get("defender_angle")
+    mirror = 1.0 if angle is None else engine._capture_side(angle, theta_a, math.pi)
+    traj = engine.simulate_kinematic(angle, theta_a, params)
     rows = traj.sample(cfg.get("dt", 1e-4 * params.tsr_radius))
 
     tau_min, tau_max = strategy.engagement_domain(params)

@@ -13,13 +13,7 @@ import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .geometry import GameParams, Point2, first_entry
-from .strategy import (
-    AtCenter,
-    DefenderState,
-    OnCaptureCircle,
-    capture_circle_radius,
-    capture_circle_solution,
-)
+from .strategy import capture_circle_radius, capture_circle_solution
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,20 +75,12 @@ def _uniform_angles(seed: int, n: int) -> np.ndarray:
     return -math.pi + _TWO_PI * u
 
 
-class GameOutcome(NamedTuple):
-    """Resolution of a single arrival: ``captured`` is True on a capture and
-    False on a breach, and ``capture_point`` is None on a breach."""
-
-    captured: bool
-    defender_state_after: DefenderState
-    capture_point: Optional[Point2]
-
-
 class SessionRecord(NamedTuple):
     """Capture mask of a seeded sequence of arrivals played in order.
 
-    ``outcomes[i]`` is the ``captured`` that ``play_game`` reports for game
-    ``i``.  Replaying the seed through ``play_game`` gives the per-game detail.
+    ``outcomes[i]`` is True when ``play_game`` returns a bearing for game
+    ``i``.  Replaying the seed through ``play_game`` from None, carrying each
+    returned bearing, gives the per-game detail.
     """
 
     params: GameParams
@@ -128,19 +114,22 @@ def _next_bearing(angle: Optional[float], theta_a: float, theta_max: float, phi:
     return None if s is None else wrap_angle(theta_a + s * phi)
 
 
-def play_game(state: DefenderState, theta_a: float, params: GameParams) -> GameOutcome:
-    """Resolve one arrival at bearing ``theta_a`` from the given defender state.
+def _require_finite(angle: Optional[float], theta_a: float) -> None:
+    if not (math.isfinite(theta_a) and (angle is None or math.isfinite(angle))):
+        raise ValueError("arrival and defender bearings must be finite")
 
-    A capture leaves the defender on the capture circle at the capture
-    point; a breach sends it back to the center.
+
+def play_game(angle: Optional[float], theta_a: float, params: GameParams) -> Optional[float]:
+    """Resolve one arrival at bearing ``theta_a`` from a defender on the
+    capture circle at bearing ``angle``, or at the center when it is None.
+
+    Returns the defender's bearing after a capture, where it stands on the
+    capture circle at the capture point, or None after a breach, which sends
+    it back to the center.  A bearing of 0.0 is falsy: test ``is None``.
     """
-    before = None if isinstance(state, AtCenter) else state.angle
+    _require_finite(angle, theta_a)
     sol = capture_circle_solution(params)
-    after = _next_bearing(before, theta_a, sol.theta_max, sol.phi)
-    if after is None:
-        return GameOutcome(False, AtCenter(), None)
-    point = Point2.from_polar(capture_circle_radius(params), after)
-    return GameOutcome(True, OnCaptureCircle(after), point)
+    return _next_bearing(angle, theta_a, sol.theta_max, sol.phi)
 
 
 def run_session(params: GameParams, n: int, seed: int) -> SessionRecord:
@@ -189,7 +178,7 @@ class Trajectory(NamedTuple):
     for ``start + h`` in ``[start, end]``; ``phase`` is ``"partial"`` before
     detection and ``"full"`` after it.  The game ends at ``t`` with the
     intruder at ``x_a`` and the defender at ``x_d``: in a capture (``captured``
-    True, as ``play_game`` reports it) or in a breach.
+    True, where ``play_game`` returns a bearing) or in a breach.
     """
 
     pieces: tuple[tuple, ...]
@@ -245,8 +234,9 @@ def _heading(pos: Point2, target: Point2, speed: float) -> tuple[Point2, float]:
     return (target - pos) * (speed / dist), dist / speed
 
 
-def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams) -> Trajectory:
-    """Replay one game on its exact piecewise-linear paths.
+def simulate_kinematic(angle: Optional[float], theta_a: float, params: GameParams) -> Trajectory:
+    """Replay one game on its exact piecewise-linear paths, from a defender on
+    the capture circle at bearing ``angle``, or at the center when it is None.
 
     The intruder runs radially inward until the defender enters its sensing
     radius; then both head straight for the evasion endpoint if the game is
@@ -260,25 +250,22 @@ def simulate_kinematic(state: DefenderState, theta_a: float, params: GameParams)
     beats detection.  The walk's pieces come back in a ``Trajectory``, whose
     ``sample(dt)`` yields positions at a fixed spacing.
     """
-    before = None if isinstance(state, AtCenter) else state.angle
-    if not (math.isfinite(theta_a) and (before is None or math.isfinite(before))):
-        raise ValueError("arrival and defender bearings must be finite")
-
+    _require_finite(angle, theta_a)
     r_cc = capture_circle_radius(params)
     slack = CONTACT_SLACK * (1.0 + r_cc)
     u = Point2.from_polar(1.0, theta_a)
     origin = Point2(0.0, 0.0)
     a = u * params.tsr_radius
-    if before is None:
+    if angle is None:
         capture_bound = True
         d = origin
         waypoint = u * (params.r_t - params.rho_a / (1.0 + params.nu))
         dest = Point2.from_polar(r_cc, theta_a)
     else:
         sol = capture_circle_solution(params)
-        mirror = _capture_side(before, theta_a, sol.theta_max)
+        mirror = _capture_side(angle, theta_a, sol.theta_max)
         capture_bound = mirror is not None
-        d = Point2.from_polar(r_cc, before)
+        d = Point2.from_polar(r_cc, angle)
         if capture_bound:
             waypoint = to_world(sol.candidate.x_d_eng, theta_a, mirror)
             dest = to_world(sol.x_p, theta_a, mirror)
@@ -345,7 +332,7 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
         raise ValueError(f"n_games must be >= 1, got {n_games!r}")
     sol = capture_circle_solution(params)
     r_cc = capture_circle_radius(params)
-    state: DefenderState = AtCenter()
+    angle: Optional[float] = None
     n_boundary = 0
     n_compared = 0
     n_mismatch = 0
@@ -353,26 +340,26 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
     max_circ = 0.0
     max_home = 0.0
     for theta_a in (uniform_angle(seed, i) for i in range(n_games)):
-        outcome = play_game(state, theta_a, params)
+        after = play_game(angle, theta_a, params)
         near_boundary = False
-        if isinstance(state, OnCaptureCircle):
-            gap = abs(wrap_angle(state.angle - theta_a))
+        if angle is not None:
+            gap = abs(wrap_angle(angle - theta_a))
             near_boundary = abs(gap - sol.theta_max) < BOUNDARY_MARGIN
         if near_boundary:
             n_boundary += 1
         else:
-            traj = simulate_kinematic(state, theta_a, params)
+            traj = simulate_kinematic(angle, theta_a, params)
             n_compared += 1
-            if traj.captured != outcome.captured:
+            if traj.captured != (after is not None):
                 n_mismatch += 1
             elif traj.captured:
                 end = traj.end
-                max_pt_err = max(max_pt_err, end.distance_to(outcome.capture_point))
+                max_pt_err = max(max_pt_err, end.distance_to(Point2.from_polar(r_cc, after)))
                 max_circ = max(max_circ, abs(end.norm() - r_cc))
             else:
                 home = traj.x_d.norm()
                 max_home = max(max_home, home)
-        state = outcome.defender_state_after
+        angle = after
     return AgreementReport(
         n_games=n_games,
         n_compared=n_compared,

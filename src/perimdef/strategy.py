@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, first_entry, golden_section_max
 
@@ -94,19 +94,6 @@ class EngagementSolution(_SolutionFields):
     @cached_property
     def phi(self) -> float:
         return evasion_point(self.candidate, self.params)[1]
-
-
-class AtCenter(NamedTuple):
-    """Defender waiting at the target center."""
-
-
-class OnCaptureCircle(NamedTuple):
-    """Defender parked on the capture circle at the given world bearing."""
-
-    angle: float
-
-
-DefenderState = Union[AtCenter, OnCaptureCircle]
 
 
 def capture_circle_radius(params: GameParams) -> float:

@@ -16,7 +16,7 @@ from perimdef import GameParams, validate_params
 from perimdef.engine import simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
 from perimdef.strategy import (
-    TAU_GRID_POINTS, AtCenter, OnCaptureCircle, _grid, _grid_peak, _objective, capture_circle_radius,
+    TAU_GRID_POINTS, _grid, _grid_peak, _objective, capture_circle_radius,
     capture_circle_solution, engagement_domain, engagement_theta, theta_max_at,
 )
 
@@ -106,7 +106,7 @@ def detections(params):
     k/8 * theta_max on both sides: the start of the replay's first
     full-information piece."""
     theta_max = capture_circle_solution(params).theta_max
-    states = [AtCenter()] + [OnCaptureCircle(side * theta_max * k / 8) for k in range(1, 9) for side in (1.0, -1.0)]
+    states = [None] + [side * theta_max * k / 8 for k in range(1, 9) for side in (1.0, -1.0)]
     for state in states:
         detected = next((piece for piece in simulate_kinematic(state, 0.0, params).pieces
                          if piece[6] == "full"), None)

@@ -563,7 +563,7 @@ def test_trace_rows_match_row_writer(tmp_path, params, fmt, theta_a, angle):
     out = tmp_path / f"trace.{fmt}"
     assert main(["trace", *BASE, "--theta-a", str(theta_a), "--defender-angle", str(angle),
                  "--dt", "1e-3", "--format", fmt, "--out", str(out)]) == 0
-    traj = engine.simulate_kinematic(strategy.OnCaptureCircle(angle), theta_a, params)
+    traj = engine.simulate_kinematic(angle, theta_a, params)
     rows = list(traj.sample(1e-3))
     oracle = tmp_path / f"oracle.{fmt}"
     _write_rows(oracle, ["t", "ax", "ay", "dx", "dy", "phase"], rows, fmt)

@@ -29,12 +29,7 @@ from perimdef.engine import (
 )
 from conftest import CIRCLE_TOL, PLATEAU_HEX, capture_off_circle, detections, valid_params
 from perimdef.geometry import CircleClass, Point2, apollonius, assumption_clauses, classify, validate_params
-from perimdef.strategy import (
-    AtCenter,
-    OnCaptureCircle,
-    capture_circle_radius,
-    capture_circle_solution,
-)
+from perimdef.strategy import capture_circle_radius, capture_circle_solution
 
 
 def test_wrap_angle_range_and_branch():
@@ -75,62 +70,57 @@ def test_uniform_angles_match_scalar_hash_property(seed, n):
 
 
 def test_play_from_center_always_captures(params):
-    out = play_game(AtCenter(), 1.234, params)
-    assert out.captured
-    assert out.defender_state_after == OnCaptureCircle(1.234)
-    assert out.capture_point.norm() == pytest.approx(capture_circle_radius(params), abs=1e-9)
-    assert out.capture_point.bearing() == pytest.approx(1.234, abs=1e-12)
+    after = play_game(None, 1.234, params)
+    assert after == 1.234
+    point = Point2.from_polar(capture_circle_radius(params), after)
+    assert point.norm() == pytest.approx(capture_circle_radius(params), abs=1e-9)
+    assert point.bearing() == pytest.approx(1.234, abs=1e-12)
 
 
 def test_play_on_circle_breach_at_antipode(params):
     # theta_max < pi for these parameters, so the antipodal arrival wins
     assert capture_circle_solution(params).theta_max < math.pi
-    out = play_game(OnCaptureCircle(0.0), math.pi, params)
-    assert not out.captured
-    assert out.defender_state_after == AtCenter()
-    assert out.capture_point is None
+    assert play_game(0.0, math.pi, params) is None
 
 
 def test_play_on_circle_zero_gap_captures(params):
     sol = capture_circle_solution(params)
-    out = play_game(OnCaptureCircle(0.7), 0.7, params)
-    assert out.captured
     # tie at zero gap resolves to the positive side
-    assert out.defender_state_after == OnCaptureCircle(wrap_angle(0.7 + sol.phi))
+    assert play_game(0.7, 0.7, params) == wrap_angle(0.7 + sol.phi)
 
 
 def test_play_mirror_symmetry(params):
     sol = capture_circle_solution(params)
+    r_cc = capture_circle_radius(params)
     gap = 0.5 * sol.theta_max
-    plus = play_game(OnCaptureCircle(gap), 0.0, params)
-    minus = play_game(OnCaptureCircle(-gap), 0.0, params)
-    assert plus.captured and minus.captured
-    assert plus.capture_point.x == pytest.approx(minus.capture_point.x, abs=1e-12)
-    assert plus.capture_point.y == pytest.approx(-minus.capture_point.y, abs=1e-12)
+    after = [play_game(side * gap, 0.0, params) for side in (1.0, -1.0)]
+    assert None not in after
+    plus, minus = (Point2.from_polar(r_cc, angle) for angle in after)
+    assert plus.x == pytest.approx(minus.x, abs=1e-12)
+    assert plus.y == pytest.approx(-minus.y, abs=1e-12)
 
 
 def test_play_depends_only_on_state_and_arrival(params):
     rng = random.Random(11)
     for _ in range(50):
-        state = OnCaptureCircle(rng.uniform(-math.pi, math.pi))
+        angle = rng.uniform(-math.pi, math.pi)
         theta_a = rng.uniform(-math.pi, math.pi)
-        assert play_game(state, theta_a, params) == play_game(state, theta_a, params)
+        assert play_game(angle, theta_a, params) == play_game(angle, theta_a, params)
 
 
 def test_capture_threshold_inclusive(params):
     sol = capture_circle_solution(params)
-    out = play_game(OnCaptureCircle(sol.theta_max), 0.0, params)
-    assert out.captured
-    out = play_game(OnCaptureCircle(sol.theta_max + 1e-9), 0.0, params)
-    assert not out.captured
+    assert play_game(sol.theta_max, 0.0, params) is not None
+    assert play_game(sol.theta_max + 1e-9, 0.0, params) is None
 
 
 def _replay(params, n, seed):
-    """Per-game outcomes of a seeded session, played through the play_game chain."""
-    state, games = AtCenter(), []
+    """The defender's bearing after each game of a seeded session (None after
+    a breach), played through the play_game chain."""
+    angle, games = None, []
     for i in range(n):
-        games.append(play_game(state, uniform_angle(seed, i), params))
-        state = games[-1].defender_state_after
+        angle = play_game(angle, uniform_angle(seed, i), params)
+        games.append(angle)
     return games
 
 
@@ -173,15 +163,14 @@ def test_session_structure(params):
     """Captures park the defender on the capture circle; breaches reset it."""
     rec = run_session(params, 400, seed=77)
     games = _replay(params, 400, 77)
-    assert rec.outcomes == tuple(out.captured for out in games)
+    assert rec.outcomes == tuple(after is not None for after in games)
     assert 0 < rec.n_breach < rec.n_capture
     r_cc = capture_circle_radius(params)
-    for captured, out in zip(rec.outcomes, games):
+    for captured, after in zip(rec.outcomes, games):
         if captured:
-            assert out.capture_point.norm() == pytest.approx(r_cc, abs=1e-9)
-            assert isinstance(out.defender_state_after, OnCaptureCircle)
+            assert Point2.from_polar(r_cc, after).norm() == pytest.approx(r_cc, abs=1e-9)
         else:
-            assert out.defender_state_after == AtCenter()
+            assert after is None
     # a breach can never follow a breach: the defender resets first
     assert all(a or b for a, b in zip(rec.outcomes, rec.outcomes[1:]))
 
@@ -207,7 +196,7 @@ def _session_case(draw):
 def test_session_mask_matches_play_game_chain_property(case):
     p, seed, n = case
     games = _replay(p, n, seed)
-    assert run_session(p, n, seed).outcomes == tuple(out.captured for out in games)
+    assert run_session(p, n, seed).outcomes == tuple(after is not None for after in games)
 
 
 def _bearing_chain(arrivals, theta_max, phi):
@@ -260,26 +249,25 @@ def test_session_loop_restarts_from_the_center_after_a_breach():
 
 
 def test_kinematic_matches_event_level_from_center(params):
-    out = play_game(AtCenter(), 0.7, params)
-    traj = simulate_kinematic(AtCenter(), 0.7, params)
+    after = play_game(None, 0.7, params)
+    traj = simulate_kinematic(None, 0.7, params)
     assert traj.captured
-    assert traj.end.distance_to(out.capture_point) <= 5e-3
+    assert traj.end.distance_to(Point2.from_polar(capture_circle_radius(params), after)) <= 5e-3
 
 
 def test_kinematic_matches_event_level_on_circle(params):
-    state = OnCaptureCircle(0.4)
-    out = play_game(state, -0.9, params)
-    assert out.captured
-    traj = simulate_kinematic(state, -0.9, params)
+    after = play_game(0.4, -0.9, params)
+    assert after is not None
+    traj = simulate_kinematic(0.4, -0.9, params)
     assert traj.captured
-    assert traj.end.distance_to(out.capture_point) <= 5e-3
+    assert traj.end.distance_to(Point2.from_polar(capture_circle_radius(params), after)) <= 5e-3
 
 
 def test_kinematic_breach_sends_defender_home(params):
-    state = OnCaptureCircle(0.0)
+    angle = 0.0
     theta_a = 2.5
-    assert not play_game(state, theta_a, params).captured
-    traj = simulate_kinematic(state, theta_a, params)
+    assert play_game(angle, theta_a, params) is None
+    traj = simulate_kinematic(angle, theta_a, params)
     assert not traj.captured
     assert traj.x_d.norm() <= 1e-3
     r_a = traj.end.norm()
@@ -297,7 +285,7 @@ def test_breach_bound_replay_is_never_detected_property(p):
     for k in range(1, 9):
         gap = theta_max + (math.pi - theta_max) * k / 8
         for side in (1.0, -1.0):
-            traj = simulate_kinematic(OnCaptureCircle(side * gap), 0.0, p)
+            traj = simulate_kinematic(side * gap, 0.0, p)
             assert all(piece[6] == "partial" for piece in traj.pieces)
             assert not traj.captured
             assert abs(traj.end.norm() - p.r_t) <= 1e-9 * (1.0 + p.r_t)
@@ -305,7 +293,7 @@ def test_breach_bound_replay_is_never_detected_property(p):
 
 def test_trajectory_step_bounds_and_phases(params):
     dt = 1e-3
-    samples = list(simulate_kinematic(AtCenter(), -1.1, params).sample(dt))
+    samples = list(simulate_kinematic(None, -1.1, params).sample(dt))
     seen_full = False
     steps = list(zip(samples, samples[1:]))
     for k, (a, b) in enumerate(steps):
@@ -326,7 +314,7 @@ def test_committed_path_stays_in_dominance_region(params):
     """After detection the intruder's straight run never leaves the region it
     dominates at the moment of detection."""
     dt = 1e-3
-    traj = simulate_kinematic(OnCaptureCircle(0.2), -0.8, params)
+    traj = simulate_kinematic(0.2, -0.8, params)
     full = [(Point2(s[1], s[2]), Point2(s[3], s[4])) for s in traj.sample(dt) if s[5] == "full"]
     x_a0, x_d0 = full[0]
     slack = 5e-3  # discrete detection lags the exact crossing by O(dt)
@@ -365,17 +353,25 @@ def test_all_agree_applies_the_capture_point_tolerance():
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
 def test_kinematic_rejects_bad_resolution(params, dt):
-    traj = simulate_kinematic(AtCenter(), 0.7, params)
+    traj = simulate_kinematic(None, 0.7, params)
     with pytest.raises(ValueError, match="dt"):
         traj.sample(dt)
 
 
-@pytest.mark.parametrize("state, theta_a", [
-    (AtCenter(), math.nan), (OnCaptureCircle(math.nan), 0.3), (OnCaptureCircle(0.3), math.inf),
-])
+def _state_ids(cases):
+    """Test ids ``state<i>-<theta_a>`` for (state, theta_a) cases: pytest would
+    name a case by its bearings, and a center state by ``None``."""
+    return [f"state{i}-{theta_a}" for i, (_, theta_a) in enumerate(cases)]
+
+
+NONFINITE_GAMES = [(None, math.nan), (math.nan, 0.3), (0.3, math.inf)]
+
+
+@pytest.mark.parametrize("state, theta_a", NONFINITE_GAMES, ids=_state_ids(NONFINITE_GAMES))
 def test_kinematic_rejects_nonfinite_bearing(params, state, theta_a):
-    with pytest.raises(ValueError, match="finite"):
-        simulate_kinematic(state, theta_a, params)
+    for play in (play_game, simulate_kinematic):
+        with pytest.raises(ValueError, match="finite"):
+            play(state, theta_a, params)
 
 
 # Plateaus whose first grid time past pi/2 leads it by less than HOLD_MARGIN:
@@ -465,14 +461,14 @@ def _stepped_terminal(state, theta_a, params, h):
     r_cc = capture_circle_radius(params)
     u = np.array([math.cos(theta_a), math.sin(theta_a)])
     xa = params.tsr_radius * u
-    if isinstance(state, AtCenter):
+    if state is None:
         xd = np.zeros(2)
         waypoint = (params.r_t - params.rho_a / (1.0 + params.nu)) * u
         dest = r_cc * u
     else:
         sol = capture_circle_solution(params)
-        mirror = _capture_side(state.angle, theta_a, sol.theta_max)
-        xd = r_cc * np.array([math.cos(state.angle), math.sin(state.angle)])
+        mirror = _capture_side(state, theta_a, sol.theta_max)
+        xd = r_cc * np.array([math.cos(state), math.sin(state)])
         if mirror is None:
             waypoint, dest = np.zeros(2), None  # walk home; the intruder keeps its radial run
         else:
@@ -508,18 +504,17 @@ def _stepped_terminal(state, theta_a, params, h):
 # A capture from the center, captures from the circle on either mirror side,
 # and two breach-bound games, whose breaches come on the radial run.
 CONVERGENCE_GAMES = [
-    (AtCenter(), 0.7),
-    (OnCaptureCircle(0.4), -0.9),
-    (OnCaptureCircle(-0.4), 0.9),
-    (OnCaptureCircle(0.0), 2.5),
-    (OnCaptureCircle(0.2), -2.9),
+    (None, 0.7),
+    (0.4, -0.9),
+    (-0.4, 0.9),
+    (0.0, 2.5),
+    (0.2, -2.9),
 ]
 
 
 def test_stepped_replay_converges_to_exact_terminals(params):
     sol = capture_circle_solution(params)
-    sides = {_capture_side(s.angle, th, sol.theta_max)
-             for s, th in CONVERGENCE_GAMES if isinstance(s, OnCaptureCircle)}
+    sides = {_capture_side(s, th, sol.theta_max) for s, th in CONVERGENCE_GAMES if s is not None}
     assert sides == {1.0, -1.0, None}
     exact = [simulate_kinematic(s, th, params) for s, th in CONVERGENCE_GAMES]
     assert [traj.captured for traj in exact] == [True] * 3 + [False] * 2
@@ -535,7 +530,7 @@ def test_stepped_replay_converges_to_exact_terminals(params):
     assert capture_errors[2] < capture_errors[1] < capture_errors[0]
 
 
-@pytest.mark.parametrize("state, theta_a", CONVERGENCE_GAMES)
+@pytest.mark.parametrize("state, theta_a", CONVERGENCE_GAMES, ids=_state_ids(CONVERGENCE_GAMES))
 def test_pieces_tile_the_game(params, state, theta_a):
     traj = simulate_kinematic(state, theta_a, params)
     starts = [piece[0] for piece in traj.pieces]
@@ -548,7 +543,7 @@ def test_pieces_tile_the_game(params, state, theta_a):
     assert (d + vd * (end - start)).distance_to(traj.x_d) <= 1e-9
 
 
-@pytest.mark.parametrize("state, theta_a", CONVERGENCE_GAMES)
+@pytest.mark.parametrize("state, theta_a", CONVERGENCE_GAMES, ids=_state_ids(CONVERGENCE_GAMES))
 def test_sample_times_are_multiples_of_dt_then_terminal(params, state, theta_a):
     dt = 1e-3
     traj = simulate_kinematic(state, theta_a, params)

@@ -1,9 +1,11 @@
 """The package namespace: every public name resolves to its module's object,
-and nothing is imported before it is asked for."""
+nothing is imported before it is asked for, and README's example runs."""
 
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +17,11 @@ from perimdef import analytics, engine, geometry, strategy
 PUBLIC = {
     geometry: ["ApolloniusCircle", "AssumptionViolated", "CircleClass", "GameParams", "Point2", "apollonius",
                "assumption_clauses", "classify", "validate_params"],
-    strategy: ["AtCenter", "DefenderState", "EngagementCandidate", "EngagementSolution", "OnCaptureCircle",
-               "capture_circle_radius", "capture_circle_solution", "engagement_candidate", "engagement_domain",
-               "engagement_theta", "evasion_point", "guarded_arc", "optimize_engagement", "sufficiency_holds",
-               "theta_max_at"],
-    engine: ["AgreementReport", "GameOutcome", "SessionRecord", "Trajectory", "play_game", "run_session",
-             "simulate_kinematic", "uniform_angle", "verify_outcome_agreement", "wrap_angle"],
+    strategy: ["EngagementCandidate", "EngagementSolution", "capture_circle_radius", "capture_circle_solution",
+               "engagement_candidate", "engagement_domain", "engagement_theta", "evasion_point", "guarded_arc",
+               "optimize_engagement", "sufficiency_holds", "theta_max_at"],
+    engine: ["AgreementReport", "SessionRecord", "Trajectory", "play_game", "run_session", "simulate_kinematic",
+             "uniform_angle", "verify_outcome_agreement", "wrap_angle"],
     analytics: ["LevelSetFit", "PrefixStats", "SweepRow", "aggregate_sessions", "asymptotic_percentage",
                 "expected_percentage", "expected_resets", "level_set_slope", "markov_oracle", "p_star",
                 "resets_tail_all", "sweep", "total_captures_pmf", "travel_pmf"],
@@ -30,7 +31,7 @@ MODULES = ["analytics", "cli", "engine", "geometry", "strategy"]
 
 def test_public_names_are_their_modules_objects():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 48
+    assert len(names) == 44
     assert sorted(perimdef.__all__) == names
     for module, module_names in PUBLIC.items():
         for name in module_names:
@@ -74,3 +75,11 @@ print(json.dumps(steps))
         "name": [["perimdef.engine", "perimdef.geometry", "perimdef.strategy"], True, True],
         "modules": [True] * len(MODULES),
     }
+
+
+def test_readme_example_runs(tmp_path):
+    """README's ``python`` block runs in a fresh interpreter and exits 0, so the
+    documented API cannot drift from the code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    run_fresh(example, tmp_path)

@@ -16,8 +16,7 @@ _DataclassPoint2 = dataclasses.make_dataclass("Point2", [("x", float), ("y", flo
 
 RECORDS = (
     geometry.GameParams, geometry.ApolloniusCircle, strategy.EngagementCandidate,
-    strategy.EngagementSolution, strategy.AtCenter, strategy.OnCaptureCircle, engine.GameOutcome,
-    engine.SessionRecord, engine.Trajectory, engine.AgreementReport,
+    strategy.EngagementSolution, engine.SessionRecord, engine.Trajectory, engine.AgreementReport,
     analytics.PrefixStats, analytics.SweepRow, analytics.LevelSetFit,
 )
 
@@ -40,7 +39,7 @@ def test_records_are_tuples_and_cached_points_stay_put(tmp_path, params):
     for record in RECORDS:
         instance = record._make([None] * len(record._fields))
         assert isinstance(instance, tuple)
-        for name in record._fields or ("angle",):
+        for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(instance, name, 0.0)
 
