@@ -19,7 +19,7 @@ _NAMES = {
     "strategy": (
         "EngagementCandidate", "EngagementSolution", "capture_circle_radius", "capture_circle_solution",
         "engagement_candidate", "engagement_domain", "engagement_theta", "evasion_point", "guarded_arc",
-        "optimize_engagement", "sufficiency_holds", "theta_max_at",
+        "optimize_engagement", "theta_max_at",
     ),
     "engine": (
         "AgreementReport", "SessionRecord", "Trajectory", "play_game", "run_session", "simulate_kinematic",
@@ -28,7 +28,7 @@ _NAMES = {
     "analytics": (
         "LevelSetFit", "PrefixStats", "SweepRow", "aggregate_sessions", "asymptotic_percentage",
         "expected_percentage", "expected_resets", "level_set_slope", "markov_oracle", "p_star",
-        "resets_tail_all", "sweep", "total_captures_pmf", "travel_pmf",
+        "resets_tail_all", "sweep",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

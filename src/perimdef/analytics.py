@@ -51,32 +51,6 @@ def p_star(params: GameParams) -> float:
     return capture_circle_solution(params).theta_max / math.pi
 
 
-def travel_pmf(k: int, p_star: float) -> float:
-    """Probability that a capture run between breaches has length ``k``."""
-    if k < 1:
-        raise DomainError(f"travel length must be >= 1, got {k!r}")
-    if not (0.0 <= p_star < 1.0):
-        raise DomainError(f"p_star must lie in [0, 1), got {p_star!r}")
-    return p_star ** (k - 1) * (1.0 - p_star)
-
-
-def total_captures_pmf(n: int, m: int, p_star: float) -> float:
-    """Probability that ``m`` capture runs account for exactly ``n`` captures.
-
-    Negative-binomial mass, evaluated in log space so large horizons do not
-    overflow the binomial coefficient.
-    """
-    if not 1 <= m <= n:
-        raise DomainError(f"need 1 <= m <= n, got m={m!r}, n={n!r}")
-    _check_probability(p_star)
-    if p_star == 0.0:
-        return 1.0 if n == m else 0.0
-    if p_star == 1.0:
-        return 0.0
-    log_c = math.lgamma(n) - math.lgamma(m) - math.lgamma(n - m + 1)
-    return math.exp(log_c + (n - m) * math.log(p_star) + m * math.log1p(-p_star))
-
-
 def resets_tail_all(n: int, p_star: float) -> np.ndarray:
     """P(breach count after ``n`` games exceeds m), for every m = 0..n.
 

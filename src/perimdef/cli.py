@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import strategy
-from .geometry import AssumptionViolated, _check_length, validate_params
+from .geometry import AssumptionViolated, _check_length, _check_speed, validate_params
 
 if TYPE_CHECKING:
     from . import analytics
@@ -248,7 +248,9 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
     _require(cfg, *fixed_names)
     fixed = {name: float(cfg[name]) for name in fixed_names}
     for name in fixed_names:
-        if name != "nu":
+        if name == "nu":
+            _check_speed(fixed[name])
+        else:
             _check_length(name, fixed[name])
     horizons = _parse_horizons(str(cfg.get("n", "20")))
     if len(set(horizons)) != len(horizons):

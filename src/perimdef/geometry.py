@@ -167,6 +167,11 @@ def _check_length(name: str, value: float) -> None:
         raise ValueError(f"{name}={value!r} is outside the supported length range [{lo:g}, {hi:g}]")
 
 
+def _check_speed(nu: float) -> None:
+    if not (0.0 < nu < 1.0):
+        raise AssumptionViolated("speed", f"speed ratio nu={nu!r} must lie strictly in (0, 1)")
+
+
 def validate_params(r_t: float, rho_t: float, rho_a: float, nu: float) -> GameParams:
     """Validate raw inputs and derive the dominance-circle constants.
 
@@ -175,10 +180,7 @@ def validate_params(r_t: float, rho_t: float, rho_a: float, nu: float) -> GamePa
     """
     for name, value in (("r_t", r_t), ("rho_t", rho_t), ("rho_a", rho_a)):
         _check_length(name, value)
-    if not (0.0 < nu < 1.0):
-        raise AssumptionViolated(
-            "speed", f"speed ratio nu={nu!r} must lie strictly in (0, 1)"
-        )
+    _check_speed(nu)
     first, second = assumption_clauses(r_t, rho_t, rho_a, nu)
     worst = max(first, second)
     if worst > rho_t:

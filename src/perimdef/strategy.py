@@ -101,11 +101,6 @@ def capture_circle_radius(params: GameParams) -> float:
     return params.r_t + 2.0 * params.gamma * params.rho_a
 
 
-def sufficiency_holds(r: float, params: GameParams) -> bool:
-    """Whether a defender at radius ``r`` can reach the engagement surface unseen."""
-    return r <= params.tsr_radius - params.rho_a
-
-
 def guarded_arc(r: float, params: GameParams) -> float:
     """Largest arrival-bearing separation a defender at radius ``r`` can guard.
 
@@ -381,11 +376,12 @@ def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     return EngagementSolution(theta_max=theta_max, r=r, params=params, refined_tau=tau_star)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def capture_circle_solution(params: GameParams) -> EngagementSolution:
-    """Cached engagement solution for a defender on the capture circle.
+    """Engagement solution for a defender on the capture circle.
 
     Every on-circle game reuses the same bundle because the defender radius
-    is the same at the start of each of them.
+    is the same at the start of each of them.  Callers ask for one params at
+    a time, so only the latest params' solution is kept.
     """
     return optimize_engagement(capture_circle_radius(params), params)

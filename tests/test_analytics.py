@@ -4,7 +4,6 @@ plus aggregation, sweeps, and level-set extraction."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,8 +22,6 @@ from perimdef.analytics import (
     p_star,
     resets_tail_all,
     sweep,
-    total_captures_pmf,
-    travel_pmf,
 )
 from perimdef.engine import run_session
 from perimdef.geometry import validate_params
@@ -33,71 +30,6 @@ from perimdef.strategy import capture_circle_solution
 P_STAR_BASELINE = 0.6389435320791843  # frozen after oracle cross-checks
 
 P_GRID = [0.05 * k for k in range(1, 20)]
-
-
-# ---------------------------------------------------------------------------
-# travel lengths
-
-
-def test_travel_pmf_values():
-    assert travel_pmf(1, 0.0) == 1.0
-    assert travel_pmf(3, 0.5) == pytest.approx(0.125, abs=1e-15)
-
-
-def test_travel_pmf_domain():
-    with pytest.raises(DomainError):
-        travel_pmf(0, 0.5)
-    with pytest.raises(DomainError):
-        travel_pmf(2, 1.0)
-
-
-@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
-def test_travel_pmf_normalizes_with_tail_bound(p):
-    k_max = int(math.ceil(math.log(1e-13) / math.log(p)))
-    partial = sum(travel_pmf(k, p) for k in range(1, k_max + 1))
-    tail = p ** k_max  # geometric tail mass beyond k_max
-    assert tail <= 1e-12
-    assert abs(partial + tail - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("p", [0.2, 0.6389435320791843, 0.9])
-def test_travel_pmf_mean(p):
-    k_max = int(math.ceil(math.log(1e-16) / math.log(p))) + 50
-    mean = sum(k * travel_pmf(k, p) for k in range(1, k_max + 1))
-    assert mean == pytest.approx(1.0 / (1.0 - p), rel=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# run-count distribution
-
-
-def test_total_captures_pmf_reductions():
-    for n in (1, 2, 5, 9):
-        assert total_captures_pmf(n, 1, 0.35) == pytest.approx(travel_pmf(n, 0.35), abs=1e-15)
-    for n in (1, 3, 7):
-        assert total_captures_pmf(n, n, 0.35) == pytest.approx(0.65 ** n, abs=1e-15)
-    assert total_captures_pmf(4, 2, 0.5) == pytest.approx(0.1875, abs=1e-15)
-
-
-def test_total_captures_pmf_domain():
-    with pytest.raises(DomainError):
-        total_captures_pmf(3, 0, 0.5)
-    with pytest.raises(DomainError):
-        total_captures_pmf(3, 4, 0.5)
-
-
-def test_log_space_matches_exact_rationals():
-    """Exact oracle: evaluate the mass with Fraction arithmetic, no logs."""
-    for p_float in (0.3, 0.6389435320791843, 0.95):
-        p = Fraction(p_float)
-        for n in range(1, 31):
-            for m in range(1, n + 1):
-                exact = (
-                    Fraction(math.comb(n - 1, m - 1))
-                    * p ** (n - m)
-                    * (1 - p) ** m
-                )
-                assert abs(total_captures_pmf(n, m, p_float) - float(exact)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +259,20 @@ def test_sweep_rows_order_and_feasibility():
             assert row.theta_max is None and row.percentages is None
             with pytest.raises(KeyError):
                 row.percentage(20.0)
+
+
+def test_sweep_keeps_only_the_latest_solution():
+    """``capture_circle_solution`` caches one params: over the paper's 15x25
+    grid each feasible point solves once, its second lookup hits, and only the
+    last point's solution is kept."""
+    capture_circle_solution.cache_clear()
+    rows = sweep(("rho_a", np.linspace(0.2, 3.0, 15)), ("rho_t", np.linspace(4.0, 16.0, 25)),
+                 {"r_t": 5.0, "nu": 0.75}, horizons=[20, 100])
+    info = capture_circle_solution.cache_info()
+    feasible = sum(row.feasible for row in rows)
+    assert feasible > 200
+    assert info.misses == info.hits == feasible
+    assert info.currsize == 1
 
 
 def test_sweep_rejects_bad_axes():

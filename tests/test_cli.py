@@ -246,6 +246,18 @@ def test_sweep_lengths_beyond_the_range(tmp_path, capsys, r_t, nu, grids, feasib
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nu", ["1.5", "0", "1"])
+def test_sweep_fixed_speed_outside_the_unit_interval_exits_2(tmp_path, capsys, nu):
+    """A fixed ``nu`` outside (0, 1) exits 2 and writes no file, as a fixed
+    length beyond ``LENGTH_RANGE`` does."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--r-t", "5", "--nu", nu, "--grid", "rho_a=0.2:3:2", "--grid", "rho_t=4:16:2",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert f"invalid parameters (speed condition): speed ratio nu={float(nu)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_process_matches_in_process_main(tmp_path):
     """``python -m perimdef.cli`` runs through ``entry``: the same bytes and exit
     codes as ``main`` in process, which leaves the collector's state alone."""

@@ -1,17 +1,18 @@
 """The package namespace: every public name resolves to its module's object,
-nothing is imported before it is asked for, and README's example runs."""
+nothing is imported before it is asked for, and README's examples run."""
 
 from __future__ import annotations
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import perimdef
 from conftest import run_fresh
-from perimdef import analytics, engine, geometry, strategy
+from perimdef import analytics, cli, engine, geometry, strategy
 
 # The public names, by the module that defines them.
 PUBLIC = {
@@ -19,19 +20,19 @@ PUBLIC = {
                "assumption_clauses", "classify", "validate_params"],
     strategy: ["EngagementCandidate", "EngagementSolution", "capture_circle_radius", "capture_circle_solution",
                "engagement_candidate", "engagement_domain", "engagement_theta", "evasion_point", "guarded_arc",
-               "optimize_engagement", "sufficiency_holds", "theta_max_at"],
+               "optimize_engagement", "theta_max_at"],
     engine: ["AgreementReport", "SessionRecord", "Trajectory", "play_game", "run_session", "simulate_kinematic",
              "uniform_angle", "verify_outcome_agreement", "wrap_angle"],
     analytics: ["LevelSetFit", "PrefixStats", "SweepRow", "aggregate_sessions", "asymptotic_percentage",
                 "expected_percentage", "expected_resets", "level_set_slope", "markov_oracle", "p_star",
-                "resets_tail_all", "sweep", "total_captures_pmf", "travel_pmf"],
+                "resets_tail_all", "sweep"],
 }
 MODULES = ["analytics", "cli", "engine", "geometry", "strategy"]
 
 
 def test_public_names_are_their_modules_objects():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 44
+    assert len(names) == 41
     assert sorted(perimdef.__all__) == names
     for module, module_names in PUBLIC.items():
         for name in module_names:
@@ -44,7 +45,8 @@ def test_public_names_are_their_modules_objects():
 
 
 def test_unknown_names_raise_attribute_error():
-    for name in ("no_such_name", "numpy", "PARAM_NAMES", "tracer"):
+    for name in ("no_such_name", "numpy", "PARAM_NAMES", "tracer", "travel_pmf", "total_captures_pmf",
+                 "sufficiency_holds"):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(perimdef, name)
     assert not hasattr(perimdef, "no_such_name")
@@ -83,3 +85,18 @@ def test_readme_example_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
     run_fresh(example, tmp_path)
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    """Each ``perimdef`` line of README's command-line block, its ``\\``
+    continuations joined, runs as written: exit 0 and its ``--out`` file written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("perimdef ")]
+    assert len(lines) == 5
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli.main(argv) == 0, line
+        assert (tmp_path / argv[argv.index("--out") + 1]).exists(), line

@@ -38,7 +38,6 @@ from perimdef.strategy import (
     evasion_point,
     guarded_arc,
     optimize_engagement,
-    sufficiency_holds,
     theta_max_at,
 )
 
@@ -502,7 +501,7 @@ def test_defender_path_never_sensed_early(params, random_valid_params):
     cases = [params] + [random_valid_params(rng) for _ in range(40)]
     for p in cases:
         r = capture_circle_radius(p)
-        assert sufficiency_holds(r, p)
+        assert r <= p.tsr_radius - p.rho_a
         sol = capture_circle_solution(p)
         eng = sol.candidate.x_d_eng
         for frac in (0.0, 0.37, 0.8, 1.0):
@@ -563,9 +562,3 @@ def test_capture_circle_inside_guarding_threshold(random_valid_params):
     for _ in range(200):
         p = random_valid_params(rng)
         assert capture_circle_radius(p) < p.rho_t / p.nu
-
-
-def test_sufficiency_boundary(params):
-    assert sufficiency_holds(capture_circle_radius(params), params)
-    assert sufficiency_holds(params.tsr_radius - params.rho_a, params)
-    assert not sufficiency_holds(params.tsr_radius, params)
