@@ -18,6 +18,7 @@ from perimdef import analytics, engine, strategy
 from perimdef.cli import (
     _TRIAL_BLOCK,
     CONFIG_TYPES,
+    FORMATS,
     MAX_GRID_POINTS,
     MAX_SIM_GAMES,
     _write_rows,
@@ -53,6 +54,23 @@ SHIFTED_SWEEPS_SHA256 = {
 PINNED_JSONL_SHA256 = {
     "sim.jsonl": "da286e9dd5949e96f08b0311a916a0e978abba5a10401d06799a6c282104b278",
     "sim_trials.jsonl": "02b35e1eda1573553fb5f4c9a1420b87c234831f5d70d9c51be57840aa184fa7",
+}
+# simulate at the benchmark's shape (200 sessions of 500 arrivals) and as a few
+# long sessions, each over several blocks of hashed arrivals and more than one
+# _TRIAL_BLOCK of prefixes, keyed by (--n, --trials, --seed) and then by file.
+PINNED_SIM_SHAPES_SHA256 = {
+    ("500", "200", "1"): {
+        "sim.csv": "0a3127e0a732b47c7d01c984d1fb02c3a65ad19a7b4e9dc62c25c820e75d8d04",
+        "sim_trials.csv": "258e88ee03afcec243c06e8d1a04602dc43f8e91d41238dbc0e024bceceb01a0",
+        "sim.jsonl": "92669f54cfbfbe84b33a736d3b2588d20836f5319a19603fa84cffd2f835ceb3",
+        "sim_trials.jsonl": "b6bae0b69762f739c449fd0bdfbcbb8dea268b0d64201a0ffa26add13ace411c",
+    },
+    ("20000", "3", "-7"): {
+        "sim.csv": "27db3790dff8820a2fe2f5b35bebdf5da71adb67978055219d7b398c40c2a326",
+        "sim_trials.csv": "2644826350f3d1ed9cdb751d68d0da44741f8639e190896dc7f299c916e0d44c",
+        "sim.jsonl": "04fed6bcc9b52baf89b227dcc7e11ae950b1b569a0505ddbbe62905259e16d2f",
+        "sim_trials.jsonl": "2aaf198159f926b675952ba6dc4f619bac5ff65c8ccec8e71cfd9ff3dbdb8678",
+    },
 }
 # Traces of a capture-bound and a breach-bound game from the capture circle,
 # keyed by their --theta-a and --defender-angle.
@@ -752,6 +770,16 @@ def test_cli_jsonl_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_JSONL_SHA256}
     assert digests == PINNED_JSONL_SHA256
+
+
+@pytest.mark.parametrize("n, trials, seed", PINNED_SIM_SHAPES_SHA256)
+def test_simulate_shape_bytes_pinned(tmp_path, n, trials, seed):
+    for fmt in FORMATS:
+        assert main(["simulate", *BASE, "--n", n, "--trials", trials, "--seed", seed, "--format", fmt,
+                     "--out", str(tmp_path / f"sim.{fmt}")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_SIM_SHAPES_SHA256[n, trials, seed]}
+    assert digests == PINNED_SIM_SHAPES_SHA256[n, trials, seed]
 
 
 def test_trace_bytes_pinned(tmp_path):
