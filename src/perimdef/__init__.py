@@ -3,9 +3,9 @@
 Importing the package imports none of its modules.  Each public name is
 imported from its module on first access and then kept in the package's
 namespace; the modules themselves (``perimdef.engine`` and the rest) also
-resolve on first access.  numpy is imported inside the functions that use
-it (the session hash and the array statistics), so importing a module does
-not load it either.
+resolve on first access.  numpy is imported only inside the three
+functions that use it (``resets_tail_all``, ``markov_oracle`` and
+``level_set_slope``), so importing a module does not load it either.
 """
 
 __version__ = "0.1.0"

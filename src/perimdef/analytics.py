@@ -14,7 +14,9 @@ can be checked exactly.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from itertools import accumulate, repeat
+from operator import add, mul, sub, truediv
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .geometry import GameParams, validate_params
 from .strategy import capture_circle_solution
@@ -76,7 +78,7 @@ def resets_tail_all(n: int, p_star: float) -> np.ndarray:
     return tails
 
 
-def expected_resets(n: int | np.ndarray, p_star: float) -> float | np.ndarray:
+def expected_resets(n: int | Sequence[int], p_star: float) -> float | list[float]:
     """E[breach count after ``n`` games], in closed form.
 
     The chain starts at the center, so before game k the defender is on the
@@ -84,29 +86,25 @@ def expected_resets(n: int | np.ndarray, p_star: float) -> float | np.ndarray:
     ``q = -(1 - p)``; each game played from the circle is lost with
     probability ``1 - p``.  Summing over k = 1..n gives the expression below.
 
-    ``n`` may be a numpy array of horizons; each value then has the bits of
-    the scalar.  ``np.float_power`` calls the C ``pow`` behind Python's
-    ``q**n``; ``np.power`` takes a SIMD loop on AVX-512 hosts whose results
-    can differ from it in the last bit.
+    ``n`` may also be a sequence of horizons, such as a ``range``; the
+    result is then a list with each horizon's scalar value, bit for bit.
     """
-    scalar = isinstance(n, (int, float))
-    if (n < 1) if scalar else (n < 1).any():
+    horizons = [n] if isinstance(n, (int, float)) else n
+    if horizons and min(horizons) < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
     _check_probability(p_star)
     q = -(1.0 - p_star)
-    if scalar:
-        power = q**n
-    else:
-        import numpy as np
-
-        power = np.float_power(q, n)
-    return (1.0 - p_star) * (n - (1.0 - power) / (1.0 - q)) / (2.0 - p_star)
+    lost, ratio, rate = 1.0 - p_star, 1.0 - q, 2.0 - p_star
+    resets = [lost * (k - (1.0 - q**k) / ratio) / rate for k in horizons]
+    return resets if horizons is n else resets[0]
 
 
-def expected_percentage(n: int | np.ndarray, p_star: float) -> float | np.ndarray:
+def expected_percentage(n: int | Sequence[int], p_star: float) -> float | list[float]:
     """Expected percentage of captures over the first ``n`` games, for an
-    int or, elementwise, an array of horizons."""
-    return 100.0 * (n - expected_resets(n, p_star)) / n
+    int or, elementwise, a sequence of horizons."""
+    if isinstance(n, (int, float)):
+        return 100.0 * (n - expected_resets(n, p_star)) / n
+    return [100.0 * (k - r) / k for k, r in zip(n, expected_resets(n, p_star))]
 
 
 def asymptotic_percentage(p_star: float) -> float:
@@ -143,38 +141,54 @@ def markov_oracle(n: int, p_star: float) -> np.ndarray:
 class PrefixStats(NamedTuple):
     """Mean capture percentage per prefix across sessions, with 95% CI.
 
-    ``pct[t, i]`` is session ``t``'s capture percentage over its first
-    ``i + 1`` games.
+    ``n`` is the prefix lengths ``range(1, length + 1)``; the other fields
+    are lists of floats indexed by prefix, and ``pct[t][i]`` is session
+    ``t``'s capture percentage over its first ``i + 1`` games.
     """
 
-    n: np.ndarray
-    mean_pct: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    pct: np.ndarray
+    n: range
+    mean_pct: list[float]
+    ci_lo: list[float]
+    ci_hi: list[float]
+    pct: list[list[float]]
+
+
+def _column_sums(rows: Iterable[list[float]]) -> list[float]:
+    """Column sums of ``rows``, added one row at a time in order."""
+    rows = iter(rows)
+    total = next(rows)
+    for row in rows:
+        total = list(map(add, total, row))
+    return total
 
 
 def aggregate_sessions(records: Sequence[SessionRecord]) -> PrefixStats:
-    """Per-prefix mean and normal-approximation confidence band."""
-    import numpy as np
+    """Per-prefix mean and normal-approximation confidence band.
 
+    The column sums run over the sessions in order, which is how numpy
+    reduces a ``trials x n`` array down its columns, so the band has the
+    bits of ``pct.mean(axis=0)`` and ``pct.std(axis=0, ddof=1)``.  (numpy
+    sums a lone column pairwise instead; every session's first game is a
+    capture, so that column is all 100.0 and any order gives its bits.)
+    """
     if not records:
         raise ValueError("no sessions to aggregate")
     length = len(records[0].outcomes)
     if any(len(r.outcomes) != length for r in records):
         raise LengthMismatch("sessions have differing lengths")
-    masks = b"".join(bytes(r.outcomes) for r in records)
-    captures = np.frombuffer(masks, dtype=np.uint8).reshape(len(records), length).astype(float)
-    prefix_n = np.arange(1, length + 1, dtype=float)
-    pct = 100.0 * np.cumsum(captures, axis=1) / prefix_n
-    mean = pct.mean(axis=0)
-    if len(records) > 1:
-        half = 1.96 * pct.std(axis=0, ddof=1) / math.sqrt(len(records))
-    else:
-        half = np.zeros(length)
-    return PrefixStats(
-        n=prefix_n.astype(int), mean_pct=mean, ci_lo=mean - half, ci_hi=mean + half, pct=pct
-    )
+    prefix_n = range(1, length + 1)
+    pct = [list(map(truediv, map(mul, repeat(100.0), accumulate(r.outcomes)), prefix_n)) for r in records]
+    trials = len(pct)
+    if trials == 1:
+        # x / 1 == x and x -/+ 0.0 == x: the band is the session itself.
+        return PrefixStats(n=prefix_n, mean_pct=pct[0], ci_lo=pct[0], ci_hi=pct[0], pct=pct)
+    mean = [s / trials for s in _column_sums(pct)]
+    devs = (list(map(sub, row, mean)) for row in pct)
+    squares = _column_sums(list(map(mul, d, d)) for d in devs)
+    root_t = math.sqrt(trials)
+    half = [1.96 * math.sqrt(s / (trials - 1)) / root_t for s in squares]
+    return PrefixStats(n=prefix_n, mean_pct=mean, ci_lo=list(map(sub, mean, half)),
+                       ci_hi=list(map(add, mean, half)), pct=pct)
 
 
 class SweepRow(NamedTuple):

@@ -88,9 +88,9 @@ _TRIAL_ROW = {"csv": "\0,%d,%%.12g\n", "jsonl": '{"N": %d, "pct": %%r, "trial": 
 _TRIAL_BLOCK = 16384
 
 
-def _write_trials(path: Path, pct, fmt: str) -> None:
-    """Write the per-trial prefix percentages ``pct`` (a trials x n array)."""
-    n = pct.shape[1]
+def _write_trials(path: Path, pct: list[list[float]], fmt: str) -> None:
+    """Write the per-trial prefix percentages ``pct``, one list of n prefixes per trial."""
+    n = len(pct[0])
     blocks = []
     for start in range(0, n, _TRIAL_BLOCK):
         ns = range(start + 1, min(start + _TRIAL_BLOCK, n) + 1)
@@ -101,7 +101,7 @@ def _write_trials(path: Path, pct, fmt: str) -> None:
         for t, row in enumerate(pct):
             mark = str(t)
             for start, template in blocks:
-                fh.write((template % tuple(row[start:start + _TRIAL_BLOCK].tolist())).replace("\0", mark))
+                fh.write((template % tuple(row[start:start + _TRIAL_BLOCK])).replace("\0", mark))
 
 
 def _load_config(path: str) -> dict:
@@ -187,8 +187,7 @@ def _summary_rows(stats: analytics.PrefixStats, p: float, asym: float):
 
     for start in range(0, len(stats.n), _TRIAL_BLOCK):
         cols = [c[start:start + _TRIAL_BLOCK] for c in (stats.n, stats.mean_pct, stats.ci_lo, stats.ci_hi)]
-        cols.append(analytics.expected_percentage(cols[0], p))
-        yield from zip(*(c.tolist() for c in cols), repeat(asym))
+        yield from zip(*cols, analytics.expected_percentage(cols[0], p), repeat(asym))
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -391,8 +390,8 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
 
     Frozen objects sit in the permanent generation, which the collections at
     interpreter exit skip; the OS frees them anyway.  Each command imports
-    ``engine`` or ``analytics`` inside ``main``, and ``simulate`` numpy too,
-    so the second freeze covers their objects as well.  Garbage the command
+    ``engine`` or ``analytics`` inside ``main``, so the second freeze covers
+    their objects as well.  Garbage the command
     creates is collected as before.  ``main`` itself does not freeze, since
     it also runs inside other processes.
     """

@@ -10,13 +10,13 @@ bookkeeping, so the two can be cross-checked game by game.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+import sys
+from array import array
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .geometry import GameParams, Point2, first_entry
 from .strategy import capture_circle_radius, capture_circle_solution
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 # The replay's contact distance, relative to 1 + r_cc: exact walks meet
@@ -54,25 +54,53 @@ def uniform_angle(seed: int, index: int) -> float:
     return -math.pi + _TWO_PI * u
 
 
-def _uniform_angles(seed: int, n: int) -> np.ndarray:
-    """``uniform_angle(seed, i)`` for ``i`` in ``range(n)``, in one numpy pass.
+# Arrivals hashed per block by _uniform_angles: a session is drawn and played a block at a time.
+_HASH_BLOCK = 4096
 
-    Bit-identical to the scalar hash: ``uint64`` arithmetic wraps as the
-    scalar's ``& mask`` does, and the seed is reduced modulo 2**64 first.
+
+@lru_cache(maxsize=2)
+def _lanes(k: int) -> tuple[int, int, int]:
+    """``ones``, ``mask`` and ``steps`` for ``k`` 128-bit lanes of one int.
+
+    Lane ``j`` of ``ones`` is 1 and of ``mask`` is ``2**64 - 1``; lane ``j``
+    of ``steps`` is ``j * 0x9E3779B97F4A7C15`` modulo 2**64.  A session uses
+    at most two block lengths, the full block and its remainder.
     """
-    import numpy as np
+    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * k, "little")
+    counters = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(k)), "little")
+    return ones, mask, (counters * 0x9E3779B97F4A7C15) & mask
 
-    x = np.arange(n, dtype=np.uint64)
-    x *= np.uint64(0x9E3779B97F4A7C15)
-    x ^= np.uint64(seed & ((1 << 64) - 1))
-    x += np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    u = (x >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    return -math.pi + _TWO_PI * u
+
+def _uniform_angles(seed: int, n: int) -> Iterator[float]:
+    """``uniform_angle(seed, i)`` for ``i`` in ``range(n)``, hashed a block at a time.
+
+    Each block runs splitmix64 on its counters at once, as the 128-bit lanes
+    of one int: a lane holds below 2**64 before every multiply, so its
+    product stays within the lane, and ``& mask`` then reduces each lane
+    modulo 2**64 as the scalar's ``& mask`` does.  The shifted copies are
+    masked too, since a right shift moves each lane's low bits into the top
+    of the lane below.  The low 64 bits of each lane are read back through
+    ``array('Q')`` in little-endian order.
+    """
+    mask64 = (1 << 64) - 1
+    seed &= mask64
+    lo, scale = -math.pi, _TWO_PI / float(1 << 53)
+    for start in range(0, n, _HASH_BLOCK):
+        k = min(_HASH_BLOCK, n - start)
+        ones, mask, steps = _lanes(k)
+        x = ((steps + ones * ((start * 0x9E3779B97F4A7C15) & mask64)) & mask) ^ (ones * seed)
+        x = (x + ones * 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ ((x >> 30) & mask)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ ((x >> 27) & mask)) * 0x94D049BB133111EB) & mask
+        # Each lane's top half takes the next lane's low bits here, but the
+        # shift by 11 leaves them above the low 64 bits that are read.
+        x = (x ^ (x >> 31)) >> 11
+        words = array("Q", x.to_bytes(16 * k, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        # (x >> 11) / 2**53 is exact, so scaling 2 pi by 2**-53 first gives the scalar's bits.
+        yield from [lo + scale * v for v in words[::2]]
 
 
 class SessionRecord(NamedTuple):
@@ -137,12 +165,12 @@ def run_session(params: GameParams, n: int, seed: int) -> SessionRecord:
     if n < 1:
         raise ValueError(f"session length must be >= 1, got {n!r}")
     sol = capture_circle_solution(params)
-    outcomes = tuple(_session_mask(_uniform_angles(seed, n).tolist(), sol.theta_max, sol.phi))
+    outcomes = tuple(_session_mask(_uniform_angles(seed, n), sol.theta_max, sol.phi))
     n_capture = outcomes.count(True)
     return SessionRecord(params, seed, outcomes, n_capture, n - n_capture)
 
 
-def _session_mask(arrivals: list[float], theta_max: float, phi: float) -> Iterator[bool]:
+def _session_mask(arrivals: Iterable[float], theta_max: float, phi: float) -> Iterator[bool]:
     """Capture flag of each arrival, played in order from the center.
 
     ``_next_bearing`` chained over ``arrivals``, with its wrap and side test

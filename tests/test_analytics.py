@@ -4,9 +4,12 @@ plus aggregation, sweeps, and level-set extraction."""
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perimdef import strategy
 from perimdef.analytics import (
@@ -23,7 +26,7 @@ from perimdef.analytics import (
     resets_tail_all,
     sweep,
 )
-from perimdef.engine import run_session
+from perimdef.engine import SessionRecord, run_session
 from perimdef.geometry import validate_params
 from perimdef.strategy import capture_circle_solution
 
@@ -88,17 +91,19 @@ def test_expected_resets_domain():
                                1.0 - 2**-53, 1.0])
 def test_closed_form_on_an_array_of_horizons_has_the_scalar_bits(p):
     """``simulate`` writes its ``analytic_pct`` column with one call per block
-    of prefixes; each value must be the scalar's, bit for bit, whatever the
-    horizons' dtype.  At p = 0.0017... (n = 180) and 0.0313... (n = 2),
-    ``np.power`` on an AVX-512 host moves the result by an ulp."""
-    n = np.unique(np.r_[1:5001, np.geomspace(1, 10**6, 3000).round().astype(int)])
-    assert n[-1] == 10**6
+    of prefixes, on a ``range``; each value must be the scalar's, bit for bit,
+    for a range and for a list of Python ints.  The horizons are Python ints:
+    a numpy integer would send ``q**n`` through numpy's power, which at
+    p = 0.0017... (n = 180) and 0.0313... (n = 2) moves the result by an ulp
+    on an AVX-512 host."""
+    n = np.unique(np.r_[1:5001, np.geomspace(1, 10**6, 3000).round().astype(int)]).tolist()
+    assert len(n) == 6151 and n[-1] == 10**6
     for fn in (expected_resets, expected_percentage):
-        want = np.array([fn(k, p) for k in n.tolist()])
-        for horizons in (n, n.astype(float)):
-            assert fn(horizons, p).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        for horizons in (n, range(1, 5001), range(10**6 - 300, 10**6 + 1)):
+            want = [fn(k, p).hex() for k in horizons]
+            assert [v.hex() for v in fn(horizons, p)] == want
     with pytest.raises(DomainError):
-        expected_resets(np.array([1, 0]), p)
+        expected_resets([1, 0], p)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6389435320791843, 0.95, 1.0])
@@ -226,6 +231,38 @@ def test_aggregate_sessions_identical_sessions_zero_width(params):
     stats = aggregate_sessions(records)
     assert np.allclose(stats.ci_lo, stats.mean_pct)
     assert np.allclose(stats.ci_hi, stats.mean_pct)
+
+
+def _numpy_prefix_stats(masks: list[list[bool]]) -> list[list[float]]:
+    """pct, mean_pct, ci_lo and ci_hi as numpy computes them, the reference
+    for ``aggregate_sessions``: a cumulative sum along each session, then a
+    mean and a standard deviation down the columns."""
+    captures = np.array(masks, dtype=float)
+    trials, length = captures.shape
+    pct = 100.0 * np.cumsum(captures, axis=1) / np.arange(1, length + 1, dtype=float)
+    mean = pct.mean(axis=0)
+    half = 1.96 * pct.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(length)
+    return [row.tolist() for row in pct] + [mean.tolist(), (mean - half).tolist(), (mean + half).tolist()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 60), st.integers(1, 300), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_aggregate_sessions_has_numpys_bits_property(trials, length, p_capture, seed):
+    """Random capture masks of 1-60 sessions x 1-300 games aggregate to the
+    numpy reference's bits, the per-session percentages and the band alike.
+
+    Each mask opens with a capture, as every session does: its first arrival
+    meets the defender at the center.  On a single game numpy reduces the
+    lone column pairwise rather than row by row, which moves the band by an
+    ulp from 9 sessions on when that column mixes captures and breaches;
+    with the capture it is all 100.0, and every order sums it alike."""
+    rng = random.Random(seed)
+    masks = [[True] + [rng.random() < p_capture for _ in range(length - 1)] for _ in range(trials)]
+    stats = aggregate_sessions([SessionRecord(None, t, tuple(m), sum(m), length - sum(m))
+                                for t, m in enumerate(masks)])
+    assert stats.n == range(1, length + 1)
+    got = [*stats.pct, stats.mean_pct, stats.ci_lo, stats.ci_hi]
+    assert [[v.hex() for v in col] for col in got] == [[v.hex() for v in col] for col in _numpy_prefix_stats(masks)]
 
 
 def test_aggregate_sessions_length_mismatch(params):

@@ -147,7 +147,7 @@ def test_simulate_trials_match_row_writer(tmp_path, params, fmt):
     assert main(["simulate", *BASE, "--n", "37", "--trials", "6", "--seed", "-4",
                  "--format", fmt, "--out", str(out)]) == 0
     records = [engine.run_session(params, 37, -4 + t) for t in range(6)]
-    pct = analytics.aggregate_sessions(records).pct.tolist()
+    pct = analytics.aggregate_sessions(records).pct
     rows = [(t, i, v) for t, row in enumerate(pct) for i, v in enumerate(row, start=1)]
     oracle = tmp_path / f"oracle.{fmt}"
     _write_rows(oracle, ["trial", "N", "pct"], rows, fmt)
@@ -171,7 +171,7 @@ def test_simulate_edge_shapes_match_row_writer(tmp_path, params, n, trials, fmt)
     oracle = tmp_path / f"oracle.{fmt}"
     _write_rows(oracle, ["N", "mean_pct", "ci_lo", "ci_hi", "analytic_pct", "asymptotic_pct"], summary, fmt)
     assert out.read_bytes() == oracle.read_bytes()
-    rows = [(t, i, v) for t, row in enumerate(stats.pct.tolist()) for i, v in enumerate(row, start=1)]
+    rows = [(t, i, v) for t, row in enumerate(stats.pct) for i, v in enumerate(row, start=1)]
     _write_rows(oracle, ["trial", "N", "pct"], rows, fmt)
     assert (tmp_path / f"sim_trials.{fmt}").read_bytes() == oracle.read_bytes()
 
@@ -329,11 +329,11 @@ def _loaded_by(steps: list, cwd) -> dict:
 
 
 def test_commands_that_play_no_games_never_import_numpy(tmp_path):
-    """numpy is imported only by the functions that play or aggregate games,
-    and ``engine`` only by the commands that play them.  In a fresh
-    interpreter, importing perimdef loads none of its modules, ``analytic``
-    and a 3x3 ``sweep`` leave ``engine`` and numpy unloaded, and
-    ``simulate`` still runs."""
+    """No command imports numpy, and only the commands that play games import
+    ``engine``.  In a fresh interpreter, importing perimdef loads none of its
+    modules, ``analytic`` and a 3x3 ``sweep`` leave ``engine`` and numpy
+    unloaded, and ``simulate`` plays and aggregates its sessions with numpy
+    still unloaded."""
     sweep = ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3", "--grid", "rho_t=4:12:3",
              "--out", "s.csv"]
     no_games = ["perimdef.analytics", "perimdef.cli", "perimdef.geometry", "perimdef.strategy"]
@@ -341,7 +341,7 @@ def test_commands_that_play_no_games_never_import_numpy(tmp_path):
                        ["simulate", ["simulate", *BASE, "--n", "20", "--trials", "2", "--out", "m.csv"]]],
                       tmp_path) == {
         "import": [0, []], "analytic": [0, no_games], "sweep": [0, no_games],
-        "simulate": [0, sorted([*no_games, "perimdef.engine", "numpy"])],
+        "simulate": [0, sorted([*no_games, "perimdef.engine"])],
     }
 
 
@@ -366,7 +366,7 @@ def test_entry_freezes_the_import_time_objects(tmp_path):
 
 def test_entry_freezes_the_objects_the_command_leaves(monkeypatch):
     """The second freeze covers objects made inside ``main`` that outlive it,
-    as numpy's do when a command imports it."""
+    as those of the modules a command imports do."""
     left = []
 
     def command(argv):

@@ -13,6 +13,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from perimdef.engine import (
+    _HASH_BLOCK,
     MAX_DISCREPANCY,
     AgreementReport,
     _capture_side,
@@ -58,15 +59,20 @@ def test_uniform_angle_deterministic_and_in_range():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 3, 2**64 - 1, -5, 2**70 + 9])
-@pytest.mark.parametrize("n", [1, 2, 3000])
+@pytest.mark.parametrize("n", [1, 2, 3000, _HASH_BLOCK, _HASH_BLOCK + 1, 3 * _HASH_BLOCK - 5])
 def test_uniform_angles_match_scalar_hash(seed, n):
-    assert _uniform_angles(seed, n).tolist() == [uniform_angle(seed, i) for i in range(n)]
+    """The block hash is the scalar one, within a block, at its edge and
+    over several blocks, one of them short."""
+    assert list(_uniform_angles(seed, n)) == [uniform_angle(seed, i) for i in range(n)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(), st.integers(1, 200))
+@given(st.integers(), st.integers(1, 2 * _HASH_BLOCK + 1))
+@example(-5, _HASH_BLOCK + 1)
+@example(2**64 - 1, 2 * _HASH_BLOCK + 1)
+@example(2**70 + 9, 2 * _HASH_BLOCK - 1)
 def test_uniform_angles_match_scalar_hash_property(seed, n):
-    assert _uniform_angles(seed, n).tolist() == [uniform_angle(seed, i) for i in range(n)]
+    assert list(_uniform_angles(seed, n)) == [uniform_angle(seed, i) for i in range(n)]
 
 
 def test_play_from_center_always_captures(params):
