@@ -3,6 +3,7 @@ plus aggregation, sweeps, and level-set extraction."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -110,6 +111,17 @@ def test_closed_form_on_an_array_of_horizons_has_the_scalar_bits(p):
 def test_expected_percentage_at_huge_horizon_meets_asymptote(p):
     # The closed form costs O(1), so a billion-game horizon is cheap.
     assert abs(expected_percentage(10**9, p) - asymptotic_percentage(p)) <= 1e-6
+
+
+def test_breach_count_bits_pinned():
+    """Every value of the tails and of the DP pmf, pinned by its hex digits,
+    over short, medium and long horizons and p from 0 to 1 with its ends."""
+    digest = hashlib.sha256()
+    for p in (0.0, 1e-6, 0.05, 0.35, P_STAR_BASELINE, 0.95, 1.0 - 2**-53, 1.0):
+        for n in (*range(1, 61), 199, 200, 201, 777, 2000):
+            for fn in (resets_tail_all, markov_oracle):
+                digest.update(" ".join(float(x).hex() for x in fn(n, p)).encode() + b"\n")
+    assert digest.hexdigest() == "1ee653d522298311cf14cab4ce93d75f891bfbf102bf48d3d363633c3b87588d"
 
 
 def test_markov_oracle_small_horizons():
