@@ -3,9 +3,8 @@
 Importing the package imports none of its modules.  Each public name is
 imported from its module on first access and then kept in the package's
 namespace; the modules themselves (``perimdef.engine`` and the rest) also
-resolve on first access.  numpy is imported only inside the three
-functions that use it (``resets_tail_all``, ``markov_oracle`` and
-``level_set_slope``), so importing a module does not load it either.
+resolve on first access.  The package needs only the standard library,
+and the sequences it returns are lists.
 """
 
 __version__ = "0.1.0"

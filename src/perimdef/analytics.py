@@ -22,8 +22,6 @@ from .geometry import GameParams, validate_params
 from .strategy import capture_circle_solution
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .engine import SessionRecord
 
 PARAM_NAMES = ("r_t", "rho_t", "rho_a", "nu")
@@ -53,28 +51,28 @@ def p_star(params: GameParams) -> float:
     return capture_circle_solution(params).theta_max / math.pi
 
 
-def resets_tail_all(n: int, p_star: float) -> np.ndarray:
-    """P(breach count after ``n`` games exceeds m), for every m = 0..n.
+def resets_tail_all(n: int, p_star: float) -> list[float]:
+    """P(breach count after ``n`` games exceeds m), as a list over m = 0..n.
 
     Every breach is a game lost from the capture circle and is followed by a
     game from the center, which is a capture.  So the (m+1)-th breach falls
     by game ``n`` exactly when at least m+1 of the first ``j = n - m - 1``
     games played from the circle are lost: the tail is
     P(Bin(j, 1 - p_star) >= n - j).  One survival row of that binomial is
-    rolled forward in ``j`` by Pascal's rule, so memory stays O(n);
+    rolled forward in ``j`` by Pascal's rule, so memory stays O(n); each
+    step updates only the entries that can be nonzero and are still read.
     ``markov_oracle`` checks the result.
     """
-    import numpy as np
-
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
     _check_probability(p_star)
-    tails = np.zeros(n + 1)
-    surv = np.zeros(n + 1)  # surv[k] = P(Bin(j, 1 - p_star) >= k)
-    surv[0] = 1.0
+    q = 1.0 - p_star
+    tails = [0.0] * (n + 1)
+    surv = [1.0] + [0.0] * n  # surv[k] = P(Bin(j, 1 - p_star) >= k)
     for j in range(n):
         tails[n - 1 - j] = surv[n - j]
-        surv[1:] = p_star * surv[1:] + (1.0 - p_star) * surv[:-1]
+        m = min(j + 1, n - 1 - j)
+        surv[1 : m + 1] = [p_star * a + q * b for a, b in zip(surv[1 : m + 1], surv)]
     return tails
 
 
@@ -113,29 +111,27 @@ def asymptotic_percentage(p_star: float) -> float:
     return 100.0 / (2.0 - p_star)
 
 
-def markov_oracle(n: int, p_star: float) -> np.ndarray:
-    """Exact pmf of the breach count after ``n`` games, by dynamic programming.
+def markov_oracle(n: int, p_star: float) -> list[float]:
+    """Exact pmf of the breach count after ``n`` games, by dynamic programming,
+    as a list over k = 0..n // 2.
 
     State is (defender position, breaches so far) with position in
     {center, circle}; the chain starts at the center.  Independent of the
     closed-form route, so it can arbitrate it.
     """
-    import numpy as np
-
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
     _check_probability(p_star)
-    # P(position, k breaches) over k, updated in place: ``spare`` takes the
-    # next circle column, then swaps with it.
-    center, circle, spare = (np.zeros(n // 2 + 2) for _ in range(3))
-    center[0] = 1.0
-    for _ in range(n):
-        np.multiply(circle, p_star, out=spare)
-        spare += center
-        np.multiply(circle[:-1], 1.0 - p_star, out=center[1:])
-        center[0] = 0.0
-        circle, spare = spare, circle
-    return (center + circle)[: n // 2 + 1]
+    q = 1.0 - p_star
+    # P(circle, k breaches) over k after t games, for the k that can be
+    # nonzero (k <= (t - 1) // 2), from t = 1: the first game, from the
+    # center, is a capture.  ``before`` is the column a game earlier.  A
+    # defender reaches the center with k breaches by losing from the circle
+    # with k - 1, so P(center, k) is q times ``before`` shifted by one.
+    circle, before = [1.0], []
+    for _ in range(1, n):
+        circle, before = [p_star * a + q * b for a, b in zip([*circle, 0.0], [0.0, *before])], circle
+    return [a + q * b for a, b in zip([*circle, 0.0], [0.0, *before])]
 
 
 class PrefixStats(NamedTuple):
@@ -275,8 +271,6 @@ def level_set_slope(
     (re-evaluating the model, not interpolating the table), then the contour
     points are fit by least squares.
     """
-    import numpy as np
-
     r_t_values = {row.r_t for row in rows}
     nu_values = {row.nu for row in rows}
     if len(r_t_values) != 1 or len(nu_values) != 1:
@@ -328,15 +322,15 @@ def level_set_slope(
             f"percentage level {target_percentage!r} bracketed in "
             f"{len(points)} column(s); need at least 2"
         )
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fit = slope * xs + intercept
-    max_res = float(np.max(np.abs(fit - ys)))
+    from statistics import fmean, linear_regression
+
+    xs, ys = zip(*points)
+    slope, intercept = linear_regression(xs, ys)
+    max_res = max(abs(slope * x + intercept - y) for x, y in points)
     return LevelSetFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         max_residual=max_res,
-        rel_residual=max_res / float(np.mean(ys)),
+        rel_residual=max_res / fmean(ys),
         points=tuple(points),
     )

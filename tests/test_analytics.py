@@ -64,10 +64,10 @@ def test_expected_resets_edge_horizons():
 def test_tails_match_markov_oracle(p):
     for n in (1, 2, 3, 7, 50, 200, 2000):
         pmf = markov_oracle(n, p)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
         tails = resets_tail_all(n, p)
         for m in range(n + 1):
-            dp_tail = float(pmf[m + 1 :].sum()) if m + 1 < len(pmf) else 0.0
+            dp_tail = math.fsum(pmf[m + 1 :]) if m + 1 < len(pmf) else 0.0
             assert abs(tails[m] - dp_tail) <= 1e-12
 
 
@@ -125,7 +125,7 @@ def test_breach_count_bits_pinned():
 
 
 def test_markov_oracle_small_horizons():
-    assert markov_oracle(1, 0.37).tolist() == [1.0]
+    assert markov_oracle(1, 0.37) == [1.0]
     pmf = markov_oracle(2, 0.37)
     assert pmf[0] == pytest.approx(0.37, abs=1e-15)
     assert pmf[1] == pytest.approx(0.63, abs=1e-15)
@@ -355,6 +355,14 @@ def test_level_set_slope_near_linear():
     assert 2.0 <= fit.slope <= 3.0
     assert fit.rel_residual <= 0.10
     assert len(fit.points) >= 4
+    # numpy's least-squares line through the fit's own points.
+    xs, ys = np.array(fit.points).T
+    slope, intercept = np.polyfit(xs, ys, 1)
+    max_residual = float(np.max(np.abs(slope * xs + intercept - ys)))
+    assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0.0)
+    assert fit.max_residual == pytest.approx(max_residual, rel=1e-9, abs=0.0)
+    assert fit.rel_residual == pytest.approx(max_residual / float(np.mean(ys)), rel=1e-9, abs=0.0)
 
 
 def test_level_set_contour_not_found():

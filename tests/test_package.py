@@ -79,6 +79,36 @@ print(json.dumps(steps))
     }
 
 
+def test_the_package_runs_without_numpy(tmp_path):
+    """With numpy unimportable, in a fresh interpreter, the breach-count tails,
+    the DP oracle and a level-set fit on a small sweep return their values,
+    and each of the five commands exits 0."""
+    script = """
+import json, sys
+sys.modules["numpy"] = None
+from perimdef import analytics
+from perimdef.cli import main
+
+rows = analytics.sweep(("rho_a", [0.5, 1.0, 2.0, 3.0]), ("rho_t", [4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0]),
+                       {"r_t": 5.0, "nu": 0.75}, [20])
+fit = analytics.level_set_slope(rows, 75.0)
+values = [analytics.resets_tail_all(20, 0.6), analytics.markov_oracle(20, 0.6), [fit.slope, fit.intercept]]
+base = ["--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8"]
+codes = [main(argv) for argv in (
+    ["analytic", *base, "--n", "1,20", "--out", "a.csv"],
+    ["simulate", *base, "--n", "20", "--trials", "2", "--out", "m.csv"],
+    ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3", "--grid", "rho_t=4:12:3", "--out", "s.csv"],
+    ["verify", *base, "--n", "20", "--out", "v.txt"],
+    ["trace", *base, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2", "--out", "t.csv"],
+)]
+print(json.dumps({"lengths": [len(v) for v in values], "types": sorted({type(x).__name__ for v in values for x in v}),
+                  "codes": codes, "numpy": sys.modules["numpy"]}))
+"""
+    assert json.loads(run_fresh(script, tmp_path)) == {
+        "lengths": [21, 11, 2], "types": ["float"], "codes": [0] * 5, "numpy": None,
+    }
+
+
 def test_readme_example_runs(tmp_path):
     """README's ``python`` block runs in a fresh interpreter and exits 0, so the
     documented API cannot drift from the code."""
