@@ -124,6 +124,18 @@ def test_breach_count_bits_pinned():
     assert digest.hexdigest() == "1ee653d522298311cf14cab4ce93d75f891bfbf102bf48d3d363633c3b87588d"
 
 
+def test_closed_form_bits_pinned():
+    """Every value of the closed forms over a ``range``, pinned by its hex digits,
+    over the first 200,000 horizons and the 301 up to a million, for p from 0
+    to 1 with its ends."""
+    digest = hashlib.sha256()
+    for p in (0.0, 1e-6, 0.05, 0.35, P_STAR_BASELINE, 0.95, 1.0 - 2**-53, 1.0):
+        for horizons in (range(1, 200_001), range(999_700, 1_000_001)):
+            for fn in (expected_resets, expected_percentage):
+                digest.update(" ".join(map(float.hex, fn(horizons, p))).encode() + b"\n")
+    assert digest.hexdigest() == "99ce6e7379b8c1cd8202fbf89a302f1154a0f10bb507581387a58463b4c5e230"
+
+
 def test_markov_oracle_small_horizons():
     assert markov_oracle(1, 0.37) == [1.0]
     pmf = markov_oracle(2, 0.37)
