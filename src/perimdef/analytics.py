@@ -14,11 +14,12 @@ can be checked exactly.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate, repeat
 from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .geometry import GameParams, validate_params
+from .geometry import GameParams, _check_length, _check_speed, validate_params
 from .strategy import capture_circle_solution
 
 if TYPE_CHECKING:
@@ -44,6 +45,15 @@ class ContourNotFound(ValueError):
 def _check_probability(p_star: float) -> None:
     if not (0.0 <= p_star <= 1.0):
         raise DomainError(f"p_star must lie in [0, 1], got {p_star!r}")
+
+
+def _check_horizons(horizons: Sequence[float]) -> None:
+    if not horizons:
+        return
+    # A range lies between its ends, which min and max would reach by walking it.
+    ends = (horizons[0], horizons[-1]) if isinstance(horizons, range) else horizons
+    if not (1 <= min(ends) and max(ends) <= sys.float_info.max):
+        raise DomainError(f"horizons must be positive integers no larger than a float, got {horizons!r}")
 
 
 def p_star(params: GameParams) -> float:
@@ -84,16 +94,23 @@ def expected_resets(n: int | Sequence[int], p_star: float) -> float | list[float
     ``q = -(1 - p)``; each game played from the circle is lost with
     probability ``1 - p``.  Summing over k = 1..n gives the expression below.
 
+    From the first horizon where ``|q|^k < 2^-60`` on, ``1 - q^k`` rounds
+    to exactly 1.0, so ``q^k`` is formed only below it: at every horizon
+    when p = 0, where ``|q| = 1``, and at none when p = 1.
+
     ``n`` may also be a sequence of horizons, such as a ``range``; the
     result is then a list with each horizon's scalar value, bit for bit.
+    A horizon below 1 or past the largest float raises ``DomainError``.
     """
     horizons = [n] if isinstance(n, (int, float)) else n
-    if horizons and min(horizons) < 1:
-        raise DomainError(f"need n >= 1, got {n!r}")
+    _check_horizons(horizons)
     _check_probability(p_star)
     q = -(1.0 - p_star)
     lost, ratio, rate = 1.0 - p_star, 1.0 - q, 2.0 - p_star
-    resets = [lost * (k - (1.0 - q**k) / ratio) / rate for k in horizons]
+    cut = math.inf if lost == 1.0 else 0.0 if lost == 0.0 else -60.0 / math.log2(lost)
+    limit = 1.0 / ratio
+    resets = [lost * (k - (1.0 - q**k) / ratio) / rate if k < cut else lost * (k - limit) / rate
+              for k in horizons]
     return resets if horizons is n else resets[0]
 
 
@@ -223,13 +240,23 @@ def sweep(
 
     Rows come out in row-major order (outer axis slowest).  Grid points
     violating the parametric assumptions are flagged infeasible and carry no
-    statistics; that is data, not an error.
+    statistics; that is data, not an error.  A fixed value outside its domain
+    (as ``validate_params`` would refuse it) and horizons below 1, past the
+    largest float or repeated are errors, raised before any solve.
     """
     names = {outer[0], inner[0], *fixed}
     if names != set(PARAM_NAMES) or len(fixed) != 2 or outer[0] == inner[0]:
         raise ValueError(
             f"sweep axes plus fixed values must cover {PARAM_NAMES} exactly once"
         )
+    for name, value in fixed.items():
+        if name == "nu":
+            _check_speed(value)
+        else:
+            _check_length(name, value)
+    _check_horizons(horizons)
+    if len(set(horizons)) != len(horizons):
+        raise ValueError(f"sweep horizons must be distinct, got {horizons!r}")
     rows: list[SweepRow] = []
     for vo in outer[1]:
         for vi in inner[1]:

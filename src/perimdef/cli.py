@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import strategy
-from .geometry import AssumptionViolated, _check_length, _check_speed, validate_params
+from .geometry import AssumptionViolated, validate_params
 
 if TYPE_CHECKING:
     from . import analytics
@@ -154,8 +154,8 @@ def _params_from(cfg: dict):
 
 def _parse_horizons(text: str) -> list[int]:
     horizons = [int(part) for part in text.split(",") if part.strip()]
-    if not horizons or any(h < 1 or h > sys.float_info.max for h in horizons):
-        raise ValueError(f"horizons must be positive integers no larger than a float, got {text!r}")
+    if not horizons:
+        raise ValueError(f"horizons must list at least one integer, got {text!r}")
     return horizons
 
 
@@ -246,14 +246,7 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
         raise ValueError("grid parameters must be two distinct names")
     _require(cfg, *fixed_names)
     fixed = {name: float(cfg[name]) for name in fixed_names}
-    for name in fixed_names:
-        if name == "nu":
-            _check_speed(fixed[name])
-        else:
-            _check_length(name, fixed[name])
     horizons = _parse_horizons(str(cfg.get("n", "20")))
-    if len(set(horizons)) != len(horizons):
-        raise ValueError(f"sweep horizons must be distinct, got {cfg.get('n')!r}")
 
     rows = analytics.sweep(outer, inner, fixed, horizons)
     header = [outer[0], inner[0], "feasible", "theta_max", "p_star"]

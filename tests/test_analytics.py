@@ -28,7 +28,7 @@ from perimdef.analytics import (
     sweep,
 )
 from perimdef.engine import SessionRecord, run_session
-from perimdef.geometry import validate_params
+from perimdef.geometry import AssumptionViolated, validate_params
 from perimdef.strategy import capture_circle_solution
 
 P_STAR_BASELINE = 0.6389435320791843  # frozen after oracle cross-checks
@@ -105,6 +105,15 @@ def test_closed_form_on_an_array_of_horizons_has_the_scalar_bits(p):
             assert [v.hex() for v in fn(horizons, p)] == want
     with pytest.raises(DomainError):
         expected_resets([1, 0], p)
+
+
+def test_expected_resets_refuses_a_horizon_past_the_float_range():
+    """Such a horizon made the closed form overflow converting it to a float;
+    it is refused as the CLI refuses it."""
+    for fn in (expected_resets, expected_percentage):
+        for n in (10**400, [20, 10**400], range(1, 10**400)):
+            with pytest.raises(DomainError, match="positive integers no larger than a float"):
+                fn(n, P_STAR_BASELINE)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6389435320791843, 0.95, 1.0])
@@ -341,6 +350,27 @@ def test_sweep_rejects_bad_axes():
         sweep(("rho_a", [1.0]), ("rho_a", [2.0]), {"r_t": 5.0, "nu": 0.8}, [20])
     with pytest.raises(ValueError):
         sweep(("rho_a", [1.0]), ("rho_t", [8.0]), {"r_t": 5.0}, [20])
+
+
+@pytest.mark.parametrize("fixed, horizons, error, match", [
+    ({"r_t": 5.0, "nu": 1.5}, [20], AssumptionViolated, r"nu=1\.5 must lie"),
+    ({"r_t": 1e300, "nu": 0.75}, [20], ValueError, r"r_t=1e\+300 is outside"),
+    ({"r_t": 5.0, "nu": 0.75}, [20, 20], ValueError, "distinct"),
+    ({"r_t": 5.0, "nu": 0.75}, [20, 10**400], DomainError, "no larger than a float"),
+], ids=["speed", "length", "repeated", "overflow"])
+def test_sweep_refuses_what_the_cli_refuses_before_any_solve(monkeypatch, fixed, horizons, error, match):
+    """A fixed value outside its domain, and a horizon past the float range or
+    repeated, raise before the first grid point is solved, instead of making
+    every row infeasible or solving the grid first."""
+    def solve(*args):
+        raise AssertionError("a grid point was solved before the inputs were checked")
+
+    capture_circle_solution.cache_clear()
+    monkeypatch.setattr(strategy, "optimize_engagement", solve)
+    with pytest.raises(error, match=match) as info:
+        sweep(("rho_a", [0.5, 3.0]), ("rho_t", [4.0, 12.0]), fixed, horizons)
+    if error is AssumptionViolated:
+        assert info.value.which == "speed"
 
 
 def test_finite_horizon_close_to_asymptote_across_grid():
