@@ -658,6 +658,64 @@ def test_config_types_match_parser():
             assert (action.type or str) is CONFIG_TYPES[action.dest], (command, action.dest)
 
 
+# Every action of each subparser, in order, as (option_strings, dest, type,
+# choices, default, metavar, help, action class).  The --help text is not
+# pinned: argparse heads its options section differently on 3.10 and 3.11.
+_HELP_ACTION = (("-h", "--help"), "help", None, None, argparse.SUPPRESS, None, "show this help message and exit",
+                "_HelpAction")
+_COMMON_ACTIONS = [
+    (("--config",), "config", None, None, None, None, "flat key=value config file; flags take precedence",
+     "_StoreAction"),
+    (("--r-t",), "r_t", float, None, None, None, "target radius", "_StoreAction"),
+    (("--rho-t",), "rho_t", float, None, None, None, "sensing annulus width", "_StoreAction"),
+    (("--rho-a",), "rho_a", float, None, None, None, "intruder sensing radius", "_StoreAction"),
+    (("--nu",), "nu", float, None, None, None, "intruder/defender speed ratio, in (0, 1)", "_StoreAction"),
+    (("--seed",), "seed", int, None, None, None, "base RNG seed (default 1)", "_StoreAction"),
+    (("--out",), "out", None, None, None, None, "output file path", "_StoreAction"),
+    (("--format",), "format", None, ("csv", "jsonl"), None, None, "output format (default csv)", "_StoreAction"),
+]
+PINNED_PARSER_SHAPE = {
+    "simulate": ("run seeded sessions and write mean/CI table vs analytics", [
+        (("--n",), "n", None, None, None, None, "arrivals per session", "_StoreAction"),
+        (("--trials",), "trials", int, None, None, None, "number of sessions (default 100)", "_StoreAction"),
+    ]),
+    "analytic": ("closed-form expected resets and capture percentage", [
+        (("--n",), "n", None, None, None, None, "comma-separated horizons, e.g. 1,20,200", "_StoreAction"),
+    ]),
+    "sweep": ("two-parameter grid of capture statistics", [
+        (("--grid",), "grid", None, None, [], "name=lo:hi:steps", "varied parameter; give exactly twice",
+         "_AppendAction"),
+        (("--n",), "n", None, None, None, None,
+         "comma-separated horizons (default 20); the asymptote is always included", "_StoreAction"),
+    ]),
+    "verify": ("replay games kinematically and check verdict agreement", [
+        (("--n",), "n", None, None, None, None, "number of games to replay", "_StoreAction"),
+    ]),
+    "trace": ("export one game's trajectory with plot metadata", [
+        (("--theta-a",), "theta_a", float, None, None, None, "arrival bearing (rad)", "_StoreAction"),
+        (("--defender-angle",), "defender_angle", float, None, None, None,
+         "defender bearing on the capture circle; omit for the center", "_StoreAction"),
+        (("--dt",), "dt", float, None, None, None, "sample spacing (default 1e-4 * (r_t + rho_t))", "_StoreAction"),
+    ]),
+}
+
+
+def test_parser_shape_pinned():
+    """The program name, description, commands in order, their helps and every option they take."""
+    parser = build_parser()
+    assert parser.prog == "perimdef"
+    assert parser.description == "Sequential perimeter-defense game simulator and analytics."
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert (subparsers.dest, subparsers.required) == ("command", True)
+    assert [(a.dest, a.help) for a in subparsers._choices_actions] == [
+        (command, help_) for command, (help_, _) in PINNED_PARSER_SHAPE.items()]
+    assert list(subparsers.choices) == list(PINNED_PARSER_SHAPE)
+    for command, (_, own) in PINNED_PARSER_SHAPE.items():
+        shape = [(tuple(a.option_strings), a.dest, a.type, a.choices, a.default, a.metavar, a.help, type(a).__name__)
+                 for a in subparsers.choices[command]._actions]
+        assert shape == [_HELP_ACTION, *_COMMON_ACTIONS, *own], command
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("r_t = 5\nwarp_factor = 9\n")
