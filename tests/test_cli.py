@@ -716,6 +716,22 @@ def test_parser_shape_pinned():
         assert shape == [_HELP_ACTION, *_COMMON_ACTIONS, *own], command
 
 
+@pytest.mark.parametrize("command", list(PINNED_PARSER_SHAPE))
+def test_main_dispatches_through_the_module_attribute(monkeypatch, command):
+    """``main`` looks each command up by name when it runs, so a wrapper put
+    on ``cli.cmd_<command>`` after import, as the benchmark's tracer does, is
+    the function called."""
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return 0
+
+    monkeypatch.setattr(f"perimdef.cli.cmd_{command}", recorder)
+    assert main([command]) == 0
+    assert len(calls) == 1
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("r_t = 5\nwarp_factor = 9\n")
