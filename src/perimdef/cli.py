@@ -23,12 +23,41 @@ from .geometry import AssumptionViolated, validate_params
 if TYPE_CHECKING:
     from . import analytics
 
-# Each config key and the type its value is read as, the type its flag declares.
-CONFIG_TYPES = {
-    "r_t": float, "rho_t": float, "rho_a": float, "nu": float, "dt": float, "theta_a": float,
-    "defender_angle": float, "trials": int, "seed": int, "n": str, "out": str, "format": str,
-}
 FORMATS = ("csv", "jsonl")
+# The command line, each fact once.  An option is named by its config key, its
+# flag being ``_flag(key)``, and given as (type, help); a type of None keeps the
+# text.  Every command takes the common options, then its own.
+_COMMON_OPTIONS = {
+    "config": (None, "flat key=value config file; flags take precedence"),
+    "r_t": (float, "target radius"),
+    "rho_t": (float, "sensing annulus width"),
+    "rho_a": (float, "intruder sensing radius"),
+    "nu": (float, "intruder/defender speed ratio, in (0, 1)"),
+    "seed": (int, "base RNG seed (default 1)"),
+    "out": (None, "output file path"),
+    "format": (None, "output format (default csv)"),
+}
+# Each command's help and its own options, in the order ``--help`` lists them.
+_COMMANDS = {
+    "simulate": ("run seeded sessions and write mean/CI table vs analytics",
+                 {"n": (None, "arrivals per session"), "trials": (int, "number of sessions (default 100)")}),
+    "analytic": ("closed-form expected resets and capture percentage",
+                 {"n": (None, "comma-separated horizons, e.g. 1,20,200")}),
+    "sweep": ("two-parameter grid of capture statistics",
+              {"grid": (None, "varied parameter; give exactly twice"),
+               "n": (None, "comma-separated horizons (default 20); the asymptote is always included")}),
+    "verify": ("replay games kinematically and check verdict agreement", {"n": (None, "number of games to replay")}),
+    "trace": ("export one game's trajectory with plot metadata",
+              {"theta_a": (float, "arrival bearing (rad)"),
+               "defender_angle": (float, "defender bearing on the capture circle; omit for the center"),
+               "dt": (float, "sample spacing (default 1e-4 * (r_t + rho_t))")}),
+}
+# What argparse is told beyond type and help.  Like --config, --grid is no config key.
+_OPTION_SETTINGS = {"format": {"choices": FORMATS},
+                    "grid": {"action": "append", "default": [], "metavar": "name=lo:hi:steps"}}
+# Each config key and the type its value is read as, the type its flag declares.
+CONFIG_TYPES = {key: typ or str for options in (_COMMON_OPTIONS, *(own for _, own in _COMMANDS.values()))
+                for key, (typ, _) in options.items() if key not in ("config", "grid")}
 # Most parameter points one sweep may ask for (outer steps x inner steps).
 MAX_GRID_POINTS = 1_000_000
 # Most games one simulation (arrivals per session x sessions) or verify may ask for.
@@ -141,10 +170,14 @@ def _merge(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
-        raise ValueError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
+        raise ValueError(f"missing required option(s): {', '.join(map(_flag, missing))}")
 
 
 def _params_from(cfg: dict):
@@ -315,60 +348,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential perimeter-defense game simulator and analytics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file; flags take precedence")
-        p.add_argument("--r-t", dest="r_t", type=float, help="target radius")
-        p.add_argument("--rho-t", dest="rho_t", type=float, help="sensing annulus width")
-        p.add_argument("--rho-a", dest="rho_a", type=float, help="intruder sensing radius")
-        p.add_argument("--nu", type=float, help="intruder/defender speed ratio, in (0, 1)")
-        p.add_argument("--seed", type=int, help="base RNG seed (default 1)")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=FORMATS, help="output format (default csv)")
-
-    p = sub.add_parser("simulate", help="run seeded sessions and write mean/CI table vs analytics")
-    add_common(p)
-    p.add_argument("--n", help="arrivals per session")
-    p.add_argument("--trials", type=int, help="number of sessions (default 100)")
-
-    p = sub.add_parser("analytic", help="closed-form expected resets and capture percentage")
-    add_common(p)
-    p.add_argument("--n", help="comma-separated horizons, e.g. 1,20,200")
-
-    p = sub.add_parser("sweep", help="two-parameter grid of capture statistics")
-    add_common(p)
-    p.add_argument("--grid", action="append", default=[], metavar="name=lo:hi:steps",
-                   help="varied parameter; give exactly twice")
-    p.add_argument("--n", help="comma-separated horizons (default 20); the asymptote is always included")
-
-    p = sub.add_parser("verify", help="replay games kinematically and check verdict agreement")
-    add_common(p)
-    p.add_argument("--n", help="number of games to replay")
-
-    p = sub.add_parser("trace", help="export one game's trajectory with plot metadata")
-    add_common(p)
-    p.add_argument("--theta-a", dest="theta_a", type=float, help="arrival bearing (rad)")
-    p.add_argument("--defender-angle", dest="defender_angle", type=float,
-                   help="defender bearing on the capture circle; omit for the center")
-    p.add_argument("--dt", type=float, help="sample spacing (default 1e-4 * (r_t + rho_t))")
-
+    for command, (help_, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for key, (typ, text) in {**_COMMON_OPTIONS, **own}.items():
+            p.add_argument(_flag(key), type=typ, help=text, **_OPTION_SETTINGS.get(key, {}))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "analytic":
-            return cmd_analytic(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.grid)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_trace(cfg)
+        # Looked up by name on each call: perfbench's tracer rebinds every cmd_* after import.
+        command = globals()[f"cmd_{args.command}"]
+        return command(cfg, args.grid) if args.command == "sweep" else command(cfg)
     except AssumptionViolated as exc:
         print(f"invalid parameters ({exc.which} condition): {exc}", file=sys.stderr)
         return 2
