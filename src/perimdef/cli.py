@@ -165,8 +165,6 @@ def _merge(args: argparse.Namespace) -> dict:
     for key in sorted(k for k in merged if CONFIG_TYPES[k] is float):
         if not math.isfinite(merged[key]):
             raise ValueError(f"{key} must be finite, got {merged[key]!r}")
-        if key == "dt" and not merged[key] > 0.0:
-            raise ValueError(f"{key} must be positive, got {merged[key]!r}")
     return merged
 
 
