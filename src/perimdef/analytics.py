@@ -56,6 +56,14 @@ def _check_horizons(horizons: Sequence[float]) -> None:
         raise DomainError(f"horizons must be positive integers no larger than a float, got {horizons!r}")
 
 
+def _check_list_horizon(n: int) -> None:
+    """The horizon rule for the O(n) distributions, which also refuse an ``n``
+    whose list of n + 1 entries no index reaches, before building anything."""
+    _check_horizons([n])
+    if n > sys.maxsize - 1:
+        raise DomainError(f"horizon {n!r} is past the largest list, of {sys.maxsize} entries")
+
+
 def p_star(params: GameParams) -> float:
     """Per-game capture probability for a defender on the capture circle."""
     return capture_circle_solution(params).theta_max / math.pi
@@ -73,8 +81,7 @@ def resets_tail_all(n: int, p_star: float) -> list[float]:
     step updates only the entries that can be nonzero and are still read.
     ``markov_oracle`` checks the result.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n!r}")
+    _check_list_horizon(n)
     _check_probability(p_star)
     q = 1.0 - p_star
     tails = [0.0] * (n + 1)
@@ -136,8 +143,7 @@ def markov_oracle(n: int, p_star: float) -> list[float]:
     {center, circle}; the chain starts at the center.  Independent of the
     closed-form route, so it can arbitrate it.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n!r}")
+    _check_list_horizon(n)
     _check_probability(p_star)
     q = 1.0 - p_star
     # P(circle, k breaches) over k after t games, for the k that can be

@@ -116,6 +116,21 @@ def test_expected_resets_refuses_a_horizon_past_the_float_range():
                 fn(n, P_STAR_BASELINE)
 
 
+@pytest.mark.parametrize("fn", [resets_tail_all, markov_oracle])
+@pytest.mark.parametrize("n, message", [
+    (0, "positive integers no larger than a float"),
+    (-1, "positive integers no larger than a float"),
+    (2**63, "largest list"),
+    (10**400, "positive integers no larger than a float"),
+], ids=["0", "-1", "2**63", "10**400"])
+def test_distributions_refuse_a_horizon_no_list_can_hold(fn, n, message):
+    """The O(n) distributions take the closed form's horizon rule, and refuse
+    a horizon whose list no index reaches before building anything: the tails
+    raised a bare OverflowError there, and the DP's loop never ended."""
+    with pytest.raises(DomainError, match=message):
+        fn(n, P_STAR_BASELINE)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6389435320791843, 0.95, 1.0])
 def test_expected_percentage_at_huge_horizon_meets_asymptote(p):
     # The closed form costs O(1), so a billion-game horizon is cheap.
