@@ -359,6 +359,7 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
     if n_games < 1:
         raise ValueError(f"n_games must be >= 1, got {n_games!r}")
     sol = capture_circle_solution(params)
+    theta_max, phi = sol.theta_max, sol.phi
     r_cc = capture_circle_radius(params)
     angle: Optional[float] = None
     n_boundary = 0
@@ -367,12 +368,12 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
     max_pt_err = 0.0
     max_circ = 0.0
     max_home = 0.0
-    for theta_a in (uniform_angle(seed, i) for i in range(n_games)):
-        after = play_game(angle, theta_a, params)
+    for theta_a in _uniform_angles(seed, n_games):
+        after = _next_bearing(angle, theta_a, theta_max, phi)
         near_boundary = False
         if angle is not None:
             gap = abs(wrap_angle(angle - theta_a))
-            near_boundary = abs(gap - sol.theta_max) < BOUNDARY_MARGIN
+            near_boundary = abs(gap - theta_max) < BOUNDARY_MARGIN
         if near_boundary:
             n_boundary += 1
         else:

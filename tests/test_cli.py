@@ -805,7 +805,7 @@ def test_verify_rejects_oversized_run(tmp_path, capsys, monkeypatch):
     def no_angles(*args):
         raise AssertionError("arrival bearings were drawn")
 
-    monkeypatch.setattr(engine, "uniform_angle", no_angles)
+    monkeypatch.setattr(engine, "_uniform_angles", no_angles)
     out = tmp_path / "verify.txt"
     assert main(["verify", *BASE, "--n", str(MAX_SIM_GAMES + 1), "--out", str(out)]) == 2
     assert str(MAX_SIM_GAMES) in capsys.readouterr().err
