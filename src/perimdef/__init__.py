@@ -25,9 +25,8 @@ _NAMES = {
         "uniform_angle", "verify_outcome_agreement", "wrap_angle",
     ),
     "analytics": (
-        "LevelSetFit", "PrefixStats", "SweepRow", "aggregate_sessions", "asymptotic_percentage",
-        "expected_percentage", "expected_resets", "level_set_slope", "markov_oracle", "p_star",
-        "resets_tail_all", "sweep",
+        "PrefixStats", "SweepRow", "aggregate_sessions", "asymptotic_percentage", "expected_percentage",
+        "expected_resets", "markov_oracle", "p_star", "resets_tail_all", "sweep",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

@@ -26,8 +26,6 @@ if TYPE_CHECKING:
     from .engine import SessionRecord
 
 PARAM_NAMES = ("r_t", "rho_t", "rho_a", "nu")
-# Width in rho_t to which level_set_slope bisects each contour column.
-LEVEL_SET_TOL = 1e-6
 
 
 class DomainError(ValueError):
@@ -36,10 +34,6 @@ class DomainError(ValueError):
 
 class LengthMismatch(ValueError):
     """Aggregated sessions must share one horizon."""
-
-
-class ContourNotFound(ValueError):
-    """The requested percentage level is not bracketed by the sweep."""
 
 
 def _check_probability(p_star: float) -> None:
@@ -227,14 +221,6 @@ class SweepRow(NamedTuple):
     p_star: Optional[float]
     percentages: Optional[tuple[tuple[float, float], ...]]
 
-    def percentage(self, horizon: float) -> float:
-        if self.percentages is None:
-            raise KeyError("infeasible grid point has no percentages")
-        for h, pct in self.percentages:
-            if h == horizon:
-                return pct
-        raise KeyError(f"horizon {horizon!r} not in sweep")
-
 
 def sweep(
     outer: tuple[str, Sequence[float]],
@@ -280,90 +266,3 @@ def sweep(
             rows.append(SweepRow(**kv, feasible=True, theta_max=capture_circle_solution(params).theta_max,
                                  p_star=p, percentages=tuple(pairs)))
     return rows
-
-
-class LevelSetFit(NamedTuple):
-    """Least-squares line through an iso-percentage contour."""
-
-    slope: float
-    intercept: float
-    max_residual: float
-    rel_residual: float
-    points: tuple[tuple[float, float], ...]
-
-
-def level_set_slope(
-    rows: Sequence[SweepRow],
-    target_percentage: float,
-    horizon: float = math.inf,
-) -> LevelSetFit:
-    """Fit a line to one iso-percentage contour of an annulus-width sweep.
-
-    Expects rows varying ``rho_a`` and ``rho_t`` with the other parameters
-    fixed.  Each ``rho_a`` column is refined by true bisection in ``rho_t``
-    (re-evaluating the model, not interpolating the table), then the contour
-    points are fit by least squares.
-    """
-    r_t_values = {row.r_t for row in rows}
-    nu_values = {row.nu for row in rows}
-    if len(r_t_values) != 1 or len(nu_values) != 1:
-        raise ValueError("level-set extraction needs r_t and nu fixed")
-    r_t = r_t_values.pop()
-    nu = nu_values.pop()
-
-    def pct_at(rho_a: float, rho_t: float) -> float:
-        params = validate_params(r_t, rho_t, rho_a, nu)
-        p = p_star(params)
-        if math.isinf(horizon):
-            return asymptotic_percentage(p)
-        return expected_percentage(int(horizon), p)
-
-    columns: dict[float, list[SweepRow]] = {}
-    for row in rows:
-        columns.setdefault(row.rho_a, []).append(row)
-
-    points: list[tuple[float, float]] = []
-    for rho_a in sorted(columns):
-        cells = sorted(
-            (r for r in columns[rho_a] if r.feasible), key=lambda r: r.rho_t
-        )
-        bracket = None
-        for lo_row, hi_row in zip(cells, cells[1:]):
-            lo_v = lo_row.percentage(horizon) - target_percentage
-            hi_v = hi_row.percentage(horizon) - target_percentage
-            if lo_v == 0.0:
-                bracket = (lo_row.rho_t, lo_row.rho_t)
-                break
-            if lo_v * hi_v < 0.0:
-                bracket = (lo_row.rho_t, hi_row.rho_t)
-                break
-        if bracket is None:
-            continue
-        lo, hi = bracket
-        f_lo = pct_at(rho_a, lo) - target_percentage
-        while hi - lo > LEVEL_SET_TOL:
-            mid = 0.5 * (lo + hi)
-            f_mid = pct_at(rho_a, mid) - target_percentage
-            if (f_lo <= 0.0) == (f_mid <= 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        points.append((rho_a, 0.5 * (lo + hi)))
-
-    if len(points) < 2:
-        raise ContourNotFound(
-            f"percentage level {target_percentage!r} bracketed in "
-            f"{len(points)} column(s); need at least 2"
-        )
-    from statistics import fmean, linear_regression
-
-    xs, ys = zip(*points)
-    slope, intercept = linear_regression(xs, ys)
-    max_res = max(abs(slope * x + intercept - y) for x, y in points)
-    return LevelSetFit(
-        slope=slope,
-        intercept=intercept,
-        max_residual=max_res,
-        rel_residual=max_res / fmean(ys),
-        points=tuple(points),
-    )

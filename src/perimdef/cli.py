@@ -133,7 +133,9 @@ def _write_trials(path: Path, pct: list[list[float]], fmt: str) -> None:
                 fh.write((template % tuple(row[start:start + _TRIAL_BLOCK])).replace("\0", mark))
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
+    """The ``key = value`` lines of ``path``, each key one of ``command``'s options."""
+    keys = CONFIG_TYPES.keys() & {*_COMMON_OPTIONS, *_COMMANDS[command][1]}
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -144,15 +146,15 @@ def _load_config(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in CONFIG_TYPES:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
         values[key] = CONFIG_TYPES[key](val)
     return values
 
 
 def _merge(args: argparse.Namespace) -> dict:
     """Flags override config-file values, which override built-in defaults."""
-    merged = _load_config(args.config) if args.config else {}
+    merged = _load_config(args.config, args.command) if args.config else {}
     for key in CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -17,10 +17,13 @@ maximum by bisection, and a saturated plateau read from the last grid time
 and taken to run from that maximum to it) differ from an exhaustive scan of
 the scalar objective (``conftest.scan_decisions``), or when the cached
 solution's verdict on saturation (``refined_tau is None``) differs from the
-scan's (some grid time saturates at pi).
-The first failing draw's params are printed as ``repr`` floats and the exit
-code is 1; otherwise a summary line is printed.  Needs the ``dev`` extras,
-since it reads its ranges and its circle check from the tests' conftest.
+scan's (some grid time saturates at pi), or when ``theta_max`` falls below
+``guarded_arc`` at the capture radius or saturates at pi without it
+(``conftest.arc_bounds_theta_max``).
+The first failing draw's params and the checks it failed are printed, the
+params as ``repr`` floats, and the exit code is 1; otherwise a summary line
+is printed.  Needs the ``dev`` extras, since it reads its ranges and its
+checks from the tests' conftest.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import CIRCLE_TOL, capture_off_circle, edge_params, scan_decisions, search_decisions  # noqa: E402
-from perimdef import capture_circle_radius, capture_circle_solution, verify_outcome_agreement  # noqa: E402
+from conftest import (  # noqa: E402
+    CIRCLE_TOL, arc_bounds_theta_max, capture_off_circle, edge_params, scan_decisions, search_decisions,
+)
+from perimdef import capture_circle_radius, capture_circle_solution, guarded_arc, verify_outcome_agreement  # noqa: E402
 
 GAMES_PER_DRAW = 200
 
@@ -56,8 +61,14 @@ def main(argv=None) -> int:
         r_cc = capture_circle_radius(p)
         scan, search = scan_decisions(r_cc, p), search_decisions(r_cc, p)
         saturated = capture_circle_solution(p).refined_tau is None
-        if not report.all_agree or off_circle > CIRCLE_TOL or search != scan or saturated != bool(scan[2]):
-            print(f"FAIL seed {args.seed} draw {i}: params ({p.r_t!r}, {p.rho_t!r}, {p.rho_a!r}, {p.nu!r})")
+        bounded = arc_bounds_theta_max(p)
+        failed = [check for check, ok in (
+            ("verdicts", report.all_agree), ("rim miss", off_circle <= CIRCLE_TOL), ("grid search", search == scan),
+            ("saturation", saturated == bool(scan[2])), ("guarded-arc bound", bounded),
+        ) if not ok]
+        if failed:
+            print(f"FAIL seed {args.seed} draw {i} ({', '.join(failed)}): "
+                  f"params ({p.r_t!r}, {p.rho_t!r}, {p.rho_a!r}, {p.nu!r})")
             print(f"  {report}; rim miss at detection {off_circle:.3g} * (1 + r_cc)")
             if search != scan:
                 print(f"  grid search read (max {search[1]}, plateau {search[2][:1]}..{search[2][-1:]}), "
@@ -66,6 +77,9 @@ def main(argv=None) -> int:
             if saturated != bool(scan[2]):
                 print(f"  the solution reads {'' if saturated else 'no '}saturation, "
                       f"the scan {len(scan[2])} saturated grid times")
+            if not bounded:
+                print(f"  theta_max {capture_circle_solution(p).theta_max!r}, "
+                      f"guarded arc at the capture radius {guarded_arc(r_cc, p)!r}")
             return 1
         games += report.n_compared
         skipped += report.n_boundary_skipped

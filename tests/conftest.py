@@ -17,7 +17,7 @@ from perimdef.engine import simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
 from perimdef.strategy import (
     TAU_GRID_POINTS, _grid, _grid_peak, _objective, capture_circle_radius,
-    capture_circle_solution, engagement_domain, engagement_theta, theta_max_at,
+    capture_circle_solution, engagement_domain, engagement_theta, guarded_arc, theta_max_at,
 )
 
 # float.hex of (tau, phi) of two saturated optima: at (5, 10, 0.5, 0.5) the
@@ -133,6 +133,14 @@ def capture_off_circle(params) -> float:
         miss = max(abs(d + circle.radius - r_cc), params.r_t - (d - circle.radius))
         worst = max(worst, miss / (1.0 + r_cc))
     return worst
+
+
+def arc_bounds_theta_max(params) -> bool:
+    """Whether the full-information arc at the capture radius bounds the
+    equilibrium's ``theta_max`` from below, the two saturating at pi together."""
+    arc = guarded_arc(capture_circle_radius(params), params)
+    theta_max = capture_circle_solution(params).theta_max
+    return theta_max >= arc and (theta_max == math.pi) == (arc == math.pi)
 
 
 def scan_decisions(r: float, p: GameParams) -> tuple[list[float], int, list[int]]:

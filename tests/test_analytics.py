@@ -1,5 +1,5 @@
 """Closed-form capture statistics against the exact dynamic-programming oracle,
-plus aggregation, sweeps, and level-set extraction."""
+plus aggregation and sweeps."""
 
 from __future__ import annotations
 
@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 
 from perimdef import strategy
 from perimdef.analytics import (
-    ContourNotFound,
     DomainError,
     LengthMismatch,
     aggregate_sessions,
     asymptotic_percentage,
     expected_percentage,
     expected_resets,
-    level_set_slope,
     markov_oracle,
     p_star,
     resets_tail_all,
@@ -339,11 +337,10 @@ def test_sweep_rows_order_and_feasibility():
     for row in rows:
         if row.feasible:
             assert 0.0 < row.p_star <= 1.0
-            assert row.percentage(20.0) >= row.percentage(math.inf) - 1e-9
+            pct = dict(row.percentages)
+            assert pct[20.0] >= pct[math.inf] - 1e-9
         else:
             assert row.theta_max is None and row.percentages is None
-            with pytest.raises(KeyError):
-                row.percentage(20.0)
 
 
 def test_sweep_keeps_only_the_latest_solution():
@@ -398,50 +395,6 @@ def test_finite_horizon_close_to_asymptote_across_grid():
     feasible = [r for r in rows if r.feasible]
     assert len(feasible) > 40
     for row in feasible:
-        assert abs(row.percentage(20.0) - row.percentage(math.inf)) <= 5.0
+        pct = dict(row.percentages)
+        assert abs(pct[20.0] - pct[math.inf]) <= 5.0
 
-
-def test_level_set_slope_near_linear():
-    rows = sweep(
-        ("rho_a", np.linspace(0.2, 3.0, 8)),
-        ("rho_t", np.linspace(4.0, 16.0, 13)),
-        {"r_t": 5.0, "nu": 0.75},
-        horizons=[20],
-    )
-    fit = level_set_slope(rows, 75.0)
-    assert 2.0 <= fit.slope <= 3.0
-    assert fit.rel_residual <= 0.10
-    assert len(fit.points) >= 4
-    # numpy's least-squares line through the fit's own points.
-    xs, ys = np.array(fit.points).T
-    slope, intercept = np.polyfit(xs, ys, 1)
-    max_residual = float(np.max(np.abs(slope * xs + intercept - ys)))
-    assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0.0)
-    assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0.0)
-    assert fit.max_residual == pytest.approx(max_residual, rel=1e-9, abs=0.0)
-    assert fit.rel_residual == pytest.approx(max_residual / float(np.mean(ys)), rel=1e-9, abs=0.0)
-
-
-def test_level_set_contour_not_found():
-    rows = sweep(
-        ("rho_a", [0.5, 1.0]),
-        ("rho_t", [8.0, 10.0]),
-        {"r_t": 5.0, "nu": 0.75},
-        horizons=[20],
-    )
-    with pytest.raises(ContourNotFound):
-        level_set_slope(rows, 99.9)
-    # single-celled columns cannot bracket anything
-    degenerate = sweep(
-        ("rho_a", [0.5, 1.0]), ("rho_t", [10.0]), {"r_t": 5.0, "nu": 0.75}, [20]
-    )
-    with pytest.raises(ContourNotFound):
-        level_set_slope(degenerate, 75.0)
-
-
-def test_level_set_requires_fixed_nu():
-    rows = sweep(
-        ("rho_a", [0.5, 1.0]), ("nu", [0.6, 0.7]), {"r_t": 5.0, "rho_t": 12.0}, [20]
-    )
-    with pytest.raises(ValueError):
-        level_set_slope(rows, 75.0)

@@ -733,12 +733,25 @@ def test_main_dispatches_through_the_module_attribute(monkeypatch, command):
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("r_t = 5\nwarp_factor = 9\n")
-    code = main(["analytic", "--config", str(cfg), "--n", "5",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "warp_factor" in capsys.readouterr().err
+    """A config key no command takes, or one the running command does not
+    take, exits 2 naming the key and the command, and writes no file; each
+    run is valid without the key."""
+    grids = ["--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:1:2", "--grid", "rho_t=8:10:2"]
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
+    for command, args, key, value in [
+        ("analytic", [*BASE, "--n", "5"], "warp_factor", "9"),
+        ("simulate", [*BASE, "--n", "5", "--trials", "2"], "theta_a", "0.3"),
+        ("analytic", [*BASE, "--n", "5"], "trials", "5"),
+        ("sweep", grids, "dt", "1e-3"),
+        ("verify", [*BASE, "--n", "5"], "trials", "5"),
+        ("trace", [*BASE, "--theta-a", "0.6"], "n", "5"),
+    ]:
+        cfg.write_text(f"r_t = 5\n{key} = {value}\n")
+        assert main([command, *args, "--config", str(cfg), "--out", str(out)]) == 2, (command, key)
+        assert f"unknown config key {key!r} for {command}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([command, *args, "--out", str(out)]) == 0, command
+        out.unlink()
 
 
 def test_missing_required_flags_exit_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ _DataclassPoint2 = dataclasses.make_dataclass("Point2", [("x", float), ("y", flo
 RECORDS = (
     geometry.GameParams, geometry.ApolloniusCircle, strategy.EngagementCandidate,
     strategy.EngagementSolution, engine.SessionRecord, engine.Trajectory, engine.AgreementReport,
-    analytics.PrefixStats, analytics.SweepRow, analytics.LevelSetFit,
+    analytics.PrefixStats, analytics.SweepRow,
 )
 
 

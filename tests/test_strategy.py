@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PLATEAU_HEX, edge_params, make_valid_params, scan_decisions, search_decisions, valid_params
+from conftest import (
+    PLATEAU_HEX, arc_bounds_theta_max, edge_params, make_valid_params, scan_decisions, search_decisions, valid_params,
+)
 from perimdef import analytics
 from perimdef.cli import main
 from perimdef.geometry import (
@@ -464,6 +466,15 @@ def test_optimizer_dominates_fresh_grid_property(p):
     tau_min, tau_max = engagement_domain(p)
     for tau in np.linspace(tau_min, tau_max, 4096).tolist():
         assert sol.theta_max >= theta_max_at(tau, engagement_theta(tau, p), r, p) - 1e-7
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(valid_params())
+def test_guarded_arc_bounds_theta_max_property(p):
+    """The full-information arc bounds the equilibrium from below: ``theta_max``
+    is at least ``guarded_arc`` at the capture radius, and is pi exactly when
+    that arc is."""
+    assert arc_bounds_theta_max(p)
 
 
 def test_optimizer_bundle_consistency(params):
