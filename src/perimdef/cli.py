@@ -148,7 +148,11 @@ def _load_config(path: str, command: str) -> dict:
         val = val.strip()
         if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
-        values[key] = CONFIG_TYPES[key](val)
+        typ = CONFIG_TYPES[key]
+        try:
+            values[key] = typ(val)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: invalid {typ.__name__} value for {key!r}: {val!r}") from None
     return values
 
 

@@ -117,7 +117,10 @@ def guarded_arc(r: float, params: GameParams) -> float:
     f1 = (r_t + nu * r) ** 2 - (rtil - nu * r_t) ** 2
     f2 = (rtil + nu * r_t) ** 2 - (nu * r - r_t) ** 2
     arg = f1 * f2 / (16.0 * nu * nu * r_t * r_t * r * rtil)
-    return 2.0 * math.acos(math.sqrt(clamp_unit(arg)))
+    # A few ulps above the threshold f1 can round below zero; the arc there is pi.
+    if arg < -CLAMP_TOL:
+        raise ValueError(f"guarded-arc argument {arg!r} is below 0 beyond tolerance")
+    return 2.0 * math.acos(math.sqrt(max(0.0, clamp_unit(arg))))
 
 
 def engagement_domain(params: GameParams) -> tuple[float, float]:

@@ -319,7 +319,7 @@ def test_aggregate_sessions_length_mismatch(params):
 
 
 # ---------------------------------------------------------------------------
-# sweeps and level sets
+# sweeps
 
 
 def test_sweep_rows_order_and_feasibility():

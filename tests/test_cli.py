@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import gc
 import hashlib
 import json
@@ -18,7 +19,6 @@ from perimdef import analytics, engine, strategy
 from perimdef.cli import (
     _TRIAL_BLOCK,
     CONFIG_TYPES,
-    FORMATS,
     MAX_GRID_POINTS,
     MAX_SIM_GAMES,
     _write_rows,
@@ -30,84 +30,131 @@ from perimdef.engine import MAX_TRACE_SAMPLES
 from perimdef.geometry import validate_params
 
 BASE = ["--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8"]
-# sha256 of CLI outputs, pinned so that a refactor of the engine, the
-# aggregation or the writers keeps every byte.
-PINNED_SHA256 = {
-    "sim.csv": "e23f64c0e917967927298d2c5062b1afd893f93133f97944fd3531a44f8cd761",
-    "sim_trials.csv": "c8cc8e2a7f0aa1d393b2bdf5b51ceefd0db318a9ce52e57842f9522660f3c03d",
-    "sweep.csv": "8f76fd9a0baaa3ce9c6fe652f8880268c9d5fba628c7154697b44e572e308907",
-}
-# The paper's 15 x 25 annulus sweep, whose 242 feasible points are each one
-# cold engagement solve.
-PAPER_SWEEP = ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.2:3:15", "--grid", "rho_t=4:16:25",
-               "--n", "20,100"]
-PINNED_PAPER_SWEEP_SHA256 = "beb11dfc95f2d94b887c2f998e3817ea080d363487388fd460ffd8428fb1051b"
-# The benchmark's sweep grid shifted by seeds 1 and 2, where over half the
-# feasible points saturate at pi.
-SHIFTED_SWEEPS_SHA256 = {
-    ("rho_a=0.22687284882248027:3.0268728488224803:15", "rho_t=4.0671821220562006:16.067182122056202:25"):
-        "6ebb67b756fd7a61d7da8111297b0b39ef7d1b0f5e0df9c0fa8f739aa97de98d",
-    ("rho_a=0.39120685437784986:3.19120685437785:15", "rho_t=4.478017135944625:16.478017135944626:25"):
-        "d81e754f8047a9dc4c9857ec212b76b34dd916936acdfa9d7b09a1a22455846b",
-}
-# The same simulate run written as JSONL.
-PINNED_JSONL_SHA256 = {
-    "sim.jsonl": "da286e9dd5949e96f08b0311a916a0e978abba5a10401d06799a6c282104b278",
-    "sim_trials.jsonl": "02b35e1eda1573553fb5f4c9a1420b87c234831f5d70d9c51be57840aa184fa7",
-}
-# simulate at the benchmark's shape (200 sessions of 500 arrivals) and as a few
-# long sessions, each over several blocks of hashed arrivals and more than one
-# _TRIAL_BLOCK of prefixes, keyed by (--n, --trials, --seed) and then by file.
-PINNED_SIM_SHAPES_SHA256 = {
-    ("500", "200", "1"): {
-        "sim.csv": "0a3127e0a732b47c7d01c984d1fb02c3a65ad19a7b4e9dc62c25c820e75d8d04",
-        "sim_trials.csv": "258e88ee03afcec243c06e8d1a04602dc43f8e91d41238dbc0e024bceceb01a0",
-        "sim.jsonl": "92669f54cfbfbe84b33a736d3b2588d20836f5319a19603fa84cffd2f835ceb3",
-        "sim_trials.jsonl": "b6bae0b69762f739c449fd0bdfbcbb8dea268b0d64201a0ffa26add13ace411c",
-    },
-    ("20000", "3", "-7"): {
-        "sim.csv": "27db3790dff8820a2fe2f5b35bebdf5da71adb67978055219d7b398c40c2a326",
-        "sim_trials.csv": "2644826350f3d1ed9cdb751d68d0da44741f8639e190896dc7f299c916e0d44c",
-        "sim.jsonl": "04fed6bcc9b52baf89b227dcc7e11ae950b1b569a0505ddbbe62905259e16d2f",
-        "sim_trials.jsonl": "2aaf198159f926b675952ba6dc4f619bac5ff65c8ccec8e71cfd9ff3dbdb8678",
-    },
-}
-# Traces of a capture-bound and a breach-bound game from the capture circle,
-# keyed by their --theta-a and --defender-angle.
-PINNED_TRACE_SHA256 = {
-    ("0.6", "1.1"): "6887b27c8540568d2b26e1a085f9f1b6b65c91aa15f0c16d38ea55163fbea7df",
-    ("3.0", "0.0"): "9d7f6d0fe51a8b4c58f0cd7658c7f4f5f242656e31b4223871bc627318748c5f",
-}
-# The same two traces written as JSONL.
-PINNED_TRACE_JSONL_SHA256 = {
-    ("0.6", "1.1"): "bd8afd5d766cf7fb0c6c9a45d239bf62d7bc2449e159acfec2d4c9ea87fc07c3",
-    ("3.0", "0.0"): "0a426db488df7f9f2e49f88682df8fd52dc051561e0fe66887be36e9e41cb786",
-}
-# A capture-bound trace from the center (no --defender-angle), keyed by format.
-PINNED_CENTER_TRACE_SHA256 = {
-    "csv": "f0977d06550182e75abc263db8847cd15b29ea2b464e5b0ab8a5b10ced9c0e80",
-    "jsonl": "4a999aaa19934c12f2a7fded0b91f8c468856b4c7e87e54718b4848840d613ff",
-}
-# A capture-bound trace from the capture circle at bearing 0, keyed by format:
-# a bearing of 0 is a defender on the circle, not one at the center.
-PINNED_BEARING_ZERO_TRACE_SHA256 = {
-    "csv": "5ad24c21c3d6a61e0af648d7d1c33140a0a44189be67cce58544c7bbc62fbfd7",
-    "jsonl": "20b241304614a4e6b8f0920d52c64f4f1b296008d5647e6020937d0d2a2d6e1b",
-}
-# verify's report at the baseline and at a plateau, keyed by --rho-a and --nu.
-PINNED_VERIFY_SHA256 = {
-    ("1", "0.8"): "455135ffae6424b9622c518a17b679d758415dbf973f3e8271650e36b6455d13",
-    ("0.5", "0.5"): "5dd6460d51574bf1d986d6ac918dd0a06e250cfa75ac52d122ed54b3e37f9b9a",
-}
 # theta_max saturates at pi here, so the engagement time is the plateau time
 # chosen by the approach audit.  Every simulated game is then a capture; the
 # trace of a capture-bound game also pins the audited phi.
 PLATEAU = ["--r-t", "5", "--rho-t", "10", "--rho-a", "0.5", "--nu", "0.5"]
-PINNED_PLATEAU_SHA256 = {
-    "sim.csv": "c8b27531b7e1f4a245aa1ea3682a1e094057a903f720ce374268680778d88bf5",
-    "sim_trials.csv": "0341e40f3a7e56b607fded6ec1e1bbfbacfe09703403fb420c082975ffc472fc",
-    "trace.csv": "26a51da48697f3031bb60b8215394c277a926f23a81a114b0fd67dc9006383da",
+# The sha256 of every file a command writes, pinned so that a refactor of the
+# engine, the aggregation or the writers keeps every byte.  Each case is an
+# argv, run in an empty directory, and the digest of each file it leaves there.
+PINNED_OUTPUTS = {
+    "simulate-csv": (["simulate", *BASE, "--n", "40", "--trials", "5", "--seed", "9", "--out", "sim.csv"], {
+        "sim.csv": "e23f64c0e917967927298d2c5062b1afd893f93133f97944fd3531a44f8cd761",
+        "sim_trials.csv": "c8cc8e2a7f0aa1d393b2bdf5b51ceefd0db318a9ce52e57842f9522660f3c03d",
+    }),
+    "simulate-jsonl": (["simulate", *BASE, "--n", "40", "--trials", "5", "--seed", "9", "--format", "jsonl",
+                        "--out", "sim.jsonl"], {
+        "sim.jsonl": "da286e9dd5949e96f08b0311a916a0e978abba5a10401d06799a6c282104b278",
+        "sim_trials.jsonl": "02b35e1eda1573553fb5f4c9a1420b87c234831f5d70d9c51be57840aa184fa7",
+    }),
+    # simulate at the benchmark's shape (200 sessions of 500 arrivals) and as a
+    # few long sessions, each over several blocks of hashed arrivals and more
+    # than one _TRIAL_BLOCK of prefixes
+    "simulate-500x200-csv": (["simulate", *BASE, "--n", "500", "--trials", "200", "--seed", "1", "--format", "csv",
+                              "--out", "sim.csv"], {
+        "sim.csv": "0a3127e0a732b47c7d01c984d1fb02c3a65ad19a7b4e9dc62c25c820e75d8d04",
+        "sim_trials.csv": "258e88ee03afcec243c06e8d1a04602dc43f8e91d41238dbc0e024bceceb01a0",
+    }),
+    "simulate-500x200-jsonl": (["simulate", *BASE, "--n", "500", "--trials", "200", "--seed", "1", "--format", "jsonl",
+                                "--out", "sim.jsonl"], {
+        "sim.jsonl": "92669f54cfbfbe84b33a736d3b2588d20836f5319a19603fa84cffd2f835ceb3",
+        "sim_trials.jsonl": "b6bae0b69762f739c449fd0bdfbcbb8dea268b0d64201a0ffa26add13ace411c",
+    }),
+    "simulate-20000x3-csv": (["simulate", *BASE, "--n", "20000", "--trials", "3", "--seed", "-7", "--format", "csv",
+                              "--out", "sim.csv"], {
+        "sim.csv": "27db3790dff8820a2fe2f5b35bebdf5da71adb67978055219d7b398c40c2a326",
+        "sim_trials.csv": "2644826350f3d1ed9cdb751d68d0da44741f8639e190896dc7f299c916e0d44c",
+    }),
+    "simulate-20000x3-jsonl": (["simulate", *BASE, "--n", "20000", "--trials", "3", "--seed", "-7", "--format", "jsonl",
+                                "--out", "sim.jsonl"], {
+        "sim.jsonl": "04fed6bcc9b52baf89b227dcc7e11ae950b1b569a0505ddbbe62905259e16d2f",
+        "sim_trials.jsonl": "2aaf198159f926b675952ba6dc4f619bac5ff65c8ccec8e71cfd9ff3dbdb8678",
+    }),
+    "simulate-plateau-csv": (["simulate", *PLATEAU, "--n", "40", "--trials", "5", "--seed", "9", "--out", "sim.csv"], {
+        "sim.csv": "c8b27531b7e1f4a245aa1ea3682a1e094057a903f720ce374268680778d88bf5",
+        "sim_trials.csv": "0341e40f3a7e56b607fded6ec1e1bbfbacfe09703403fb420c082975ffc472fc",
+    }),
+    "sweep-csv": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:2:3", "--grid", "rho_t=6:12:4",
+                   "--n", "20,100", "--out", "sweep.csv"], {
+        "sweep.csv": "8f76fd9a0baaa3ce9c6fe652f8880268c9d5fba628c7154697b44e572e308907",
+    }),
+    # the paper's 15 x 25 annulus sweep, whose 242 feasible points are each one
+    # cold engagement solve
+    "sweep-paper-csv": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.2:3:15", "--grid", "rho_t=4:16:25",
+                         "--n", "20,100", "--out", "paper_sweep.csv"], {
+        "paper_sweep.csv": "beb11dfc95f2d94b887c2f998e3817ea080d363487388fd460ffd8428fb1051b",
+    }),
+    # the benchmark's sweep grid shifted by seeds 1 and 2, where over half the
+    # feasible points saturate at pi
+    "sweep-shifted-seed1-csv": (["sweep", "--r-t", "5.0", "--nu", "0.75",
+                                 "--grid", "rho_a=0.22687284882248027:3.0268728488224803:15",
+                                 "--grid", "rho_t=4.0671821220562006:16.067182122056202:25",
+                                 "--n", "20,100", "--out", "sweep.csv"], {
+        "sweep.csv": "6ebb67b756fd7a61d7da8111297b0b39ef7d1b0f5e0df9c0fa8f739aa97de98d",
+    }),
+    "sweep-shifted-seed2-csv": (["sweep", "--r-t", "5.0", "--nu", "0.75",
+                                 "--grid", "rho_a=0.39120685437784986:3.19120685437785:15",
+                                 "--grid", "rho_t=4.478017135944625:16.478017135944626:25",
+                                 "--n", "20,100", "--out", "sweep.csv"], {
+        "sweep.csv": "d81e754f8047a9dc4c9857ec212b76b34dd916936acdfa9d7b09a1a22455846b",
+    }),
+    "verify": (["verify", "--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8",
+                "--n", "500", "--seed", "1", "--out", "verify.txt"], {
+        "verify.txt": "455135ffae6424b9622c518a17b679d758415dbf973f3e8271650e36b6455d13",
+    }),
+    "verify-plateau": (["verify", "--r-t", "5", "--rho-t", "10", "--rho-a", "0.5", "--nu", "0.5",
+                        "--n", "500", "--seed", "1", "--out", "verify.txt"], {
+        "verify.txt": "5dd6460d51574bf1d986d6ac918dd0a06e250cfa75ac52d122ed54b3e37f9b9a",
+    }),
+    # a capture-bound and a breach-bound game from the capture circle
+    "trace-capture-csv": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-3",
+                           "--out", "trace.csv"], {
+        "trace.csv": "6887b27c8540568d2b26e1a085f9f1b6b65c91aa15f0c16d38ea55163fbea7df",
+    }),
+    "trace-capture-jsonl": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-3",
+                             "--format", "jsonl", "--out", "trace.jsonl"], {
+        "trace.jsonl": "bd8afd5d766cf7fb0c6c9a45d239bf62d7bc2449e159acfec2d4c9ea87fc07c3",
+    }),
+    "trace-breach-csv": (["trace", *BASE, "--theta-a", "3.0", "--defender-angle", "0.0", "--dt", "1e-3",
+                          "--out", "trace.csv"], {
+        "trace.csv": "9d7f6d0fe51a8b4c58f0cd7658c7f4f5f242656e31b4223871bc627318748c5f",
+    }),
+    "trace-breach-jsonl": (["trace", *BASE, "--theta-a", "3.0", "--defender-angle", "0.0", "--dt", "1e-3",
+                            "--format", "jsonl", "--out", "trace.jsonl"], {
+        "trace.jsonl": "0a426db488df7f9f2e49f88682df8fd52dc051561e0fe66887be36e9e41cb786",
+    }),
+    # a capture-bound game from the center (no --defender-angle)
+    "trace-center-csv": (["trace", *BASE, "--theta-a", "-1.1", "--dt", "1e-3", "--format", "csv",
+                          "--out", "trace.csv"], {
+        "trace.csv": "f0977d06550182e75abc263db8847cd15b29ea2b464e5b0ab8a5b10ced9c0e80",
+    }),
+    "trace-center-jsonl": (["trace", *BASE, "--theta-a", "-1.1", "--dt", "1e-3", "--format", "jsonl",
+                            "--out", "trace.jsonl"], {
+        "trace.jsonl": "4a999aaa19934c12f2a7fded0b91f8c468856b4c7e87e54718b4848840d613ff",
+    }),
+    # a capture-bound game from the capture circle at bearing 0: a bearing of 0
+    # is a defender on the circle, not one at the center
+    "trace-bearing-zero-csv": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
+                                "--format", "csv", "--out", "trace.csv"], {
+        "trace.csv": "5ad24c21c3d6a61e0af648d7d1c33140a0a44189be67cce58544c7bbc62fbfd7",
+    }),
+    "trace-bearing-zero-jsonl": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
+                                  "--format", "jsonl", "--out", "trace.jsonl"], {
+        "trace.jsonl": "20b241304614a4e6b8f0920d52c64f4f1b296008d5647e6020937d0d2a2d6e1b",
+    }),
+    "trace-plateau-csv": (["trace", *PLATEAU, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2",
+                           "--out", "trace.csv"], {
+        "trace.csv": "26a51da48697f3031bb60b8215394c277a926f23a81a114b0fd67dc9006383da",
+    }),
 }
+
+
+@pytest.mark.parametrize("case", PINNED_OUTPUTS)
+def test_outputs_pinned(tmp_path, monkeypatch, case):
+    argv, pinned = PINNED_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()} == pinned
 
 
 def _read(path):
@@ -202,14 +249,65 @@ def test_simulate_writes_its_summary_in_blocks(tmp_path):
     assert peak < 8_000_000
 
 
-def test_invalid_params_exit_2(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    code = main(["simulate", "--r-t", "5", "--rho-t", "2", "--rho-a", "1",
-                 "--nu", "0.8", "--n", "5", "--out", str(out)])
-    assert code == 2
+# Invocations that exit 2 and write no file, each with the fragments its
+# message must hold; a config file named in an argv is one of CONFIG_FILES.
+CONFIG_FILES = {"empty_nu.cfg": "nu =\n", "fractional_seed.cfg": "seed = 1.5\n"}
+REFUSED = {
+    "invalid-params": (["simulate", "--r-t", "5", "--rho-t", "2", "--rho-a", "1", "--nu", "0.8", "--n", "5",
+                        "--out", "x.csv"], "second"),
+    "missing-nu": (["analytic", "--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--out", "x.csv"], "--nu"),
+    "config-empty-nu": (["analytic", "--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--n", "5",
+                         "--config", "empty_nu.cfg", "--out", "x.csv"],
+                        "empty_nu.cfg:1: invalid float value for 'nu': ''"),
+    "config-fractional-seed": (["simulate", *BASE, "--n", "5", "--config", "fractional_seed.cfg", "--out", "x.csv"],
+                               "fractional_seed.cfg:1: invalid int value for 'seed': '1.5'"),
+    # valid params with rho_t / rho_a = 1e7 at nu = 0.5, whose engagement
+    # window rounding spoils, are refused with a message naming them
+    "analytic-inconsistent-window": (["analytic", "--r-t", "1", "--rho-t", "1e7", "--rho-a", "1", "--nu", "0.5",
+                                      "--n", "20", "--out", "x.csv"],
+                                     "engagement window endpoints inconsistent", "rho_t=10000000.0"),
+    "sweep-inconsistent-window": (["sweep", "--r-t", "1", "--nu", "0.5", "--grid", "rho_a=1:1:1",
+                                   "--grid", "rho_t=10:1e7:2", "--out", "x.csv"],
+                                  "engagement window endpoints inconsistent", "rho_t=10000000.0"),
+    "analytic-horizon-past-float": (["analytic", *BASE, "--n", "20,1" + "0" * 400, "--out", "x.csv"],
+                                    "no larger than a float"),
+    "sweep-horizon-past-float": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2",
+                                  "--grid", "rho_t=4:12:2", "--n", "20,1" + "0" * 400, "--out", "x.csv"],
+                                 "no larger than a float"),
+    # a fixed nu outside (0, 1) is refused as a fixed length beyond LENGTH_RANGE is
+    "sweep-nu-1.5": (["sweep", "--r-t", "5", "--nu", "1.5", "--grid", "rho_a=0.2:3:2", "--grid", "rho_t=4:16:2",
+                      "--out", "sweep.csv"], "invalid parameters (speed condition): speed ratio nu=1.5"),
+    "sweep-nu-0": (["sweep", "--r-t", "5", "--nu", "0", "--grid", "rho_a=0.2:3:2", "--grid", "rho_t=4:16:2",
+                    "--out", "sweep.csv"], "invalid parameters (speed condition): speed ratio nu=0.0"),
+    "sweep-nu-1": (["sweep", "--r-t", "5", "--nu", "1", "--grid", "rho_a=0.2:3:2", "--grid", "rho_t=4:16:2",
+                    "--out", "sweep.csv"], "invalid parameters (speed condition): speed ratio nu=1.0"),
+    "sweep-one-grid": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2", "--out", "s.csv"],
+                       "two --grid"),
+    "sweep-grid-1e8-points": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0:1:100000000",
+                               "--grid", "rho_t=4:12:2", "--out", "s.csv"], str(MAX_GRID_POINTS)),
+    "sweep-grid-1001x1000-points": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0:1:1001",
+                                     "--grid", "rho_t=4:12:1000", "--out", "s.csv"], str(MAX_GRID_POINTS)),
+    "sweep-grid-nan-bound": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=nan:1:3",
+                              "--grid", "rho_t=4:12:2", "--out", "s.csv"], "bad grid range"),
+    "sweep-grid-inf-bound": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.2:inf:3",
+                              "--grid", "rho_t=4:12:2", "--out", "s.csv"], "bad grid range"),
+    "sweep-grid-minus-inf-bound": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=-inf:1:3",
+                                    "--grid", "rho_t=4:12:2", "--out", "s.csv"], "bad grid range"),
+    "verify-0-games": (["verify", *BASE, "--n", "0", "--out", "verify.txt"], "n_games"),
+    "verify-minus-3-games": (["verify", *BASE, "--n", "-3", "--out", "verify.txt"], "n_games"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_invocations_exit_2(tmp_path, monkeypatch, capsys, case):
+    argv, *fragments = REFUSED[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "second" in err
-    assert not out.exists()
+    assert [f for f in fragments if f not in err] == []
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(CONFIG_FILES)
 
 
 # Games with lengths at the ends of geometry.LENGTH_RANGE (rho_a at 1e-150;
@@ -264,18 +362,6 @@ def test_sweep_lengths_beyond_the_range(tmp_path, capsys, r_t, nu, grids, feasib
     assert not out.exists()
 
 
-@pytest.mark.parametrize("nu", ["1.5", "0", "1"])
-def test_sweep_fixed_speed_outside_the_unit_interval_exits_2(tmp_path, capsys, nu):
-    """A fixed ``nu`` outside (0, 1) exits 2 and writes no file, as a fixed
-    length beyond ``LENGTH_RANGE`` does."""
-    out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--r-t", "5", "--nu", nu, "--grid", "rho_a=0.2:3:2", "--grid", "rho_t=4:16:2",
-            "--out", str(out)]
-    assert main(argv) == 2
-    assert f"invalid parameters (speed condition): speed ratio nu={float(nu)!r}" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_cli_process_matches_in_process_main(tmp_path):
     """``python -m perimdef.cli`` runs through ``entry``: the same bytes and exit
     codes as ``main`` in process, which leaves the collector's state alone."""
@@ -308,50 +394,37 @@ def test_cli_process_matches_in_process_main(tmp_path):
     assert gc.get_freeze_count() == frozen
 
 
-# A fresh interpreter that imports perimdef, runs ``main`` on each of the
-# (step, argv) pairs in ``sys.argv[1]`` and prints, for the import and after
-# each step, its exit code and the perimdef modules and numpy it has loaded.
+# The perimdef modules each command loads, run through ``entry`` in its own
+# fresh interpreter as the console script runs it.  No command loads any module
+# of UNLOADED: numpy is a test dependency, dataclasses would bring inspect, and
+# a CSV run writes no JSON.
+UNLOADED = ("dataclasses", "inspect", "json", "numpy")
+STATISTICS = ["perimdef.analytics", "perimdef.cli", "perimdef.geometry", "perimdef.strategy"]
+REPLAY = ["perimdef.cli", "perimdef.engine", "perimdef.geometry", "perimdef.strategy"]
+LOADED_MODULES = {
+    "analytic": (["analytic", *BASE, "--n", "1,20", "--out", "a.csv"], STATISTICS),
+    "sweep": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3", "--grid", "rho_t=4:12:3",
+               "--out", "s.csv"], STATISTICS),
+    "simulate": (["simulate", *BASE, "--n", "20", "--trials", "2", "--out", "m.csv"],
+                 sorted([*STATISTICS, "perimdef.engine"])),
+    "verify": (["verify", *BASE, "--n", "20", "--out", "v.txt"], REPLAY),
+    "trace": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2", "--out", "t.csv"],
+              REPLAY),
+}
+# Runs the argv it is given and prints the exit code and the loaded modules
+# that it watches, importing none of them itself.
 LOADED_SCRIPT = """
-import json, sys
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith("perimdef.") or m == "numpy")
-import perimdef
-steps = {"import": [0, loaded()]}
-from perimdef.cli import main
-for step, argv in json.loads(sys.argv[1]):
-    steps[step] = [main(argv), loaded()]
-print(json.dumps(steps))
-"""
+import sys
+from perimdef.cli import entry
+code = entry(sys.argv[1:])
+print(repr((code, sorted(m for m in sys.modules if m.startswith("perimdef.") or m in %r))))
+""" % (UNLOADED,)
 
 
-def _loaded_by(steps: list, cwd) -> dict:
-    return json.loads(run_fresh(LOADED_SCRIPT, cwd, json.dumps(steps)))
-
-
-def test_commands_that_play_no_games_never_import_numpy(tmp_path):
-    """No command imports numpy, and only the commands that play games import
-    ``engine``.  In a fresh interpreter, importing perimdef loads none of its
-    modules, ``analytic`` and a 3x3 ``sweep`` leave ``engine`` and numpy
-    unloaded, and ``simulate`` plays and aggregates its sessions with numpy
-    still unloaded."""
-    sweep = ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3", "--grid", "rho_t=4:12:3",
-             "--out", "s.csv"]
-    no_games = ["perimdef.analytics", "perimdef.cli", "perimdef.geometry", "perimdef.strategy"]
-    assert _loaded_by([["analytic", ["analytic", *BASE, "--n", "1,20", "--out", "a.csv"]], ["sweep", sweep],
-                       ["simulate", ["simulate", *BASE, "--n", "20", "--trials", "2", "--out", "m.csv"]]],
-                      tmp_path) == {
-        "import": [0, []], "analytic": [0, no_games], "sweep": [0, no_games],
-        "simulate": [0, sorted([*no_games, "perimdef.engine"])],
-    }
-
-
-def test_commands_that_need_no_statistics_never_import_analytics(tmp_path):
-    """``verify`` and ``trace`` replay games one at a time: each, in its own
-    fresh interpreter, leaves ``analytics`` and numpy unloaded."""
-    replay = ["perimdef.cli", "perimdef.engine", "perimdef.geometry", "perimdef.strategy"]
-    for argv in (["verify", *BASE, "--n", "20", "--out", "v.txt"],
-                 ["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2", "--out", "t.csv"]):
-        assert _loaded_by([[argv[0], argv]], tmp_path) == {"import": [0, []], argv[0]: [0, replay]}
+@pytest.mark.parametrize("command", LOADED_MODULES)
+def test_commands_load_only_their_modules(tmp_path, command):
+    argv, modules = LOADED_MODULES[command]
+    assert ast.literal_eval(run_fresh(LOADED_SCRIPT, tmp_path, *argv)) == (0, modules)
 
 
 def test_entry_freezes_the_import_time_objects(tmp_path):
@@ -438,26 +511,6 @@ def test_sweep_reads_horizons_from_config(tmp_path):
     assert _read(out_b)[0].endswith(",pct_n7,pct_inf")
 
 
-@pytest.mark.parametrize("outer, inner", [
-    ("rho_a=0:1:100000000", "rho_t=4:12:2"),
-    ("rho_a=0:1:1001", "rho_t=4:12:1000"),
-])
-def test_sweep_rejects_oversized_grid(tmp_path, capsys, outer, inner):
-    out = tmp_path / "s.csv"
-    code = main(["sweep", "--r-t", "5", "--nu", "0.75",
-                 "--grid", outer, "--grid", inner, "--out", str(out)])
-    assert code == 2
-    assert str(MAX_GRID_POINTS) in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_sweep_requires_two_grids(tmp_path, capsys):
-    code = main(["sweep", "--r-t", "5", "--nu", "0.75",
-                 "--grid", "rho_a=0.5:3:2", "--out", str(tmp_path / "s.csv")])
-    assert code == 2
-    assert "two --grid" in capsys.readouterr().err
-
-
 def test_sweep_rejects_malformed_grid(tmp_path, capsys):
     code = main(["sweep", "--r-t", "5", "--nu", "0.75",
                  "--grid", "rho_a=0.5:3", "--grid", "rho_t=4:12:2",
@@ -476,16 +529,6 @@ def test_sweep_rejects_malformed_grid(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("bounds", ["nan:1", "0.2:inf", "-inf:1"])
-def test_sweep_rejects_nonfinite_grid_bounds(tmp_path, capsys, bounds):
-    out = tmp_path / "s.csv"
-    code = main(["sweep", "--r-t", "5", "--nu", "0.75", "--grid", f"rho_a={bounds}:3",
-                 "--grid", "rho_t=4:12:2", "--out", str(out)])
-    assert code == 2
-    assert "bad grid range" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_sweep_rejects_repeated_horizons(tmp_path, capsys, fmt):
     """A repeated horizon gave the CSV two pct_n20 columns and each JSONL row one key."""
@@ -498,31 +541,6 @@ def test_sweep_rejects_repeated_horizons(tmp_path, capsys, fmt):
     # analytic writes one row per horizon given, repeats included
     assert main(["analytic", *BASE, "--n", "20,20", "--format", fmt, "--out", str(out)]) == 0
     assert len(_read(out)) == {"csv": 4, "jsonl": 3}[fmt]
-
-
-@pytest.mark.parametrize("argv", [
-    ["analytic", "--r-t", "1", "--rho-t", "1e7", "--rho-a", "1", "--nu", "0.5", "--n", "20"],
-    ["sweep", "--r-t", "1", "--nu", "0.5", "--grid", "rho_a=1:1:1", "--grid", "rho_t=10:1e7:2"],
-])
-def test_inconsistent_engagement_window_exits_2(tmp_path, capsys, argv):
-    """Valid params with rho_t / rho_a = 1e7 at nu = 0.5, whose engagement
-    window rounding spoils, are refused with a message naming them."""
-    out = tmp_path / "x.csv"
-    assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "engagement window endpoints inconsistent" in err and "rho_t=10000000.0" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["analytic", *BASE],
-    ["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2", "--grid", "rho_t=4:12:2"],
-])
-def test_horizon_beyond_float_range_exits_2(tmp_path, capsys, argv):
-    out = tmp_path / "x.csv"
-    assert main([*argv, "--n", "20,1" + "0" * 400, "--out", str(out)]) == 2
-    assert "no larger than a float" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_verify_agrees_and_exits_zero(tmp_path):
@@ -754,13 +772,6 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         out.unlink()
 
 
-def test_missing_required_flags_exit_2(tmp_path, capsys):
-    code = main(["analytic", "--r-t", "5", "--rho-t", "10", "--rho-a", "1",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "--nu" in capsys.readouterr().err
-
-
 def test_config_format_validated(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("format = xml\n")
@@ -806,14 +817,6 @@ def test_nonfinite_or_nonpositive_floats_rejected(tmp_path, capsys, command, ext
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", ["0", "-3"])
-def test_verify_rejects_nonpositive_game_count(tmp_path, capsys, n):
-    out = tmp_path / "verify.txt"
-    assert main(["verify", *BASE, "--n", n, "--out", str(out)]) == 2
-    assert "n_games" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_verify_rejects_oversized_run(tmp_path, capsys, monkeypatch):
     def no_angles(*args):
         raise AssertionError("arrival bearings were drawn")
@@ -823,106 +826,3 @@ def test_verify_rejects_oversized_run(tmp_path, capsys, monkeypatch):
     assert main(["verify", *BASE, "--n", str(MAX_SIM_GAMES + 1), "--out", str(out)]) == 2
     assert str(MAX_SIM_GAMES) in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_cli_bytes_pinned(tmp_path):
-    assert main(["simulate", *BASE, "--n", "40", "--trials", "5", "--seed", "9",
-                 "--out", str(tmp_path / "sim.csv")]) == 0
-    assert main(["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:2:3",
-                 "--grid", "rho_t=6:12:4", "--n", "20,100",
-                 "--out", str(tmp_path / "sweep.csv")]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in PINNED_SHA256}
-    assert digests == PINNED_SHA256
-
-
-def test_paper_sweep_bytes_pinned(tmp_path):
-    out = tmp_path / "paper_sweep.csv"
-    assert main([*PAPER_SWEEP, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PAPER_SWEEP_SHA256
-
-
-def test_shifted_sweep_bytes_pinned(tmp_path):
-    out, digests = tmp_path / "sweep.csv", {}
-    for grids in SHIFTED_SWEEPS_SHA256:
-        assert main(["sweep", "--r-t", "5.0", "--nu", "0.75", "--grid", grids[0], "--grid", grids[1],
-                     "--n", "20,100", "--out", str(out)]) == 0
-        digests[grids] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests == SHIFTED_SWEEPS_SHA256
-
-
-def test_cli_jsonl_bytes_pinned(tmp_path):
-    assert main(["simulate", *BASE, "--n", "40", "--trials", "5", "--seed", "9",
-                 "--format", "jsonl", "--out", str(tmp_path / "sim.jsonl")]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in PINNED_JSONL_SHA256}
-    assert digests == PINNED_JSONL_SHA256
-
-
-@pytest.mark.parametrize("n, trials, seed", PINNED_SIM_SHAPES_SHA256)
-def test_simulate_shape_bytes_pinned(tmp_path, n, trials, seed):
-    for fmt in FORMATS:
-        assert main(["simulate", *BASE, "--n", n, "--trials", trials, "--seed", seed, "--format", fmt,
-                     "--out", str(tmp_path / f"sim.{fmt}")]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in PINNED_SIM_SHAPES_SHA256[n, trials, seed]}
-    assert digests == PINNED_SIM_SHAPES_SHA256[n, trials, seed]
-
-
-def test_trace_bytes_pinned(tmp_path):
-    digests = {}
-    for theta_a, angle in PINNED_TRACE_SHA256:
-        out = tmp_path / "trace.csv"
-        assert main(["trace", *BASE, "--theta-a", theta_a, "--defender-angle", angle,
-                     "--dt", "1e-3", "--out", str(out)]) == 0
-        digests[theta_a, angle] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests == PINNED_TRACE_SHA256
-
-
-def test_trace_jsonl_bytes_pinned(tmp_path):
-    digests = {}
-    for theta_a, angle in PINNED_TRACE_JSONL_SHA256:
-        out = tmp_path / "trace.jsonl"
-        assert main(["trace", *BASE, "--theta-a", theta_a, "--defender-angle", angle,
-                     "--dt", "1e-3", "--format", "jsonl", "--out", str(out)]) == 0
-        digests[theta_a, angle] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests == PINNED_TRACE_JSONL_SHA256
-
-
-def test_center_trace_bytes_pinned(tmp_path):
-    digests = {}
-    for fmt in PINNED_CENTER_TRACE_SHA256:
-        out = tmp_path / f"trace.{fmt}"
-        assert main(["trace", *BASE, "--theta-a", "-1.1", "--dt", "1e-3", "--format", fmt, "--out", str(out)]) == 0
-        digests[fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests == PINNED_CENTER_TRACE_SHA256
-
-
-def test_bearing_zero_trace_bytes_pinned(tmp_path):
-    digests = {}
-    for fmt in PINNED_BEARING_ZERO_TRACE_SHA256:
-        out = tmp_path / f"trace.{fmt}"
-        assert main(["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
-                     "--format", fmt, "--out", str(out)]) == 0
-        digests[fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests == PINNED_BEARING_ZERO_TRACE_SHA256
-
-
-def test_verify_bytes_pinned(tmp_path):
-    digests = {}
-    for rho_a, nu in PINNED_VERIFY_SHA256:
-        out = tmp_path / "verify.txt"
-        assert main(["verify", "--r-t", "5", "--rho-t", "10", "--rho-a", rho_a, "--nu", nu,
-                     "--n", "500", "--seed", "1", "--out", str(out)]) == 0
-        digests[rho_a, nu] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests == PINNED_VERIFY_SHA256
-
-
-def test_plateau_bytes_pinned(tmp_path):
-    assert main(["simulate", *PLATEAU, "--n", "40", "--trials", "5", "--seed", "9",
-                 "--out", str(tmp_path / "sim.csv")]) == 0
-    assert main(["trace", *PLATEAU, "--theta-a", "0.6", "--defender-angle", "1.1",
-                 "--dt", "1e-2", "--out", str(tmp_path / "trace.csv")]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in PINNED_PLATEAU_SHA256}
-    assert digests == PINNED_PLATEAU_SHA256

@@ -96,6 +96,17 @@ def test_guarded_arc_threshold_inclusive(params):
     assert guarded_arc(threshold, params) == math.pi
 
 
+def test_guarded_arc_an_ulp_above_the_threshold_is_pi():
+    """Here f1 rounds to -1.7e-13 one ulp above ``rho_t / nu - r_t``, and the
+    arc raised ``math domain error`` taking its square root.  In exact
+    arithmetic f1 is -4.1e-14 there: the rounded threshold lies below the
+    true one, so the arc is pi."""
+    p = validate_params(17.66866012369243, 14.632800871843218, 1.5203257121099234, 0.6800872324292268)
+    r = 3.847404542858975
+    assert r == math.nextafter(p.rho_t / p.nu - p.r_t, math.inf)
+    assert guarded_arc(r, p) == math.pi
+
+
 def test_guarded_arc_regression_at_capture_radius(params):
     value = guarded_arc(capture_circle_radius(params), params)
     assert 0.0 < value < math.pi
