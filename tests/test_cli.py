@@ -74,6 +74,13 @@ PINNED_OUTPUTS = {
         "sim.csv": "c8b27531b7e1f4a245aa1ea3682a1e094057a903f720ce374268680778d88bf5",
         "sim_trials.csv": "0341e40f3a7e56b607fded6ec1e1bbfbacfe09703403fb420c082975ffc472fc",
     }),
+    # one row per horizon given, a repeated one included
+    "analytic-csv": (["analytic", *BASE, "--n", "1,20,20,200", "--out", "analytic.csv"], {
+        "analytic.csv": "1686849ef645ba77bba09acf720d6b708d2a06c972a8e9d51c967673c857e888",
+    }),
+    "analytic-jsonl": (["analytic", *BASE, "--n", "1,20,20,200", "--format", "jsonl", "--out", "analytic.jsonl"], {
+        "analytic.jsonl": "5a4f6db0bf3e762dc34ba4106df479f2d0a4a67e2ff73e26723e4f912da21815",
+    }),
     "sweep-csv": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:2:3", "--grid", "rho_t=6:12:4",
                    "--n", "20,100", "--out", "sweep.csv"], {
         "sweep.csv": "8f76fd9a0baaa3ce9c6fe652f8880268c9d5fba628c7154697b44e572e308907",
@@ -105,6 +112,11 @@ PINNED_OUTPUTS = {
     "verify-plateau": (["verify", "--r-t", "5", "--rho-t", "10", "--rho-a", "0.5", "--nu", "0.5",
                         "--n", "500", "--seed", "1", "--out", "verify.txt"], {
         "verify.txt": "5dd6460d51574bf1d986d6ac918dd0a06e250cfa75ac52d122ed54b3e37f9b9a",
+    }),
+    # a plateau near the speed limit with a small intruder sensor
+    "verify-plateau-nu095": (["verify", "--r-t", "2", "--rho-t", "30", "--rho-a", "0.05", "--nu", "0.95",
+                              "--n", "500", "--out", "verify.txt"], {
+        "verify.txt": "c98e49bc5164805911d892a69c40d0ae6e28b7e2d7c1809d7fe12eb5634a72e2",
     }),
     # a capture-bound and a breach-bound game from the capture circle
     "trace-capture-csv": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-3",
