@@ -189,8 +189,18 @@ def _params_from(cfg: dict):
     return validate_params(cfg["r_t"], cfg["rho_t"], cfg["rho_a"], cfg["nu"])
 
 
+def _number(typ: type, text: str, error: Optional[str] = None):
+    """``text`` read as ``typ``.  Python's message for text that does not parse
+    names no option, so the error is ``error``, or else one naming ``--n``, the
+    only option whose numbers cli reads itself."""
+    try:
+        return typ(text)
+    except ValueError:
+        raise ValueError(error or f"invalid {typ.__name__} value for --n: {text!r}") from None
+
+
 def _parse_horizons(text: str) -> list[int]:
-    horizons = [int(part) for part in text.split(",") if part.strip()]
+    horizons = [_number(int, part) for part in text.split(",") if part.strip()]
     if not horizons:
         raise ValueError(f"horizons must list at least one integer, got {text!r}")
     return horizons
@@ -203,10 +213,11 @@ def _parse_grid(spec: str) -> tuple[str, float, float, int]:
     name = name.strip()
     if name not in PARAM_NAMES:
         raise ValueError(f"grid parameter must be one of {PARAM_NAMES}, got {name!r}")
+    malformed = f"grid spec must look like name=lo:hi:steps, got {spec!r}"
     parts = rng.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid spec must look like name=lo:hi:steps, got {spec!r}")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        raise ValueError(malformed)
+    lo, hi, steps = (_number(typ, part, malformed) for typ, part in zip((float, float, int), parts))
     if not (math.isfinite(lo) and math.isfinite(hi)) or steps < 1 or hi < lo:
         raise ValueError(f"bad grid range in {spec!r}")
     return name, lo, hi, steps
@@ -230,7 +241,7 @@ def _summary_rows(stats: analytics.PrefixStats, p: float, asym: float):
 def cmd_simulate(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    n = int(cfg["n"])
+    n = _number(int, cfg["n"])
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
     if n < 1 or trials < 1:
@@ -303,7 +314,7 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
 def cmd_verify(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    n = int(cfg["n"])
+    n = _number(int, cfg["n"])
     if n > MAX_SIM_GAMES:
         raise ValueError(f"verify asks for {n} games, more than the limit of {MAX_SIM_GAMES}")
     from . import engine

@@ -333,7 +333,26 @@ def simulate_kinematic(angle: Optional[float], theta_a: float, params: GameParam
 
 
 class AgreementReport(NamedTuple):
-    """Comparison of event-level verdicts against kinematic replays."""
+    """Comparison of event-level verdicts against kinematic replays.
+
+    Of ``n_games`` arrivals, ``n_boundary_skipped`` have a bearing gap within
+    ``BOUNDARY_MARGIN`` of ``theta_max`` and are not replayed; the other
+    ``n_compared`` are.  ``n_mismatches`` counts the replays whose verdict,
+    capture or breach, differs from the event level's.  Over the captures
+    both agree on, ``max_capture_point_error`` is the largest distance from
+    the replay's end to the event level's capture point, and
+    ``max_circle_distance`` the largest distance from that end to the capture
+    circle.  Over the breaches both agree on, ``max_breach_defender_offset``
+    is the defender's largest distance from the center when the intruder
+    breaches.
+
+    The two capture fields are read at the replay's end, and after detection
+    ``simulate_kinematic`` steers both players to the event level's capture
+    point.  So a detection made too early, from which the intruder's best
+    reply would end off the circle, shows in neither field; the tests'
+    ``conftest.capture_off_circle`` measures that reply at detection, in a
+    tier-1 property and in the stress tier.
+    """
 
     n_games: int
     n_compared: int

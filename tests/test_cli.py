@@ -263,7 +263,16 @@ def test_simulate_writes_its_summary_in_blocks(tmp_path):
 
 # Invocations that exit 2 and write no file, each with the fragments its
 # message must hold; a config file named in an argv is one of CONFIG_FILES.
-CONFIG_FILES = {"empty_nu.cfg": "nu =\n", "fractional_seed.cfg": "seed = 1.5\n"}
+CONFIG_FILES = {
+    "empty_nu.cfg": "nu =\n", "fractional_seed.cfg": "seed = 1.5\n", "empty_n.cfg": "n =\n",
+    "format_xml.cfg": "format = xml\n", "dt_0.cfg": "dt = 0\n", "dt_minus_1.cfg": "dt = -1\n",
+    "dt_inf.cfg": "dt = inf\n", "defender_angle_nan.cfg": "defender_angle = nan\n",
+    "theta_a_nan.cfg": "theta_a = nan\n", "rho_a_inf.cfg": "rho_a = inf\n",
+    # each with a key that no command, or not the running one, takes
+    "unknown_warp_factor.cfg": "r_t = 5\nwarp_factor = 9\n", "unknown_theta_a.cfg": "r_t = 5\ntheta_a = 0.3\n",
+    "unknown_trials.cfg": "r_t = 5\ntrials = 5\n", "unknown_dt.cfg": "r_t = 5\ndt = 1e-3\n",
+    "unknown_n.cfg": "r_t = 5\nn = 5\n",
+}
 REFUSED = {
     "invalid-params": (["simulate", "--r-t", "5", "--rho-t", "2", "--rho-a", "1", "--nu", "0.8", "--n", "5",
                         "--out", "x.csv"], "second"),
@@ -307,6 +316,63 @@ REFUSED = {
                                     "--grid", "rho_t=4:12:2", "--out", "s.csv"], "bad grid range"),
     "verify-0-games": (["verify", *BASE, "--n", "0", "--out", "verify.txt"], "n_games"),
     "verify-minus-3-games": (["verify", *BASE, "--n", "-3", "--out", "verify.txt"], "n_games"),
+    # a number that does not parse names its option or its grid spec
+    "analytic-fractional-n": (["analytic", *BASE, "--n", "1.5", "--out", "x.csv"], "invalid int value for --n: '1.5'"),
+    "simulate-fractional-n": (["simulate", *BASE, "--n", "1.5", "--out", "x.csv"], "invalid int value for --n: '1.5'"),
+    "verify-n-abc": (["verify", *BASE, "--n", "abc", "--out", "verify.txt"], "invalid int value for --n: 'abc'"),
+    "sweep-grid-fractional-steps": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2.5",
+                                     "--grid", "rho_t=4:12:2", "--out", "s.csv"],
+                                    "grid spec must look like name=lo:hi:steps, got 'rho_a=0.5:3:2.5'"),
+    "sweep-grid-letter-bound": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=a:3:2",
+                                 "--grid", "rho_t=4:12:2", "--out", "s.csv"],
+                                "grid spec must look like name=lo:hi:steps, got 'rho_a=a:3:2'"),
+    "sweep-grid-two-fields": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3", "--grid", "rho_t=4:12:2",
+                               "--out", "s.csv"], "grid spec must look like name=lo:hi:steps, got 'rho_a=0.5:3'"),
+    # an empty horizon list is malformed, by flag or by config line; only an
+    # absent one falls back to horizon 20
+    "sweep-empty-horizons": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2",
+                              "--grid", "rho_t=4:12:2", "--n", "", "--out", "e.csv"], "horizons"),
+    "config-empty-horizons": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2",
+                               "--grid", "rho_t=4:12:2", "--config", "empty_n.cfg", "--out", "e.csv"], "horizons"),
+    # a repeated horizon gave the CSV two pct_n20 columns and each JSONL row one key
+    "sweep-repeated-horizons-csv": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2",
+                                     "--grid", "rho_t=4:12:2", "--n", "20,20", "--format", "csv", "--out", "s.csv"],
+                                    "distinct"),
+    "sweep-repeated-horizons-jsonl": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2",
+                                       "--grid", "rho_t=4:12:2", "--n", "20,20", "--format", "jsonl",
+                                       "--out", "s.jsonl"], "distinct"),
+    "config-format-xml": (["analytic", *BASE, "--config", "format_xml.cfg", "--n", "5", "--out", "x.out"], "xml"),
+    "config-unknown-key-analytic": (["analytic", *BASE, "--n", "5", "--config", "unknown_warp_factor.cfg",
+                                     "--out", "x.csv"], "unknown config key 'warp_factor' for analytic"),
+    "config-simulate-key-analytic": (["analytic", *BASE, "--n", "5", "--config", "unknown_trials.cfg",
+                                      "--out", "x.csv"], "unknown config key 'trials' for analytic"),
+    "config-trace-key-simulate": (["simulate", *BASE, "--n", "5", "--trials", "2", "--config", "unknown_theta_a.cfg",
+                                   "--out", "x.csv"], "unknown config key 'theta_a' for simulate"),
+    "config-trace-key-sweep": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:1:2",
+                                "--grid", "rho_t=8:10:2", "--config", "unknown_dt.cfg", "--out", "x.csv"],
+                               "unknown config key 'dt' for sweep"),
+    "config-simulate-key-verify": (["verify", *BASE, "--n", "5", "--config", "unknown_trials.cfg", "--out", "x.csv"],
+                                   "unknown config key 'trials' for verify"),
+    "config-horizon-key-trace": (["trace", *BASE, "--theta-a", "0.6", "--config", "unknown_n.cfg", "--out", "x.csv"],
+                                 "unknown config key 'n' for trace"),
+    # a sample spacing or angle must be finite, and a spacing positive, by flag or by config line
+    "trace-dt-0": (["trace", *BASE, "--theta-a", "0.6", "--dt", "0", "--out", "x.out"], "dt"),
+    "config-trace-dt-0": (["trace", *BASE, "--theta-a", "0.6", "--config", "dt_0.cfg", "--out", "x.out"], "dt"),
+    "trace-dt-minus-1": (["trace", *BASE, "--theta-a", "0.6", "--dt", "-1", "--out", "x.out"], "dt"),
+    "config-trace-dt-minus-1": (["trace", *BASE, "--theta-a", "0.6", "--config", "dt_minus_1.cfg", "--out", "x.out"],
+                                "dt"),
+    "trace-dt-inf": (["trace", *BASE, "--theta-a", "0.6", "--dt", "inf", "--out", "x.out"], "dt"),
+    "config-trace-dt-inf": (["trace", *BASE, "--theta-a", "0.6", "--config", "dt_inf.cfg", "--out", "x.out"], "dt"),
+    "trace-defender-angle-nan": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "nan", "--out", "x.out"],
+                                 "defender_angle"),
+    "config-trace-defender-angle-nan": (["trace", *BASE, "--theta-a", "0.6", "--config", "defender_angle_nan.cfg",
+                                         "--out", "x.out"], "defender_angle"),
+    "trace-theta-a-nan": (["trace", *BASE, "--theta-a", "nan", "--out", "x.out"], "theta_a"),
+    "config-trace-theta-a-nan": (["trace", *BASE, "--config", "theta_a_nan.cfg", "--out", "x.out"], "theta_a"),
+    "analytic-rho-a-inf": (["analytic", *BASE, "--n", "5", "--rho-a", "inf", "--out", "x.out"], "rho_a"),
+    # without BASE's --rho-a, which would override the config value
+    "config-analytic-rho-a-inf": (["analytic", "--r-t", "5", "--rho-t", "10", "--nu", "0.8", "--n", "5",
+                                   "--config", "rho_a_inf.cfg", "--out", "x.out"], "rho_a"),
 }
 
 
@@ -523,38 +589,6 @@ def test_sweep_reads_horizons_from_config(tmp_path):
     assert _read(out_b)[0].endswith(",pct_n7,pct_inf")
 
 
-def test_sweep_rejects_malformed_grid(tmp_path, capsys):
-    code = main(["sweep", "--r-t", "5", "--nu", "0.75",
-                 "--grid", "rho_a=0.5:3", "--grid", "rho_t=4:12:2",
-                 "--out", str(tmp_path / "s.csv")])
-    assert code == 2
-    # an empty horizon list is malformed too, by flag or by config line;
-    # only an absent one falls back to horizon 20
-    grids = ["--grid", "rho_a=0.5:3:2", "--grid", "rho_t=4:12:2"]
-    cfg = tmp_path / "empty_n.cfg"
-    cfg.write_text("n =\n")
-    out = tmp_path / "e.csv"
-    for source in (["--n", ""], ["--config", str(cfg)]):
-        code = main(["sweep", "--r-t", "5", "--nu", "0.75", *grids, *source, "--out", str(out)])
-        assert code == 2
-        assert "horizons" in capsys.readouterr().err
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_sweep_rejects_repeated_horizons(tmp_path, capsys, fmt):
-    """A repeated horizon gave the CSV two pct_n20 columns and each JSONL row one key."""
-    out = tmp_path / f"s.{fmt}"
-    code = main(["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2",
-                 "--grid", "rho_t=4:12:2", "--n", "20,20", "--format", fmt, "--out", str(out)])
-    assert code == 2
-    assert "distinct" in capsys.readouterr().err
-    assert not out.exists()
-    # analytic writes one row per horizon given, repeats included
-    assert main(["analytic", *BASE, "--n", "20,20", "--format", fmt, "--out", str(out)]) == 0
-    assert len(_read(out)) == {"csv": 4, "jsonl": 3}[fmt]
-
-
 def test_verify_agrees_and_exits_zero(tmp_path):
     out = tmp_path / "verify.txt"
     code = main(["verify", *BASE, "--n", "25", "--seed", "3", "--out", str(out)])
@@ -747,6 +781,18 @@ def test_parser_shape_pinned():
 
 
 @pytest.mark.parametrize("command", list(PINNED_PARSER_SHAPE))
+def test_help_renders(capsys, command):
+    """argparse formats each help with %, so a help holding a bare % breaks ``--help``."""
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    actions = [_HELP_ACTION, *_COMMON_ACTIONS, *PINNED_PARSER_SHAPE[command][1]]
+    flags = [flag for action in actions for flag in action[0]]
+    assert [flag for flag in flags if flag not in text] == []
+
+
+@pytest.mark.parametrize("command", list(PINNED_PARSER_SHAPE))
 def test_main_dispatches_through_the_module_attribute(monkeypatch, command):
     """``main`` looks each command up by name when it runs, so a wrapper put
     on ``cli.cmd_<command>`` after import, as the benchmark's tracer does, is
@@ -760,73 +806,6 @@ def test_main_dispatches_through_the_module_attribute(monkeypatch, command):
     monkeypatch.setattr(f"perimdef.cli.cmd_{command}", recorder)
     assert main([command]) == 0
     assert len(calls) == 1
-
-
-def test_config_unknown_key_rejected(tmp_path, capsys):
-    """A config key no command takes, or one the running command does not
-    take, exits 2 naming the key and the command, and writes no file; each
-    run is valid without the key."""
-    grids = ["--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:1:2", "--grid", "rho_t=8:10:2"]
-    cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
-    for command, args, key, value in [
-        ("analytic", [*BASE, "--n", "5"], "warp_factor", "9"),
-        ("simulate", [*BASE, "--n", "5", "--trials", "2"], "theta_a", "0.3"),
-        ("analytic", [*BASE, "--n", "5"], "trials", "5"),
-        ("sweep", grids, "dt", "1e-3"),
-        ("verify", [*BASE, "--n", "5"], "trials", "5"),
-        ("trace", [*BASE, "--theta-a", "0.6"], "n", "5"),
-    ]:
-        cfg.write_text(f"r_t = 5\n{key} = {value}\n")
-        assert main([command, *args, "--config", str(cfg), "--out", str(out)]) == 2, (command, key)
-        assert f"unknown config key {key!r} for {command}" in capsys.readouterr().err
-        assert not out.exists()
-        assert main([command, *args, "--out", str(out)]) == 0, command
-        out.unlink()
-
-
-def test_config_format_validated(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("format = xml\n")
-    out = tmp_path / "x.out"
-    code = main(["analytic", *BASE, "--config", str(cfg), "--n", "5", "--out", str(out)])
-    assert code == 2
-    assert "xml" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, extra", [
-    ("trace", ["--theta-a", "0.6"]),
-])
-@pytest.mark.parametrize("dt", ["0", "-1"])
-def test_nonpositive_dt_rejected(tmp_path, capsys, command, extra, dt):
-    out = tmp_path / "x.out"
-    assert main([command, *BASE, *extra, "--dt", dt, "--out", str(out)]) == 2
-    assert "dt" in capsys.readouterr().err
-    cfg = tmp_path / "dt.cfg"
-    cfg.write_text(f"dt = {dt}\n")
-    assert main([command, *BASE, *extra, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "dt" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, extra, key, value", [
-    ("trace", ["--theta-a", "0.6"], "defender_angle", "nan"),
-    ("trace", [], "theta_a", "nan"),
-    ("trace", ["--theta-a", "0.6"], "dt", "inf"),
-    ("analytic", ["--n", "5"], "rho_a", "inf"),
-])
-def test_nonfinite_or_nonpositive_floats_rejected(tmp_path, capsys, command, extra, key, value):
-    out = tmp_path / "x.out"
-    flag = "--" + key.replace("_", "-")
-    assert main([command, *BASE, *extra, flag, value, "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{key} = {value}\n")
-    # a flag would override the config value
-    base = BASE[:BASE.index(flag)] + BASE[BASE.index(flag) + 2:] if flag in BASE else BASE
-    assert main([command, *base, *extra, "--config", str(cfg), "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_verify_rejects_oversized_run(tmp_path, capsys, monkeypatch):
