@@ -49,9 +49,11 @@ GUARDED_ARC_AT_CAPTURE_RADIUS = 1.8584730829635667
 THETA_MAX_STAR = 2.0073003064386796
 # float.hex of (tau, theta_max, phi) of the baseline optimum, for bit-level regressions.
 OPTIMUM_HEX = ("0x1.7d164377f9e7cp+3", "0x1.00ef3768b3d40p+1", "-0x1.9c4f93b3f31c4p-5")
-# sha256 over float.hex of (theta_max, refined_tau) of 4,000 solves: 1,000
-# make_valid_params and 1,000 edge_params draws, each at its capture radius
-# and at a random radius up to the sensing rim.
+# sha256 over float.hex of (theta_max, refined_tau) of 2,000 solves at the
+# capture radius: 1,000 make_valid_params and 1,000 edge_params draws.
+PINNED_CAPTURE_SOLVES_SHA256 = "e4ab743ccc96080dd786fea21545c5ae8e87ad8a56fa7354f062d6457155a316"
+# The same over 4,000 solves: each draw at its capture radius and at a random
+# radius up to the sensing rim.
 PINNED_SOLVES_SHA256 = "6718d5a169e0643282d09f5bcceafb08f0fec88ed74fe78c360fe70c9211b541"
 
 
@@ -272,8 +274,18 @@ def test_optimizer_bits_pinned(params):
 
 
 def test_solve_bits_pinned():
-    rng, radius_rng = random.Random(20), random.Random(21)
+    rng = random.Random(20)
     draws = [make_valid_params(rng) for _ in range(1000)] + [edge_params(rng, i) for i in range(1000)]
+    digest, saturated = hashlib.sha256(), 0
+    for p in draws:
+        sol = optimize_engagement(capture_circle_radius(p), p)
+        tau = sol.refined_tau
+        saturated += tau is None
+        digest.update(f"{sol.theta_max.hex()} {tau if tau is None else tau.hex()}\n".encode())
+    assert digest.hexdigest() == PINNED_CAPTURE_SOLVES_SHA256
+    assert 0 < saturated < len(draws)
+
+    radius_rng = random.Random(21)
     digest, saturated = hashlib.sha256(), 0
     for p in draws:
         for r in (capture_circle_radius(p), p.tsr_radius * (1.0 - radius_rng.random())):
