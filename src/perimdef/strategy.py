@@ -64,13 +64,12 @@ class EngagementCandidate(NamedTuple):
 
 class _SolutionFields(NamedTuple):
     theta_max: float
-    r: float
     params: GameParams
     refined_tau: Optional[float]
 
 
 class EngagementSolution(_SolutionFields):
-    """Optimized engagement bundle for a defender at radius ``r``.
+    """Optimized engagement bundle for a defender on the capture circle.
 
     ``theta_max`` is computed when the solution is made.  The rest of the
     bundle (``candidate``, ``x_p``, ``phi``) is derived on first use and
@@ -84,7 +83,7 @@ class EngagementSolution(_SolutionFields):
     def candidate(self) -> EngagementCandidate:
         tau = self.refined_tau
         if tau is None:
-            tau = _plateau_time(self.r, self.params)
+            tau = _plateau_time(self.params)
         return engagement_candidate(tau, self.params)
 
     @cached_property
@@ -210,11 +209,6 @@ def engagement_candidate(tau: float, params: GameParams) -> EngagementCandidate:
     return EngagementCandidate(tau=tau, theta=theta, x_a_eng=Point2(a, 0.0), x_d_eng=Point2(ex, ey))
 
 
-def _check_radius(r: float) -> None:
-    if not r > 0.0:
-        raise OutOfRange(f"defender radius must be positive, got {r!r}")
-
-
 def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> float:
     """Largest initial bearing gap from which a defender at radius ``r`` makes
     the engagement point (tau, theta) in time.
@@ -223,7 +217,8 @@ def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> floa
     point): when even the best-aligned start cannot make it, the answer is
     zero; when every bearing works, it saturates at pi.
     """
-    _check_radius(r)
+    if not r > 0.0:
+        raise OutOfRange(f"defender radius must be positive, got {r!r}")
     return _surface(params)[3](tau, theta, r)
 
 
@@ -243,39 +238,34 @@ def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[P
     return x_p, phi
 
 
-def _plateau_is_stealthy(tau: float, params: GameParams, r: float) -> bool:
+def _plateau_is_stealthy(tau: float, params: GameParams) -> bool:
     """Whether a saturated candidate is reachable unseen from every bearing.
 
-    From a start ``r * u(bearing)`` the defender walks straight to the
+    From a start on the capture circle the defender walks straight to the
     engagement point and holds there while the intruder runs radially
-    inward.  The walk is replayed from the two ends of the start arc,
-    bearings 0 and pi, with the replay's event finder: any late arrival, or
-    any entry into the intruder's sensing radius on the walk, fails the
-    candidate.  A hold passes in closed form, when its bearing leads pi/2 by
-    ``HOLD_MARGIN``.
+    inward.  The walk is replayed from bearing pi, which arrives in time on
+    a plateau (see ``_grid_peak``), with the replay's event finder: any
+    entry into the intruder's sensing radius on the walk fails the
+    candidate.  Its verdict is that of a fan of starts over [0, pi], the
+    tests' oracle.  A hold passes in closed form, when its bearing leads
+    pi/2 by ``HOLD_MARGIN``.
     """
     cand = engagement_candidate(tau, params)
     eng = cand.x_d_eng
     a0, va = Point2(params.tsr_radius, 0.0), Point2(-params.nu, 0.0)
-    sensed = params.rho_a - 1e-9
-    for start in (Point2(r, 0.0), Point2(-r, 0.0)):
-        path = start.distance_to(eng)
-        if path > tau * (1.0 + 1e-12) + 1e-12:
-            return False
-        vd = (eng - start) * (1.0 / (path or 1.0))
-        if first_entry(a0 - start, va - vd, sensed, min(path, tau)) is not None:
-            return False
-        if path < tau and cand.theta - 0.5 * math.pi < HOLD_MARGIN:
-            return False
-    return True
+    start = Point2(-capture_circle_radius(params), 0.0)
+    path = start.distance_to(eng)
+    vd = (eng - start) * (1.0 / (path or 1.0))
+    if first_entry(a0 - start, va - vd, params.rho_a - 1e-9, min(path, tau)) is not None:
+        return False
+    return not (path < tau and cand.theta - 0.5 * math.pi < HOLD_MARGIN)
 
 
-def _objective(r: float, params: GameParams) -> Callable[[float], float]:
-    """The guarded bearing gap of the engagement-surface point at time ``tau``,
-    as a function of ``tau`` for a defender at radius ``r``: the operations
-    of ``theta_max_at(tau, engagement_theta(tau, params), r, params)``, with
+def _objective(params: GameParams) -> Callable[[float], float]:
+    """``theta_max_at(tau, engagement_theta(tau, params), r, params)`` as a
+    function of ``tau``, ``r`` the capture radius: the same operations, with
     the params-only products formed once."""
-    _check_radius(r)
+    r = capture_circle_radius(params)
     _, theta, _, gap = _surface(params)
     return lambda tau: gap(tau, theta(tau), r)
 
@@ -309,11 +299,11 @@ def _grid_peak(value: Callable[[int], float]) -> int:
     there is none), and bisection finds it from about 18 of the grid's values.
 
     A maximum of pi is a plateau that runs to ``tau_max``: saturation at
-    ``tau`` (the start at bearing pi arrives in time) is ``D <= 0`` for
-    ``D = |E + (r, 0)|^2 - tau^2``, ``E`` the engagement point, and ``D``
-    falls strictly in ``tau``.  With ``a = tsr_radius - nu*tau > 0``, the
-    tangency ``cos(theta) = 1 - 2*rhs(tau)`` gives ``D = f(a) - tau^2``,
-    ``f(a) = (a + r)^2 + rho_a^2 + (a + r)(a^2 - K)/(beta*a)``, where
+    ``tau`` (the start at bearing pi on the capture circle, of radius ``r``,
+    arrives in time) is ``D <= 0`` for ``D = |E + (r, 0)|^2 - tau^2``, ``E``
+    the engagement point, and ``D`` falls strictly in ``tau``.  With
+    ``a = tsr_radius - nu*tau > 0``, the tangency ``cos(theta) = 1 - 2*rhs(tau)``
+    gives ``D = f(a) - tau^2``, ``f(a) = (a + r)^2 + rho_a^2 + (a + r)(a^2 - K)/(beta*a)``, where
     ``K = (r_t + gamma*rho_a)^2 - (beta*rho_a)^2 > 0`` as ``beta = nu*gamma``;
     ``f'(a) = 2(a + r) + (2a^3 + r*a^2 + r*K)/(beta*a^2) > 0`` and ``a`` falls.
     So the grid saturates exactly when its last value is pi, which
@@ -325,7 +315,7 @@ def _grid_peak(value: Callable[[int], float]) -> int:
     return bisect.bisect_left(range(TAU_GRID_POINTS - 1), True, key=past_peak)
 
 
-def _plateau_time(r: float, params: GameParams) -> float:
+def _plateau_time(params: GameParams) -> float:
     """The engagement time chosen when the objective saturates at pi.
 
     The maximizer is then a whole plateau, from the first grid maximum to
@@ -333,18 +323,19 @@ def _plateau_time(r: float, params: GameParams) -> float:
     approach is audited stealthy (the audit flips from failing to passing as
     the engagement tucks behind the intruder), else its first time.
     """
-    time, value = _grid(_objective(r, params), params)
+    time, value = _grid(_objective(params), params)
     first = _grid_peak(value)
 
     def stealthy(k: int) -> bool:
-        return _plateau_is_stealthy(time(k), params, r)
+        return _plateau_is_stealthy(time(k), params)
 
     k = first if stealthy(first) else bisect.bisect_left(range(TAU_GRID_POINTS), True, first + 1, key=stealthy)
     return time(k if k < TAU_GRID_POINTS else first)
 
 
-def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
-    """Pick the engagement point maximizing the guarded bearing gap.
+def optimize_engagement(params: GameParams) -> EngagementSolution:
+    """Pick the engagement point maximizing the guarded bearing gap of a
+    defender on the capture circle, where each capture leaves it.
 
     One-dimensional search over the engagement time (the bearing is pinned
     by tangency), on one closure of the objective per solve.  The objective
@@ -357,18 +348,18 @@ def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
 
     A saturated maximizer is a whole plateau, from the first grid maximum to
     ``tau_max``.  The tie then goes to the smallest saturated grid time whose
-    approach, replayed with the kinematic replay's event finder from the two
-    ends of the start arc (bearings 0 and pi), is never sensed early;
+    approach, replayed with the kinematic replay's event finder from the far
+    end of the start arc (bearing pi), is never sensed early;
     candidates that would be spotted en route cannot deliver the tangent
     engagement they promise.  That time, and the first maximum it starts
     from, are found on the first use of the solution's ``candidate``, ``x_p``
     or ``phi``, since ``theta_max`` does not depend on them.  The result is
     deterministic.
     """
-    objective = _objective(r, params)
+    objective = _objective(params)
     time, value = _grid(objective, params)
     if value(TAU_GRID_POINTS - 1) == math.pi:
-        return EngagementSolution(theta_max=math.pi, r=r, params=params, refined_tau=None)
+        return EngagementSolution(theta_max=math.pi, params=params, refined_tau=None)
 
     best_i = _grid_peak(value)
     lo, hi = time(max(0, best_i - 1)), time(min(TAU_GRID_POINTS - 1, best_i + 1))
@@ -376,15 +367,15 @@ def optimize_engagement(r: float, params: GameParams) -> EngagementSolution:
     theta_max = objective(tau_star)
     if theta_max < value(best_i):
         tau_star, theta_max = time(best_i), value(best_i)
-    return EngagementSolution(theta_max=theta_max, r=r, params=params, refined_tau=tau_star)
+    return EngagementSolution(theta_max=theta_max, params=params, refined_tau=tau_star)
 
 
 @lru_cache(maxsize=1)
 def capture_circle_solution(params: GameParams) -> EngagementSolution:
-    """Engagement solution for a defender on the capture circle.
+    """``optimize_engagement(params)``, solved once per params.
 
     Every on-circle game reuses the same bundle because the defender radius
     is the same at the start of each of them.  Callers ask for one params at
     a time, so only the latest params' solution is kept.
     """
-    return optimize_engagement(capture_circle_radius(params), params)
+    return optimize_engagement(params)

@@ -19,7 +19,10 @@ the scalar objective (``conftest.scan_decisions``), or when the cached
 solution's verdict on saturation (``refined_tau is None``) differs from the
 scan's (some grid time saturates at pi), or when ``theta_max`` falls below
 ``guarded_arc`` at the capture radius or saturates at pi without it
-(``conftest.arc_bounds_theta_max``).
+(``conftest.arc_bounds_theta_max``), or, on a saturated draw, when the
+plateau audit's verdict differs from the 512-bearing fan's
+(``conftest.fan_is_stealthy``) at the chosen plateau time or at the
+saturated grid time just before it.
 The first failing draw's params and the checks it failed are printed, the
 params as ``repr`` floats, and the exit code is 1; otherwise a summary line
 is printed.  Needs the ``dev`` extras, since it reads its ranges and its
@@ -38,9 +41,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import (  # noqa: E402
-    CIRCLE_TOL, arc_bounds_theta_max, capture_off_circle, edge_params, scan_decisions, search_decisions,
+    CIRCLE_TOL, arc_bounds_theta_max, capture_off_circle, edge_params, fan_is_stealthy, scan_decisions,
+    search_decisions,
 )
 from perimdef import capture_circle_radius, capture_circle_solution, guarded_arc, verify_outcome_agreement  # noqa: E402
+from perimdef.strategy import _plateau_is_stealthy  # noqa: E402
 
 GAMES_PER_DRAW = 200
 
@@ -58,13 +63,19 @@ def main(argv=None) -> int:
         p = edge_params(rng, i)
         report = verify_outcome_agreement(p, GAMES_PER_DRAW, i)
         off_circle = capture_off_circle(p)
-        r_cc = capture_circle_radius(p)
-        scan, search = scan_decisions(r_cc, p), search_decisions(r_cc, p)
-        saturated = capture_circle_solution(p).refined_tau is None
+        scan, search = scan_decisions(p), search_decisions(p)
+        sol = capture_circle_solution(p)
+        saturated = sol.refined_tau is None
         bounded = arc_bounds_theta_max(p)
+        audited = []
+        if saturated:
+            # the chosen plateau time and the saturated grid time just before it
+            last_two = [scan[0][i] for i in scan[2] if scan[0][i] <= sol.candidate.tau][-2:]
+            audited = [(tau, _plateau_is_stealthy(tau, p), fan_is_stealthy(tau, p)) for tau in last_two]
         failed = [check for check, ok in (
             ("verdicts", report.all_agree), ("rim miss", off_circle <= CIRCLE_TOL), ("grid search", search == scan),
             ("saturation", saturated == bool(scan[2])), ("guarded-arc bound", bounded),
+            ("plateau audit", all(audit == fan for _, audit, fan in audited)),
         ) if not ok]
         if failed:
             print(f"FAIL seed {args.seed} draw {i} ({', '.join(failed)}): "
@@ -78,8 +89,12 @@ def main(argv=None) -> int:
                 print(f"  the solution reads {'' if saturated else 'no '}saturation, "
                       f"the scan {len(scan[2])} saturated grid times")
             if not bounded:
-                print(f"  theta_max {capture_circle_solution(p).theta_max!r}, "
-                      f"guarded arc at the capture radius {guarded_arc(r_cc, p)!r}")
+                print(f"  theta_max {sol.theta_max!r}, "
+                      f"guarded arc at the capture radius {guarded_arc(capture_circle_radius(p), p)!r}")
+            for tau, audit, fan in audited:
+                if audit != fan:
+                    print(f"  at tau {tau!r} the plateau audit reads {'' if audit else 'not '}stealthy, "
+                          f"the fan {'' if fan else 'not '}stealthy")
             return 1
         games += report.n_compared
         skipped += report.n_boundary_skipped

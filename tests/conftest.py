@@ -16,8 +16,8 @@ from perimdef import GameParams, validate_params
 from perimdef.engine import simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
 from perimdef.strategy import (
-    TAU_GRID_POINTS, _grid, _grid_peak, _objective, capture_circle_radius,
-    capture_circle_solution, engagement_domain, engagement_theta, guarded_arc, theta_max_at,
+    HOLD_MARGIN, TAU_GRID_POINTS, _grid, _grid_peak, _objective, capture_circle_radius, capture_circle_solution,
+    engagement_candidate, engagement_domain, engagement_theta, guarded_arc, theta_max_at,
 )
 
 # float.hex of (tau, phi) of two saturated optima: at (5, 10, 0.5, 0.5) the
@@ -143,10 +143,11 @@ def arc_bounds_theta_max(params) -> bool:
     return theta_max >= arc and (theta_max == math.pi) == (arc == math.pi)
 
 
-def scan_decisions(r: float, p: GameParams) -> tuple[list[float], int, list[int]]:
-    """An exhaustive scan of the scalar objective over the optimizer's grid:
-    the grid times, as the array expression gives them, the first index of
-    the maximum, and every index saturated at pi."""
+def scan_decisions(p: GameParams) -> tuple[list[float], int, list[int]]:
+    """An exhaustive scan of the scalar objective at the capture radius over
+    the optimizer's grid: the grid times, as the array expression gives them,
+    the first index of the maximum, and every index saturated at pi."""
+    r = capture_circle_radius(p)
     tau_min, tau_max = engagement_domain(p)
     taus = (tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)).tolist()
     values = [theta_max_at(t, engagement_theta(t, p), r, p) for t in taus]
@@ -154,12 +155,39 @@ def scan_decisions(r: float, p: GameParams) -> tuple[list[float], int, list[int]
     return taus, best, [i for i, v in enumerate(values) if v == math.pi]
 
 
-def search_decisions(r: float, p: GameParams) -> tuple[list[float], int, list[int]]:
+def search_decisions(p: GameParams) -> tuple[list[float], int, list[int]]:
     """The same, as the optimizer reads them: its grid times, its first grid
     maximum by bisection, and, when the last grid time saturates at pi, the
     plateau from that maximum to it (``_grid_peak`` proves that saturation
     anywhere on the grid lasts to its last time)."""
-    time, value = _grid(_objective(r, p), p)
+    time, value = _grid(_objective(p), p)
     best = _grid_peak(value)
     plateau = list(range(best, TAU_GRID_POINTS)) if value(TAU_GRID_POINTS - 1) == math.pi else []
     return [time(k) for k in range(TAU_GRID_POINTS)], best, plateau
+
+
+_FAN_BEARINGS = np.linspace(0.0, math.pi, 512)
+
+
+def fan_is_stealthy(tau: float, p: GameParams) -> bool:
+    """Oracle for the plateau audit: the closest approach of the walk, in
+    closed form, from 512 start bearings in [0, pi] on the capture circle; a
+    hold passes by the audit's rule, when its bearing leads pi/2 by
+    ``HOLD_MARGIN``."""
+    r = capture_circle_radius(p)
+    cand = engagement_candidate(tau, p)
+    eng = cand.x_d_eng
+    sx, sy = r * np.cos(_FAN_BEARINGS), r * np.sin(_FAN_BEARINGS)
+    path = np.hypot(eng.x - sx, eng.y - sy)
+    if np.any(path > tau * (1.0 + 1e-12) + 1e-12):
+        return False
+    safe_path = np.where(path > 0.0, path, 1.0)
+    wx = (eng.x - sx) / safe_path + p.nu
+    wy = (eng.y - sy) / safe_path
+    ww = wx * wx + wy * wy
+    r0x = sx - p.tsr_radius
+    t_walk = np.where(ww > 0.0, -(r0x * wx + sy * wy) / np.where(ww > 0.0, ww, 1.0), 0.0)
+    t_walk = np.clip(t_walk, 0.0, np.minimum(path, tau))
+    d_walk = np.hypot(r0x + t_walk * wx, sy + t_walk * wy)
+    hold_sensed = np.any(path < tau) and cand.theta - 0.5 * math.pi < HOLD_MARGIN
+    return bool(np.all(d_walk - p.rho_a >= -1e-9)) and not hold_sensed

@@ -218,8 +218,8 @@ def test_p_star_at_large_units_matches_unscaled(params, monkeypatch, k):
     that evaluates its objective a thousand times has stalled."""
     objective, calls = strategy._objective, []
 
-    def counted(r, p):
-        f = objective(r, p)
+    def counted(p):
+        f = objective(p)
 
         def evaluate(tau):
             calls.append(None)

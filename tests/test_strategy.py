@@ -16,10 +16,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
-    PLATEAU_HEX, arc_bounds_theta_max, edge_params, make_valid_params, scan_decisions, search_decisions, valid_params,
+    PLATEAU_HEX, arc_bounds_theta_max, edge_params, fan_is_stealthy, make_valid_params, scan_decisions,
+    search_decisions, valid_params,
 )
 from perimdef import analytics
 from perimdef.cli import main
@@ -27,7 +27,6 @@ from perimdef.geometry import (
     CircleClass, GameParams, Point2, apollonius, classify, validate_params,
 )
 from perimdef.strategy import (
-    HOLD_MARGIN,
     _plateau_is_stealthy,
     InfeasibleTau,
     InvalidCandidate,
@@ -52,9 +51,6 @@ OPTIMUM_HEX = ("0x1.7d164377f9e7cp+3", "0x1.00ef3768b3d40p+1", "-0x1.9c4f93b3f31
 # sha256 over float.hex of (theta_max, refined_tau) of 2,000 solves at the
 # capture radius: 1,000 make_valid_params and 1,000 edge_params draws.
 PINNED_CAPTURE_SOLVES_SHA256 = "e4ab743ccc96080dd786fea21545c5ae8e87ad8a56fa7354f062d6457155a316"
-# The same over 4,000 solves: each draw at its capture radius and at a random
-# radius up to the sensing rim.
-PINNED_SOLVES_SHA256 = "6718d5a169e0643282d09f5bcceafb08f0fec88ed74fe78c360fe70c9211b541"
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +131,6 @@ def test_engagement_rejects_nonpositive_radius(params, r):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OutOfRange):
-            optimize_engagement(r, params)
-        with pytest.raises(OutOfRange):
             theta_max_at(tau, engagement_theta(tau, params), r, params)
 
 
@@ -148,7 +142,6 @@ def test_theta_max_at_smallest_radius_takes_the_limit():
     for tau in np.linspace(tau_min, tau_max, 64).tolist():
         theta = engagement_theta(tau, p)
         assert theta_max_at(tau, theta, 5e-324, p) == theta_max_at(tau, theta, 1e-300, p)
-    assert optimize_engagement(5e-324, p).theta_max == math.pi
 
 
 def test_guarded_arc_nonincreasing(params):
@@ -222,6 +215,8 @@ def test_theta_max_collinear_limits(params):
     assert theta_max_at(tau, theta, r_far, params) == pytest.approx(phi_eng, abs=1e-9)
     # defender close enough to make the point from any bearing
     assert theta_max_at(tau, theta, 0.5 * (tau - r_eng), params) == math.pi
+    # defender too far out to make the point from any bearing
+    assert theta_max_at(tau, theta, 2.0 * (tau + r_eng), params) == 0.0
 
 
 def test_theta_max_rejects_non_surface_candidates(params):
@@ -252,7 +247,7 @@ def _brute_force_solution(r: float, params: GameParams, n: int = 2000) -> float:
 
 
 def test_optimizer_regression_and_oracle(params):
-    sol = optimize_engagement(capture_circle_radius(params), params)
+    sol = optimize_engagement(params)
     assert sol.theta_max == pytest.approx(THETA_MAX_STAR, abs=1e-9)
     assert sol.theta_max == pytest.approx(
         _brute_force_solution(capture_circle_radius(params), params), abs=1e-6
@@ -261,7 +256,7 @@ def test_optimizer_regression_and_oracle(params):
 
 def test_optimizer_dominates_fresh_audit_grid(params):
     r = capture_circle_radius(params)
-    sol = optimize_engagement(r, params)
+    sol = optimize_engagement(params)
     tau_min, tau_max = engagement_domain(params)
     for tau in np.linspace(tau_min, tau_max, 5000):
         value = theta_max_at(float(tau), engagement_theta(float(tau), params), r, params)
@@ -269,7 +264,7 @@ def test_optimizer_dominates_fresh_audit_grid(params):
 
 
 def test_optimizer_bits_pinned(params):
-    sol = optimize_engagement(capture_circle_radius(params), params)
+    sol = optimize_engagement(params)
     assert (sol.candidate.tau.hex(), sol.theta_max.hex(), sol.phi.hex()) == OPTIMUM_HEX
 
 
@@ -278,56 +273,38 @@ def test_solve_bits_pinned():
     draws = [make_valid_params(rng) for _ in range(1000)] + [edge_params(rng, i) for i in range(1000)]
     digest, saturated = hashlib.sha256(), 0
     for p in draws:
-        sol = optimize_engagement(capture_circle_radius(p), p)
+        sol = optimize_engagement(p)
         tau = sol.refined_tau
         saturated += tau is None
         digest.update(f"{sol.theta_max.hex()} {tau if tau is None else tau.hex()}\n".encode())
     assert digest.hexdigest() == PINNED_CAPTURE_SOLVES_SHA256
     assert 0 < saturated < len(draws)
 
-    radius_rng = random.Random(21)
-    digest, saturated = hashlib.sha256(), 0
-    for p in draws:
-        for r in (capture_circle_radius(p), p.tsr_radius * (1.0 - radius_rng.random())):
-            sol = optimize_engagement(r, p)
-            tau = sol.refined_tau
-            saturated += tau is None
-            digest.update(f"{sol.theta_max.hex()} {tau if tau is None else tau.hex()}\n".encode())
-    assert digest.hexdigest() == PINNED_SOLVES_SHA256
-    assert 0 < saturated < 2 * len(draws)
-
 
 def test_objective_grid_decisions_match_scalar_oracle(params, random_valid_params):
     """Bisection reads from the grid what an exhaustive scalar scan reads:
-    the same times, the first maximum, and the saturated plateau.  Besides
-    the capture-circle radius, a random radius per case reaches the 0 and pi
-    branches, and scans that begin with zeros."""
+    the same times, the first maximum, and the saturated plateau."""
     rng = random.Random(0)
     cases = [params] + [random_valid_params(rng) for _ in range(200)]
-    radius_rng = random.Random(1)
-    saturated_cases = leading_zero_cases = 0
+    saturated_cases = 0
     for p in cases:
-        for r in (capture_circle_radius(p), radius_rng.uniform(0.05, p.tsr_radius)):
-            scan = scan_decisions(r, p)
-            assert search_decisions(r, p) == scan
-            saturated_cases += bool(scan[2])
-            leading_zero_cases += theta_max_at(scan[0][0], engagement_theta(scan[0][0], p), r, p) == 0.0
+        scan = scan_decisions(p)
+        assert search_decisions(p) == scan
+        saturated_cases += bool(scan[2])
     # both branches of the optimizer are exercised
-    assert 0 < saturated_cases < 2 * len(cases)
-    assert leading_zero_cases > 0
+    assert 0 < saturated_cases < len(cases)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data(), p=valid_params())
-def test_grid_search_matches_scalar_scan_property(data, p):
-    """The same over the edge regimes, at any radius up to the sensing rim."""
-    r = data.draw(st.floats(0.0, p.tsr_radius, exclude_min=True), label="r")
-    assert search_decisions(r, p) == scan_decisions(r, p)
+@given(valid_params())
+def test_grid_search_matches_scalar_scan_property(p):
+    """The same over the edge regimes."""
+    assert search_decisions(p) == scan_decisions(p)
 
 
-def _saturated_grid_times(r: float, p: GameParams) -> list[float]:
+def _saturated_grid_times(p: GameParams) -> list[float]:
     """The optimizer's grid times at which the scalar objective saturates at pi."""
-    taus, _, saturated = scan_decisions(r, p)
+    taus, _, saturated = scan_decisions(p)
     return [taus[i] for i in saturated]
 
 
@@ -339,13 +316,12 @@ def test_plateau_choice_matches_linear_scan(random_valid_params):
     cases += [random_valid_params(rng) for _ in range(20)]
     n_plateau = 0
     for p in cases:
-        r = capture_circle_radius(p)
-        sol = optimize_engagement(r, p)
+        sol = optimize_engagement(p)
         if sol.theta_max != math.pi:
             continue
         n_plateau += 1
-        sat = _saturated_grid_times(r, p)
-        want = next((tau for tau in sat if _plateau_is_stealthy(tau, p, r)), sat[0])
+        sat = _saturated_grid_times(p)
+        want = next((tau for tau in sat if _plateau_is_stealthy(tau, p)), sat[0])
         assert sol.candidate.tau == want
     assert n_plateau >= 10
 
@@ -356,17 +332,16 @@ def test_plateau_search_with_stub_audit(monkeypatch, first_pass):
     that time, or the first saturated time when no time passes, in at most
     1 + ceil(log2(len)) audits."""
     p = validate_params(5.0, 10.0, 0.5, 0.5)
-    r = capture_circle_radius(p)
-    sat = _saturated_grid_times(r, p)
+    sat = _saturated_grid_times(p)
     cut = math.inf if first_pass is None else sat[first_pass]
     calls = []
 
-    def audit(tau, params, r):
+    def audit(tau, params):
         calls.append(tau)
         return tau >= cut
 
     monkeypatch.setattr("perimdef.strategy._plateau_is_stealthy", audit)
-    sol = optimize_engagement(r, p)
+    sol = optimize_engagement(p)
     assert sol.candidate.tau == (sat[0] if first_pass is None else cut)
     assert len(calls) <= 1 + math.ceil(math.log2(len(sat)))
 
@@ -375,53 +350,26 @@ def test_plateau_bits_pinned():
     first_passes = []
     for key, want in PLATEAU_HEX.items():
         p = validate_params(*key)
-        r = capture_circle_radius(p)
-        sol = optimize_engagement(r, p)
+        sol = optimize_engagement(p)
         assert sol.theta_max == math.pi
         assert (sol.candidate.tau.hex(), sol.phi.hex()) == want
-        first_passes.append(_plateau_is_stealthy(_saturated_grid_times(r, p)[0], p, r))
+        first_passes.append(_plateau_is_stealthy(_saturated_grid_times(p)[0], p))
     assert first_passes == [False, True]
-
-
-_FAN_BEARINGS = np.linspace(0.0, math.pi, 512)
-
-
-def _fan_is_stealthy(tau: float, p: GameParams, r: float) -> bool:
-    """Oracle for the plateau audit: the closest approach of the walk, in
-    closed form, from 512 start bearings in [0, pi]; a hold passes by the
-    audit's rule, when its bearing leads pi/2 by ``HOLD_MARGIN``."""
-    cand = engagement_candidate(tau, p)
-    eng = cand.x_d_eng
-    sx, sy = r * np.cos(_FAN_BEARINGS), r * np.sin(_FAN_BEARINGS)
-    path = np.hypot(eng.x - sx, eng.y - sy)
-    if np.any(path > tau * (1.0 + 1e-12) + 1e-12):
-        return False
-    safe_path = np.where(path > 0.0, path, 1.0)
-    wx = (eng.x - sx) / safe_path + p.nu
-    wy = (eng.y - sy) / safe_path
-    ww = wx * wx + wy * wy
-    r0x = sx - p.tsr_radius
-    t_walk = np.where(ww > 0.0, -(r0x * wx + sy * wy) / np.where(ww > 0.0, ww, 1.0), 0.0)
-    t_walk = np.clip(t_walk, 0.0, np.minimum(path, tau))
-    d_walk = np.hypot(r0x + t_walk * wx, sy + t_walk * wy)
-    hold_sensed = np.any(path < tau) and cand.theta - 0.5 * math.pi < HOLD_MARGIN
-    return bool(np.all(d_walk - p.rho_a >= -1e-9)) and not hold_sensed
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(valid_params())
 def test_plateau_audit_matches_bearing_fan_property(p):
-    """The two-start replay audit gives the fan's verdict on every 16th
+    """The one-start replay audit gives the fan's verdict on every 16th
     saturated grid time, and on the chosen (first passing) time and the one
     before it (the last failing)."""
-    r = capture_circle_radius(p)
-    sol = optimize_engagement(r, p)
+    sol = optimize_engagement(p)
     if sol.theta_max != math.pi:
         return
-    sat = _saturated_grid_times(r, p)
+    sat = _saturated_grid_times(p)
     k = sat.index(sol.candidate.tau)
     for i in {*range(0, len(sat), 16), k, max(k - 1, 0)}:
-        assert _plateau_is_stealthy(sat[i], p, r) == _fan_is_stealthy(sat[i], p, r), sat[i]
+        assert _plateau_is_stealthy(sat[i], p) == fan_is_stealthy(sat[i], p), sat[i]
 
 
 def _no_audit(*args, **kwargs):
@@ -450,15 +398,14 @@ def test_theta_max_outputs_never_audit_the_plateau(monkeypatch, tmp_path):
 @pytest.mark.parametrize("first", ["candidate", "phi"])
 def test_plateau_audit_runs_on_first_use_only(monkeypatch, first):
     p = validate_params(5.0, 10.0, 0.5, 0.5)
-    r = capture_circle_radius(p)
     calls = []
 
-    def audit(tau, params, r):
+    def audit(tau, params):
         calls.append(tau)
-        return _plateau_is_stealthy(tau, params, r)
+        return _plateau_is_stealthy(tau, params)
 
     monkeypatch.setattr("perimdef.strategy._plateau_is_stealthy", audit)
-    sol = optimize_engagement(r, p)
+    sol = optimize_engagement(p)
     assert sol.theta_max == math.pi
     assert calls == []
     getattr(sol, first)
@@ -474,8 +421,7 @@ def test_bundle_bits_independent_of_read_order(params):
         return sol.candidate.tau.hex(), sol.phi.hex(), sol.x_p.x.hex(), sol.x_p.y.hex()
 
     for p in [params, *(validate_params(*key) for key in PLATEAU_HEX)]:
-        r = capture_circle_radius(p)
-        phi_first, candidate_first = optimize_engagement(r, p), optimize_engagement(r, p)
+        phi_first, candidate_first = optimize_engagement(p), optimize_engagement(p)
         phi_first.phi
         candidate_first.candidate
         assert bits(phi_first) == bits(candidate_first)
@@ -485,7 +431,7 @@ def test_bundle_bits_independent_of_read_order(params):
 @given(valid_params())
 def test_optimizer_dominates_fresh_grid_property(p):
     r = capture_circle_radius(p)
-    sol = optimize_engagement(r, p)
+    sol = optimize_engagement(p)
     tau_min, tau_max = engagement_domain(p)
     for tau in np.linspace(tau_min, tau_max, 4096).tolist():
         assert sol.theta_max >= theta_max_at(tau, engagement_theta(tau, p), r, p) - 1e-7
@@ -501,7 +447,7 @@ def test_guarded_arc_bounds_theta_max_property(p):
 
 
 def test_optimizer_bundle_consistency(params):
-    sol = optimize_engagement(capture_circle_radius(params), params)
+    sol = optimize_engagement(params)
     assert sol.x_p.norm() == pytest.approx(capture_circle_radius(params), abs=1e-9)
     assert 0.0 < sol.theta_max <= math.pi
 
