@@ -148,11 +148,10 @@ def _load_config(path: str, command: str) -> dict:
         val = val.strip()
         if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
-        typ = CONFIG_TYPES[key]
         try:
-            values[key] = typ(val)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: invalid {typ.__name__} value for {key!r}: {val!r}") from None
+            values[key] = _READ_N[command](val, repr(key)) if key == "n" else _number(val, repr(key), CONFIG_TYPES[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -162,7 +161,7 @@ def _merge(args: argparse.Namespace) -> dict:
     for key in CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
+            merged[key] = _READ_N[args.command](flag) if key == "n" else flag
     merged.setdefault("format", "csv")
     merged.setdefault("seed", 1)
     merged.setdefault("trials", 100)
@@ -189,21 +188,25 @@ def _params_from(cfg: dict):
     return validate_params(cfg["r_t"], cfg["rho_t"], cfg["rho_a"], cfg["nu"])
 
 
-def _number(typ: type, text: str, error: Optional[str] = None):
+def _number(text: str, name: str = "--n", typ: type = int):
     """``text`` read as ``typ``.  Python's message for text that does not parse
-    names no option, so the error is ``error``, or else one naming ``--n``, the
-    only option whose numbers cli reads itself."""
+    names no option, so the error names ``name``: a config key, or by default
+    ``--n``, the only flag whose numbers cli reads itself."""
     try:
         return typ(text)
     except ValueError:
-        raise ValueError(error or f"invalid {typ.__name__} value for --n: {text!r}") from None
+        raise ValueError(f"invalid {typ.__name__} value for {name}: {text!r}") from None
 
 
-def _parse_horizons(text: str) -> list[int]:
-    horizons = [_number(int, part) for part in text.split(",") if part.strip()]
+def _parse_horizons(text: str, name: str = "--n") -> list[int]:
+    horizons = [_number(part, name) for part in text.split(",") if part.strip()]
     if not horizons:
         raise ValueError(f"horizons must list at least one integer, got {text!r}")
     return horizons
+
+
+# How each command that takes ``n`` reads it, from its flag or a config line.
+_READ_N = {"simulate": _number, "verify": _number, "analytic": _parse_horizons, "sweep": _parse_horizons}
 
 
 def _parse_grid(spec: str) -> tuple[str, float, float, int]:
@@ -213,11 +216,10 @@ def _parse_grid(spec: str) -> tuple[str, float, float, int]:
     name = name.strip()
     if name not in PARAM_NAMES:
         raise ValueError(f"grid parameter must be one of {PARAM_NAMES}, got {name!r}")
-    malformed = f"grid spec must look like name=lo:hi:steps, got {spec!r}"
-    parts = rng.split(":")
-    if len(parts) != 3:
-        raise ValueError(malformed)
-    lo, hi, steps = (_number(typ, part, malformed) for typ, part in zip((float, float, int), parts))
+    try:
+        lo, hi, steps = (typ(part) for typ, part in zip((float, float, int), rng.split(":"), strict=True))
+    except ValueError:
+        raise ValueError(f"grid spec must look like name=lo:hi:steps, got {spec!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)) or steps < 1 or hi < lo:
         raise ValueError(f"bad grid range in {spec!r}")
     return name, lo, hi, steps
@@ -241,9 +243,7 @@ def _summary_rows(stats: analytics.PrefixStats, p: float, asym: float):
 def cmd_simulate(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    n = _number(int, cfg["n"])
-    trials = int(cfg["trials"])
-    seed = int(cfg["seed"])
+    n, trials, seed = cfg["n"], cfg["trials"], cfg["seed"]
     if n < 1 or trials < 1:
         raise ValueError("--n and --trials must be >= 1")
     if n * trials > MAX_SIM_GAMES:
@@ -267,11 +267,10 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_analytic(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    horizons = _parse_horizons(str(cfg["n"]))
     from . import analytics
 
     p = analytics.p_star(params)
-    rows = [(h, analytics.expected_resets(h, p), analytics.expected_percentage(h, p)) for h in horizons]
+    rows = [(h, analytics.expected_resets(h, p), analytics.expected_percentage(h, p)) for h in cfg["n"]]
     rows.append(("inf", None, analytics.asymptotic_percentage(p)))
     _write_rows(Path(cfg["out"]), ["N", "expected_resets", "percentage"], rows, cfg["format"])
     return 0
@@ -293,8 +292,8 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
     if len(fixed_names) != 2:
         raise ValueError("grid parameters must be two distinct names")
     _require(cfg, *fixed_names)
-    fixed = {name: float(cfg[name]) for name in fixed_names}
-    horizons = _parse_horizons(str(cfg.get("n", "20")))
+    fixed = {name: cfg[name] for name in fixed_names}
+    horizons = cfg.get("n", [20])
 
     rows = analytics.sweep(outer, inner, fixed, horizons)
     header = [outer[0], inner[0], "feasible", "theta_max", "p_star"]
@@ -314,12 +313,12 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
 def cmd_verify(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "n", "out")
-    n = _number(int, cfg["n"])
+    n = cfg["n"]
     if n > MAX_SIM_GAMES:
         raise ValueError(f"verify asks for {n} games, more than the limit of {MAX_SIM_GAMES}")
     from . import engine
 
-    report = engine.verify_outcome_agreement(params, n, int(cfg["seed"]))
+    report = engine.verify_outcome_agreement(params, n, cfg["seed"])
     lines = [f"{name} = {_fmt(value)}" for name, value in zip(report._fields, report)]
     lines.append(f"verdict = {'agree' if report.all_agree else 'disagree'}")
     Path(cfg["out"]).write_text("\n".join(lines) + "\n")
@@ -329,7 +328,7 @@ def cmd_verify(cfg: dict) -> int:
 def cmd_trace(cfg: dict) -> int:
     params = _params_from(cfg)
     _require(cfg, "theta_a", "out")
-    theta_a = float(cfg["theta_a"])
+    theta_a = cfg["theta_a"]
     from . import engine
 
     angle = cfg.get("defender_angle")

@@ -272,6 +272,7 @@ CONFIG_FILES = {
     "unknown_warp_factor.cfg": "r_t = 5\nwarp_factor = 9\n", "unknown_theta_a.cfg": "r_t = 5\ntheta_a = 0.3\n",
     "unknown_trials.cfg": "r_t = 5\ntrials = 5\n", "unknown_dt.cfg": "r_t = 5\ndt = 1e-3\n",
     "unknown_n.cfg": "r_t = 5\nn = 5\n",
+    "n15.cfg": "n = 1.5\n", "nx.cfg": "n = 5,x\n", "no_equals.cfg": "r_t 5\n",
 }
 REFUSED = {
     "invalid-params": (["simulate", "--r-t", "5", "--rho-t", "2", "--rho-a", "1", "--nu", "0.8", "--n", "5",
@@ -316,10 +317,17 @@ REFUSED = {
                                     "--grid", "rho_t=4:12:2", "--out", "s.csv"], "bad grid range"),
     "verify-0-games": (["verify", *BASE, "--n", "0", "--out", "verify.txt"], "n_games"),
     "verify-minus-3-games": (["verify", *BASE, "--n", "-3", "--out", "verify.txt"], "n_games"),
-    # a number that does not parse names its option or its grid spec
+    "simulate-0-trials": (["simulate", *BASE, "--n", "5", "--trials", "0", "--out", "x.csv"],
+                          "--n and --trials must be >= 1"),
+    # a number that does not parse names its option or its grid spec, or its
+    # config file, line and key
     "analytic-fractional-n": (["analytic", *BASE, "--n", "1.5", "--out", "x.csv"], "invalid int value for --n: '1.5'"),
     "simulate-fractional-n": (["simulate", *BASE, "--n", "1.5", "--out", "x.csv"], "invalid int value for --n: '1.5'"),
     "verify-n-abc": (["verify", *BASE, "--n", "abc", "--out", "verify.txt"], "invalid int value for --n: 'abc'"),
+    "config-simulate-fractional-n": (["simulate", *BASE, "--config", "n15.cfg", "--out", "x.csv"],
+                                     "n15.cfg:1: invalid int value for 'n': '1.5'"),
+    "config-analytic-letter-horizon": (["analytic", *BASE, "--config", "nx.cfg", "--out", "x.csv"],
+                                       "nx.cfg:1: invalid int value for 'n': 'x'"),
     "sweep-grid-fractional-steps": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2.5",
                                      "--grid", "rho_t=4:12:2", "--out", "s.csv"],
                                     "grid spec must look like name=lo:hi:steps, got 'rho_a=0.5:3:2.5'"),
@@ -328,6 +336,12 @@ REFUSED = {
                                 "grid spec must look like name=lo:hi:steps, got 'rho_a=a:3:2'"),
     "sweep-grid-two-fields": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3", "--grid", "rho_t=4:12:2",
                                "--out", "s.csv"], "grid spec must look like name=lo:hi:steps, got 'rho_a=0.5:3'"),
+    "sweep-grid-unknown-parameter": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "warp=0:1:2",
+                                      "--grid", "rho_t=4:12:2", "--out", "s.csv"],
+                                     "grid parameter must be one of", "got 'warp'"),
+    "sweep-grid-repeated-parameter": (["sweep", "--r-t", "5", "--rho-t", "10", "--nu", "0.75",
+                                       "--grid", "rho_a=0.5:1:2", "--grid", "rho_a=1:2:2", "--out", "s.csv"],
+                                      "grid parameters must be two distinct names"),
     # an empty horizon list is malformed, by flag or by config line; only an
     # absent one falls back to horizon 20
     "sweep-empty-horizons": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2",
@@ -342,6 +356,8 @@ REFUSED = {
                                        "--grid", "rho_t=4:12:2", "--n", "20,20", "--format", "jsonl",
                                        "--out", "s.jsonl"], "distinct"),
     "config-format-xml": (["analytic", *BASE, "--config", "format_xml.cfg", "--n", "5", "--out", "x.out"], "xml"),
+    "config-line-without-equals": (["analytic", *BASE, "--n", "5", "--config", "no_equals.cfg", "--out", "x.csv"],
+                                   "no_equals.cfg:1: expected key=value, got 'r_t 5'"),
     "config-unknown-key-analytic": (["analytic", *BASE, "--n", "5", "--config", "unknown_warp_factor.cfg",
                                      "--out", "x.csv"], "unknown config key 'warp_factor' for analytic"),
     "config-simulate-key-analytic": (["analytic", *BASE, "--n", "5", "--config", "unknown_trials.cfg",
