@@ -246,9 +246,9 @@ def _plateau_is_stealthy(tau: float, params: GameParams) -> bool:
     inward.  The walk is replayed from bearing pi, which arrives in time on
     a plateau (see ``_grid_peak``), with the replay's event finder: any
     entry into the intruder's sensing radius on the walk fails the
-    candidate.  Its verdict is that of a fan of starts over [0, pi], the
-    tests' oracle.  A hold passes in closed form, when its bearing leads
-    pi/2 by ``HOLD_MARGIN``.
+    candidate; the tests and the stress tier check its verdict against a fan
+    of starts over [0, pi].  A hold passes in closed form, when its bearing
+    leads pi/2 by ``HOLD_MARGIN``.
     """
     cand = engagement_candidate(tau, params)
     eng = cand.x_d_eng

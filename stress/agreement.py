@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         audited = []
         if saturated:
             # the chosen plateau time and the saturated grid time just before it
-            last_two = [scan[0][i] for i in scan[2] if scan[0][i] <= sol.candidate.tau][-2:]
+            last_two = [scan[0][k] for k in scan[2] if scan[0][k] <= sol.candidate.tau][-2:]
             audited = [(tau, _plateau_is_stealthy(tau, p), fan_is_stealthy(tau, p)) for tau in last_two]
         failed = [check for check, ok in (
             ("verdicts", report.all_agree), ("rim miss", off_circle <= CIRCLE_TOL), ("grid search", search == scan),
