@@ -144,6 +144,12 @@ PINNED_OUTPUTS = {
                             "--out", "trace.jsonl"], {
         "trace.jsonl": "4a999aaa19934c12f2a7fded0b91f8c468856b4c7e87e54718b4848840d613ff",
     }),
+    # an arrival at bearing 0 from the center: both players' y is exactly 0.0
+    # on every row, and JSONL prints a zero's sign
+    "trace-bearing-origin-jsonl": (["trace", *BASE, "--theta-a", "0", "--dt", "1e-2", "--format", "jsonl",
+                                    "--out", "trace.jsonl"], {
+        "trace.jsonl": "9c22b77bed2064a00e8ecdb3de1e85af57461e469e129196d3fb321ef773259c",
+    }),
     # a capture-bound game from the capture circle at bearing 0: a bearing of 0
     # is a defender on the circle, not one at the center
     "trace-bearing-zero-csv": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
