@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (
     PLATEAU_HEX, arc_bounds_theta_max, edge_params, fan_is_stealthy, make_valid_params, scan_decisions,
@@ -359,6 +359,9 @@ def test_plateau_bits_pinned():
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(valid_params())
+# an audit started at bearing 0 (+r_cc) instead of pi passes saturated grid
+# times 32 and 37 here, where the fan fails; 37 is the one before the chosen time
+@example(validate_params(2.6721028801753466, 11.35521153291566, 4.746026101461576, 0.5130264194623684))
 def test_plateau_audit_matches_bearing_fan_property(p):
     """The one-start replay audit gives the fan's verdict on every 16th
     saturated grid time, and on the chosen (first passing) time and the one
