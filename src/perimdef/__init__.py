@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 # The public names, by the module that defines them.
 _NAMES = {
     "geometry": (
-        "ApolloniusCircle", "AssumptionViolated", "CircleClass", "GameParams", "Point2", "apollonius",
-        "assumption_clauses", "classify", "validate_params",
+        "ApolloniusCircle", "AssumptionViolated", "CircleClass", "GameParams", "apollonius", "assumption_clauses",
+        "classify", "validate_params",
     ),
     "strategy": (
         "EngagementCandidate", "EngagementSolution", "capture_circle_radius", "capture_circle_solution",

@@ -342,13 +342,13 @@ def cmd_trace(cfg: dict) -> int:
         tau = tau_min + (tau_max - tau_min) * i / 256
         cand = strategy.engagement_candidate(tau, params)
         world = engine.to_world(cand.x_d_eng, theta_a, mirror)
-        polyline.append(f"{world.x:.9g}:{world.y:.9g}")
+        polyline.append(f"{world.real:.9g}:{world.imag:.9g}")
     end = traj.end
     meta = {
         "capture_circle_radius": _fmt(strategy.capture_circle_radius(params)),
         "terminal": "capture" if traj.captured else "breach",
-        "terminal_x": _fmt(end.x),
-        "terminal_y": _fmt(end.y),
+        "terminal_x": _fmt(end.real),
+        "terminal_y": _fmt(end.imag),
         "engagement_surface": " ".join(polyline),
     }
     _write_rows(Path(cfg["out"]), ["t", "ax", "ay", "dx", "dy", "phase"], rows, cfg["format"], meta=meta,

@@ -15,7 +15,7 @@ from array import array
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .geometry import GameParams, Point2, first_entry
+from .geometry import GameParams, first_entry
 from .strategy import capture_circle_radius, capture_circle_solution
 
 _TWO_PI = 2.0 * math.pi
@@ -212,15 +212,15 @@ class Trajectory(NamedTuple):
     pieces: tuple[tuple, ...]
     captured: bool
     t: float
-    x_a: Point2
-    x_d: Point2
+    x_a: complex
+    x_d: complex
 
     @property
-    def end(self) -> Point2:
+    def end(self) -> complex:
         """Where the game ends: midway between the players on a capture, the
         intruder's position on a breach."""
         a, d = self.x_a, self.x_d
-        return Point2(0.5 * (a.x + d.x), 0.5 * (a.y + d.y)) if self.captured else a
+        return complex(0.5 * (a.real + d.real), 0.5 * (a.imag + d.imag)) if self.captured else a
 
     def sample(self, dt: float) -> Iterator[tuple]:
         """Rows ``(t, ax, ay, dx, dy, phase)`` at ``t = k * dt`` for every
@@ -237,29 +237,39 @@ class Trajectory(NamedTuple):
         return self._samples(dt)
 
     def _samples(self, dt: float) -> Iterator[tuple]:
-        i, k = 0, 0
-        while k == 0 or k * dt < self.t:
+        # Each row at k * dt is read off the first piece ending at or after
+        # it; a piece's parts are read once, since each read of a complex's
+        # part makes a new float.
+        k, t = 0, self.t
+        for start, end, a, va, d, vd, ph in self.pieces:
+            ax, ay, vax, vay, dx, dy, vdx, vdy = a.real, a.imag, va.real, va.imag, d.real, d.imag, vd.real, vd.imag
             ts = k * dt
-            while self.pieces[i][1] < ts:
-                i += 1
-            start, _, a0, va, d0, vd, ph = self.pieces[i]
-            h = ts - start
-            yield ts, a0.x + va.x * h, a0.y + va.y * h, d0.x + vd.x * h, d0.y + vd.y * h, ph
-            k += 1
-        yield self.t, self.x_a.x, self.x_a.y, self.x_d.x, self.x_d.y, self.pieces[-1][6]
+            while ts <= end and (k == 0 or ts < t):
+                h = ts - start
+                yield ts, ax + vax * h, ay + vay * h, dx + vdx * h, dy + vdy * h, ph
+                k += 1
+                ts = k * dt
+        yield t, self.x_a.real, self.x_a.imag, self.x_d.real, self.x_d.imag, self.pieces[-1][6]
 
 
-def to_world(p: Point2, theta_a: float, mirror: float) -> Point2:
+def to_world(p: complex, theta_a: float, mirror: float) -> complex:
     """Map a canonical-frame point into the world frame of a game."""
-    return Point2(p.x, mirror * p.y).rotated(theta_a)
+    return complex(p.real, mirror * p.imag) * complex(math.cos(theta_a), math.sin(theta_a))
 
 
-def _heading(pos: Point2, target: Point2, speed: float) -> tuple[Point2, float]:
-    """Velocity toward ``target`` and the time to reach it (inf when already there)."""
-    dist = pos.distance_to(target)
+def _heading(pos: complex, target: complex, speed: float) -> tuple[complex, float]:
+    """Velocity toward ``target`` and the time to reach it (inf when already there).
+
+    The parts are scaled one at a time: before Python 3.14 a complex times a
+    float is a full complex product, which can flip the sign of a zero part,
+    and a trace prints a zero's sign.
+    """
+    step = target - pos
+    dist = math.hypot(step.real, step.imag)
     if dist == 0.0:
-        return Point2(0.0, 0.0), math.inf
-    return (target - pos) * (speed / dist), dist / speed
+        return 0j, math.inf
+    k = speed / dist
+    return complex(step.real * k, step.imag * k), dist / speed
 
 
 def simulate_kinematic(angle: Optional[float], theta_a: float, params: GameParams) -> Trajectory:
@@ -281,19 +291,20 @@ def simulate_kinematic(angle: Optional[float], theta_a: float, params: GameParam
     _require_finite(angle, theta_a)
     r_cc = capture_circle_radius(params)
     slack = CONTACT_SLACK * (1.0 + r_cc)
-    u = Point2.from_polar(1.0, theta_a)
-    origin = Point2(0.0, 0.0)
-    a = u * params.tsr_radius
+    cos_a, sin_a = math.cos(theta_a), math.sin(theta_a)
+    origin = 0j
+    a = complex(params.tsr_radius * cos_a, params.tsr_radius * sin_a)
     if angle is None:
         capture_bound = True
         d = origin
-        waypoint = u * (params.r_t - params.rho_a / (1.0 + params.nu))
-        dest = Point2.from_polar(r_cc, theta_a)
+        w = params.r_t - params.rho_a / (1.0 + params.nu)
+        waypoint = complex(w * cos_a, w * sin_a)
+        dest = complex(r_cc * cos_a, r_cc * sin_a)
     else:
         sol = capture_circle_solution(params)
         mirror = _capture_side(angle, theta_a, sol.theta_max)
         capture_bound = mirror is not None
-        d = Point2.from_polar(r_cc, angle)
+        d = complex(r_cc * math.cos(angle), r_cc * math.sin(angle))
         if capture_bound:
             waypoint = to_world(sol.candidate.x_d_eng, theta_a, mirror)
             dest = to_world(sol.x_p, theta_a, mirror)
@@ -322,8 +333,9 @@ def simulate_kinematic(angle: Optional[float], theta_a: float, params: GameParam
                       key=lambda hit: hit[0], default=(length, None))
         pieces.append((t, t + s, a, va, d, vd, phase))
         t += s
-        a = a_target if kind is None and ta <= length else a + va * s
-        d = d_target if kind is None and td <= length else d + vd * s
+        # Parts scaled one at a time, as in ``_heading``.
+        a = a_target if kind is None and ta <= length else complex(a.real + va.real * s, a.imag + va.imag * s)
+        d = d_target if kind is None and td <= length else complex(d.real + vd.real * s, d.imag + vd.imag * s)
         if kind == "detect":
             phase = "full"
             if capture_bound:
@@ -402,10 +414,11 @@ def verify_outcome_agreement(params: GameParams, n_games: int, seed: int) -> Agr
                 n_mismatch += 1
             elif traj.captured:
                 end = traj.end
-                max_pt_err = max(max_pt_err, end.distance_to(Point2.from_polar(r_cc, after)))
-                max_circ = max(max_circ, abs(end.norm() - r_cc))
+                miss = end - complex(r_cc * math.cos(after), r_cc * math.sin(after))
+                max_pt_err = max(max_pt_err, math.hypot(miss.real, miss.imag))
+                max_circ = max(max_circ, abs(math.hypot(end.real, end.imag) - r_cc))
             else:
-                home = traj.x_d.norm()
+                home = math.hypot(traj.x_d.real, traj.x_d.imag)
                 max_home = max(max_home, home)
         angle = after
     return AgreementReport(

@@ -16,7 +16,7 @@ import math
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .geometry import CLAMP_TOL, GameParams, Point2, clamp_unit, first_entry, golden_section_max
+from .geometry import CLAMP_TOL, GameParams, clamp_unit, first_entry, golden_section_max
 
 # Engagement times searched by optimize_engagement, and the width to which
 # golden-section search refines the best grid bracket.
@@ -58,8 +58,8 @@ class EngagementCandidate(NamedTuple):
 
     tau: float
     theta: float
-    x_a_eng: Point2
-    x_d_eng: Point2
+    x_a_eng: complex
+    x_d_eng: complex
 
 
 class _SolutionFields(NamedTuple):
@@ -87,7 +87,7 @@ class EngagementSolution(_SolutionFields):
         return engagement_candidate(tau, self.params)
 
     @cached_property
-    def x_p(self) -> Point2:
+    def x_p(self) -> complex:
         return evasion_point(self.candidate, self.params)[0]
 
     @cached_property
@@ -206,7 +206,7 @@ def engagement_candidate(tau: float, params: GameParams) -> EngagementCandidate:
     _, theta_at, point, _ = _surface(params)
     theta = theta_at(tau)
     a, ex, ey = point(tau, theta)
-    return EngagementCandidate(tau=tau, theta=theta, x_a_eng=Point2(a, 0.0), x_d_eng=Point2(ex, ey))
+    return EngagementCandidate(tau=tau, theta=theta, x_a_eng=complex(a, 0.0), x_d_eng=complex(ex, ey))
 
 
 def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> float:
@@ -222,7 +222,7 @@ def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> floa
     return _surface(params)[3](tau, theta, r)
 
 
-def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[Point2, float]:
+def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[complex, float]:
     """Where a doomed intruder drags the capture, and the bearing of that point.
 
     The intruder runs straight to the far rim of its dominance circle; the
@@ -230,11 +230,11 @@ def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[P
     ``(r_t + gamma*rho_a) * u(phi)``.
     """
     b = params.beta * params.rho_a
-    cx = candidate.x_a_eng.x - b * math.cos(candidate.theta)
-    cy = candidate.x_a_eng.y - b * math.sin(candidate.theta)
+    cx = candidate.x_a_eng.real - b * math.cos(candidate.theta)
+    cy = candidate.x_a_eng.imag - b * math.sin(candidate.theta)
     phi = math.atan2(cy, cx)
     g = params.gamma * params.rho_a
-    x_p = Point2(cx + g * math.cos(phi), cy + g * math.sin(phi))
+    x_p = complex(cx + g * math.cos(phi), cy + g * math.sin(phi))
     return x_p, phi
 
 
@@ -252,10 +252,11 @@ def _plateau_is_stealthy(tau: float, params: GameParams) -> bool:
     """
     cand = engagement_candidate(tau, params)
     eng = cand.x_d_eng
-    a0, va = Point2(params.tsr_radius, 0.0), Point2(-params.nu, 0.0)
-    start = Point2(-capture_circle_radius(params), 0.0)
-    path = start.distance_to(eng)
-    vd = (eng - start) * (1.0 / (path or 1.0))
+    a0, va = complex(params.tsr_radius, 0.0), complex(-params.nu, 0.0)
+    start = complex(-capture_circle_radius(params), 0.0)
+    walk = eng - start
+    path = math.hypot(walk.real, walk.imag)
+    vd = walk * (1.0 / (path or 1.0))
     if first_entry(a0 - start, va - vd, params.rho_a - 1e-9, min(path, tau)) is not None:
         return False
     return not (path < tau and cand.theta - 0.5 * math.pi < HOLD_MARGIN)

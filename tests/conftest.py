@@ -129,7 +129,7 @@ def capture_off_circle(params) -> float:
     worst = 0.0
     for x_a, x_d in detections(params):
         circle = apollonius(x_a, x_d, params)
-        d = circle.center.norm()
+        d = abs(circle.center)
         miss = max(abs(d + circle.radius - r_cc), params.r_t - (d - circle.radius))
         worst = max(worst, miss / (1.0 + r_cc))
     return worst
@@ -178,12 +178,12 @@ def fan_is_stealthy(tau: float, p: GameParams) -> bool:
     cand = engagement_candidate(tau, p)
     eng = cand.x_d_eng
     sx, sy = r * np.cos(_FAN_BEARINGS), r * np.sin(_FAN_BEARINGS)
-    path = np.hypot(eng.x - sx, eng.y - sy)
+    path = np.hypot(eng.real - sx, eng.imag - sy)
     if np.any(path > tau * (1.0 + 1e-12) + 1e-12):
         return False
     safe_path = np.where(path > 0.0, path, 1.0)
-    wx = (eng.x - sx) / safe_path + p.nu
-    wy = (eng.y - sy) / safe_path
+    wx = (eng.real - sx) / safe_path + p.nu
+    wy = (eng.imag - sy) / safe_path
     ww = wx * wx + wy * wy
     r0x = sx - p.tsr_radius
     t_walk = np.where(ww > 0.0, -(r0x * wx + sy * wy) / np.where(ww > 0.0, ww, 1.0), 0.0)

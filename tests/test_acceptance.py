@@ -6,6 +6,7 @@ lines and timings.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import time
@@ -17,7 +18,6 @@ import pytest
 from perimdef import analytics, engine
 from perimdef.cli import main
 from perimdef.geometry import (
-    Point2,
     apollonius,
     assumption_clauses,
     validate_params,
@@ -108,16 +108,16 @@ def test_criterion_5_geometry_property_suite(params):
 
     # dominance-circle defining property: 1e4 random pairs x 64 boundary samples
     for _ in range(10_000):
-        x_a = Point2(rng.uniform(-20, 20), rng.uniform(-20, 20))
-        x_d = Point2(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        x_a = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        x_d = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
         circle = apollonius(x_a, x_d, params)
-        bx = circle.center.x + circle.radius * cos_a
-        by = circle.center.y + circle.radius * sin_a
+        bx = circle.center.real + circle.radius * cos_a
+        by = circle.center.imag + circle.radius * sin_a
         residual = np.abs(
-            np.hypot(bx - x_a.x, by - x_a.y)
-            - params.nu * np.hypot(bx - x_d.x, by - x_d.y)
+            np.hypot(bx - x_a.real, by - x_a.imag)
+            - params.nu * np.hypot(bx - x_d.real, by - x_d.imag)
         )
-        assert float(residual.max()) <= 1e-9 * (1.0 + x_a.distance_to(x_d))
+        assert float(residual.max()) <= 1e-9 * (1.0 + abs(x_a - x_d))
 
     # engagement tangency and capture-circle landing
     inner = params.r_t + params.gamma * params.rho_a
@@ -125,10 +125,10 @@ def test_criterion_5_geometry_property_suite(params):
     tau_lo, tau_hi = engagement_domain(params)
     for tau in np.linspace(tau_lo, tau_hi, 100):
         cand = engagement_candidate(float(tau), params)
-        center = cand.x_a_eng - params.beta * params.rho_a * Point2.from_polar(1.0, cand.theta)
-        assert abs(center.norm() - inner) <= 1e-9 * (1.0 + inner)
+        center = cand.x_a_eng - cmath.rect(params.beta * params.rho_a, cand.theta)
+        assert abs(abs(center) - inner) <= 1e-9 * (1.0 + inner)
         x_p, _ = evasion_point(cand, params)
-        assert abs(x_p.norm() - r_cc) <= 1e-9 * (1.0 + r_cc)
+        assert abs(abs(x_p) - r_cc) <= 1e-9 * (1.0 + r_cc)
 
     # guarded arc non-increasing on a 200-point radius grid
     grid = np.linspace(params.rho_t / params.nu - params.r_t + 1e-9,
@@ -146,16 +146,16 @@ def test_criterion_5_geometry_property_suite(params):
         eng = sol.candidate.x_d_eng
         for _ in range(4):
             theta_d = cfg_rng.uniform(0.0, sol.theta_max)
-            start = Point2.from_polar(r, theta_d)
-            path_len = start.distance_to(eng)
+            start = cmath.rect(r, theta_d)
+            path_len = abs(eng - start)
             assert path_len <= sol.candidate.tau * (1 + 1e-12) + 1e-12
             t = np.linspace(0.0, sol.candidate.tau, 10_000, endpoint=False)
             travel = np.minimum(t, path_len)
             if path_len > 0.0:
-                px = start.x + (eng.x - start.x) * travel / path_len
-                py = start.y + (eng.y - start.y) * travel / path_len
+                px = start.real + (eng.real - start.real) * travel / path_len
+                py = start.imag + (eng.imag - start.imag) * travel / path_len
             else:
-                px, py = np.full_like(t, start.x), np.full_like(t, start.y)
+                px, py = np.full_like(t, start.real), np.full_like(t, start.imag)
             ax = p.tsr_radius - p.nu * t
             assert float(np.hypot(px - ax, py).min()) >= p.rho_a - 1e-6
             checked += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import sys
@@ -29,7 +30,7 @@ from perimdef.engine import (
     wrap_angle,
 )
 from conftest import CIRCLE_TOL, PLATEAU_HEX, capture_off_circle, detections, valid_params
-from perimdef.geometry import CircleClass, Point2, apollonius, assumption_clauses, classify, validate_params
+from perimdef.geometry import CircleClass, apollonius, assumption_clauses, classify, validate_params
 from perimdef.strategy import capture_circle_radius, capture_circle_solution
 
 
@@ -78,9 +79,9 @@ def test_uniform_angles_match_scalar_hash_property(seed, n):
 def test_play_from_center_always_captures(params):
     after = play_game(None, 1.234, params)
     assert after == 1.234
-    point = Point2.from_polar(capture_circle_radius(params), after)
-    assert point.norm() == pytest.approx(capture_circle_radius(params), abs=1e-9)
-    assert point.bearing() == pytest.approx(1.234, abs=1e-12)
+    point = cmath.rect(capture_circle_radius(params), after)
+    assert abs(point) == pytest.approx(capture_circle_radius(params), abs=1e-9)
+    assert cmath.phase(point) == pytest.approx(1.234, abs=1e-12)
 
 
 def test_play_on_circle_breach_at_antipode(params):
@@ -101,9 +102,9 @@ def test_play_mirror_symmetry(params):
     gap = 0.5 * sol.theta_max
     after = [play_game(side * gap, 0.0, params) for side in (1.0, -1.0)]
     assert None not in after
-    plus, minus = (Point2.from_polar(r_cc, angle) for angle in after)
-    assert plus.x == pytest.approx(minus.x, abs=1e-12)
-    assert plus.y == pytest.approx(-minus.y, abs=1e-12)
+    plus, minus = (cmath.rect(r_cc, angle) for angle in after)
+    assert plus.real == pytest.approx(minus.real, abs=1e-12)
+    assert plus.imag == pytest.approx(-minus.imag, abs=1e-12)
 
 
 def test_play_depends_only_on_state_and_arrival(params):
@@ -174,7 +175,7 @@ def test_session_structure(params):
     r_cc = capture_circle_radius(params)
     for captured, after in zip(rec.outcomes, games):
         if captured:
-            assert Point2.from_polar(r_cc, after).norm() == pytest.approx(r_cc, abs=1e-9)
+            assert abs(cmath.rect(r_cc, after)) == pytest.approx(r_cc, abs=1e-9)
         else:
             assert after is None
     # a breach can never follow a breach: the defender resets first
@@ -258,7 +259,7 @@ def test_kinematic_matches_event_level_from_center(params):
     after = play_game(None, 0.7, params)
     traj = simulate_kinematic(None, 0.7, params)
     assert traj.captured
-    assert traj.end.distance_to(Point2.from_polar(capture_circle_radius(params), after)) <= 5e-3
+    assert abs(traj.end - cmath.rect(capture_circle_radius(params), after)) <= 5e-3
 
 
 def test_kinematic_matches_event_level_on_circle(params):
@@ -266,7 +267,7 @@ def test_kinematic_matches_event_level_on_circle(params):
     assert after is not None
     traj = simulate_kinematic(0.4, -0.9, params)
     assert traj.captured
-    assert traj.end.distance_to(Point2.from_polar(capture_circle_radius(params), after)) <= 5e-3
+    assert abs(traj.end - cmath.rect(capture_circle_radius(params), after)) <= 5e-3
 
 
 def test_kinematic_breach_sends_defender_home(params):
@@ -275,8 +276,8 @@ def test_kinematic_breach_sends_defender_home(params):
     assert play_game(angle, theta_a, params) is None
     traj = simulate_kinematic(angle, theta_a, params)
     assert not traj.captured
-    assert traj.x_d.norm() <= 1e-3
-    r_a = traj.end.norm()
+    assert abs(traj.x_d) <= 1e-3
+    r_a = abs(traj.end)
     assert params.r_t - params.nu * 1e-4 <= r_a <= params.r_t + 1e-9
 
 
@@ -294,7 +295,7 @@ def test_breach_bound_replay_is_never_detected_property(p):
             traj = simulate_kinematic(side * gap, 0.0, p)
             assert all(piece[6] == "partial" for piece in traj.pieces)
             assert not traj.captured
-            assert abs(traj.end.norm() - p.r_t) <= 1e-9 * (1.0 + p.r_t)
+            assert abs(abs(traj.end) - p.r_t) <= 1e-9 * (1.0 + p.r_t)
 
 
 def test_trajectory_step_bounds_and_phases(params):
@@ -321,20 +322,20 @@ def test_committed_path_stays_in_dominance_region(params):
     dominates at the moment of detection."""
     dt = 1e-3
     traj = simulate_kinematic(0.2, -0.8, params)
-    full = [(Point2(s[1], s[2]), Point2(s[3], s[4])) for s in traj.sample(dt) if s[5] == "full"]
+    full = [(complex(s[1], s[2]), complex(s[3], s[4])) for s in traj.sample(dt) if s[5] == "full"]
     x_a0, x_d0 = full[0]
     slack = 5e-3  # discrete detection lags the exact crossing by O(dt)
     for x_a, _ in full:
-        assert params.nu * x_a.distance_to(x_d0) >= x_a.distance_to(x_a0) - slack
+        assert params.nu * abs(x_a - x_d0) >= abs(x_a - x_a0) - slack
 
 
 def test_to_world_mapping_round_trip():
-    p = Point2(2.0, -1.0)
+    p = 2 - 1j
     w = to_world(p, 0.5, -1.0)
-    assert w.norm() == pytest.approx(p.norm(), abs=1e-12)
-    back = w.rotated(-0.5)
-    assert back.x == pytest.approx(2.0, abs=1e-12)
-    assert back.y == pytest.approx(1.0, abs=1e-12)
+    assert abs(w) == pytest.approx(abs(p), abs=1e-12)
+    back = w * cmath.rect(1.0, -0.5)
+    assert back.real == pytest.approx(2.0, abs=1e-12)
+    assert back.imag == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outcome_agreement_small_run(params):
@@ -415,7 +416,7 @@ def test_replay_detection_forces_the_capture_onto_the_circle_at_seed14_draw133()
 
 
 # 720 intruder headings, evenly spaced.
-HEADINGS = [Point2.from_polar(1.0, 2.0 * math.pi * k / 720) for k in range(720)]
+HEADINGS = [cmath.rect(1.0, 2.0 * math.pi * k / 720) for k in range(720)]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -436,13 +437,13 @@ def test_no_intruder_heading_beats_the_far_rim_property(p):
     for x_a, x_d in detections(p):
         circle = apollonius(x_a, x_d, p)
         assert classify(circle, p) in (CircleClass.CAPTURE_GUARANTEED, CircleClass.BREACH_POSSIBLE)
-        d = circle.center.norm()
+        d = abs(circle.center)
         far, near = d + circle.radius, d - circle.radius
         rel = x_a - circle.center
         for h in HEADINGS:
-            b = rel.dot(h)
-            s = math.sqrt(b * b - (rel.dot(rel) - circle.radius ** 2)) - b
-            q = (x_a + h * s).norm()
+            b = (rel.conjugate() * h).real
+            s = math.sqrt(b * b - (abs(rel) ** 2 - circle.radius ** 2)) - b
+            q = abs(x_a + h * s)
             assert q <= far * (1.0 + 1e-12)
             assert max(0.0, p.r_t - q) <= max(0.0, p.r_t - near) + 1e-12 * far
 
@@ -490,7 +491,7 @@ def _stepped_terminal(state, theta_a, params, h):
         else:
             eng = to_world(sol.candidate.x_d_eng, theta_a, mirror)
             x_p = to_world(sol.x_p, theta_a, mirror)
-            waypoint, dest = np.array([eng.x, eng.y]), np.array([x_p.x, x_p.y])
+            waypoint, dest = np.array([eng.real, eng.imag]), np.array([x_p.real, x_p.imag])
     a_target, d_target, detected = np.zeros(2), waypoint, False
     block = h * np.arange(1, 4097)
     for _ in range(1000):
@@ -507,9 +508,9 @@ def _stepped_terminal(state, theta_a, params, h):
         i, kind = min(hits, key=lambda hit: hit[0], default=(block.size - 1, None))
         xa, xd = a[i], d[i]
         if kind == "capture":
-            return True, Point2(*(0.5 * (xa + xd)))
+            return True, complex(*(0.5 * (xa + xd)))
         if kind == "breach":
-            return False, Point2(*xa)
+            return False, complex(*xa)
         if kind == "detect":
             detected = True
             if dest is not None:
@@ -540,7 +541,7 @@ def test_stepped_replay_converges_to_exact_terminals(params):
         for (state, theta_a), want in zip(CONVERGENCE_GAMES, exact):
             captured, end = _stepped_terminal(state, theta_a, params, h)
             assert captured is want.captured
-            errors.append(end.distance_to(want.end))
+            errors.append(abs(end - want.end))
         assert max(errors) <= 10.0 * h
         capture_errors.append(max(errors[:3]))
     assert capture_errors[2] < capture_errors[1] < capture_errors[0]
@@ -555,8 +556,8 @@ def test_pieces_tile_the_game(params, state, theta_a):
     assert starts[1:] == ends[:-1]
     assert ends[-1] == traj.t
     start, end, a, va, d, vd, _ = traj.pieces[-1]
-    assert (a + va * (end - start)).distance_to(traj.x_a) <= 1e-9
-    assert (d + vd * (end - start)).distance_to(traj.x_d) <= 1e-9
+    assert abs(a + va * (end - start) - traj.x_a) <= 1e-9
+    assert abs(d + vd * (end - start) - traj.x_d) <= 1e-9
 
 
 @pytest.mark.parametrize("state, theta_a", CONVERGENCE_GAMES, ids=_state_ids(CONVERGENCE_GAMES))
@@ -567,4 +568,4 @@ def test_sample_times_are_multiples_of_dt_then_terminal(params, state, theta_a):
     times = [s[0] for s in samples]
     assert times[:-1] == [k * dt for k in range(len(times) - 1)]
     assert times[-2] < traj.t == times[-1] <= (len(times) - 1) * dt
-    assert samples[-1][1:5] == (traj.x_a.x, traj.x_a.y, traj.x_d.x, traj.x_d.y)
+    assert samples[-1][1:5] == (traj.x_a.real, traj.x_a.imag, traj.x_d.real, traj.x_d.imag)

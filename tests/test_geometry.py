@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import re
@@ -13,7 +14,6 @@ from perimdef.geometry import (
     ApolloniusCircle,
     AssumptionViolated,
     CircleClass,
-    Point2,
     apollonius,
     assumption_clauses,
     classify,
@@ -102,23 +102,23 @@ def test_clamp_unit_policy():
 
 
 def test_apollonius_coincident_points_degenerate(params):
-    c = apollonius(Point2(3.0, 4.0), Point2(3.0, 4.0), params)
+    c = apollonius(3 + 4j, 3 + 4j, params)
     assert c.radius == 0.0
-    assert c.center.x == pytest.approx(3.0, abs=1e-12)
-    assert c.center.y == pytest.approx(4.0, abs=1e-12)
+    assert c.center.real == pytest.approx(3.0, abs=1e-12)
+    assert c.center.imag == pytest.approx(4.0, abs=1e-12)
 
 
 def test_apollonius_axis_example(params):
     # alpha*10 - beta*11 = (250 - 176)/9 = 74/9, radius gamma*1 = 20/9
-    c = apollonius(Point2(10.0, 0.0), Point2(11.0, 0.0), params)
-    assert c.center.x == pytest.approx(74.0 / 9.0, abs=1e-12)
-    assert c.center.y == pytest.approx(0.0, abs=1e-12)
+    c = apollonius(10 + 0j, 11 + 0j, params)
+    assert c.center.real == pytest.approx(74.0 / 9.0, abs=1e-12)
+    assert c.center.imag == pytest.approx(0.0, abs=1e-12)
     assert c.radius == pytest.approx(20.0 / 9.0, abs=1e-12)
 
 
-def _boundary_points(circle: ApolloniusCircle, n: int) -> list[Point2]:
+def _boundary_points(circle: ApolloniusCircle, n: int) -> list[complex]:
     return [
-        circle.center + Point2.from_polar(circle.radius, 2.0 * math.pi * i / n)
+        circle.center + cmath.rect(circle.radius, 2.0 * math.pi * i / n)
         for i in range(n)
     ]
 
@@ -126,45 +126,45 @@ def _boundary_points(circle: ApolloniusCircle, n: int) -> list[Point2]:
 def test_apollonius_defining_property_on_random_pairs(params):
     rng = random.Random(12345)
     for _ in range(500):
-        x_a = Point2(rng.uniform(-20, 20), rng.uniform(-20, 20))
-        x_d = Point2(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        x_a = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        x_d = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
         circle = apollonius(x_a, x_d, params)
-        tol = 1e-9 * (1.0 + x_a.distance_to(x_d))
+        tol = 1e-9 * (1.0 + abs(x_a - x_d))
         for x in _boundary_points(circle, 64):
-            assert abs(x.distance_to(x_a) - params.nu * x.distance_to(x_d)) <= tol
+            assert abs(abs(x - x_a) - params.nu * abs(x - x_d)) <= tol
 
 
 def test_apollonius_rigid_motion_equivariance(params):
     rng = random.Random(99)
     for _ in range(100):
-        x_a = Point2(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        x_d = Point2(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        ang = rng.uniform(-math.pi, math.pi)
-        shift = Point2(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        x_a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+        x_d = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+        turn = cmath.rect(1.0, rng.uniform(-math.pi, math.pi))
+        shift = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         base = apollonius(x_a, x_d, params)
-        moved = apollonius(x_a.rotated(ang) + shift, x_d.rotated(ang) + shift, params)
-        expect = base.center.rotated(ang) + shift
-        assert moved.center.distance_to(expect) <= 1e-12 * (1.0 + expect.norm())
+        moved = apollonius(x_a * turn + shift, x_d * turn + shift, params)
+        expect = base.center * turn + shift
+        assert abs(moved.center - expect) <= 1e-12 * (1.0 + abs(expect))
         assert abs(moved.radius - base.radius) <= 1e-12 * (1.0 + base.radius)
 
 
 def test_classify_examples(params):
     g = params.gamma
-    assert classify(ApolloniusCircle(Point2(4.0, 0.0), g), params) is CircleClass.BREACH_POSSIBLE
-    assert classify(ApolloniusCircle(Point2(14.0, 0.0), g), params) is CircleClass.EXIT_POSSIBLE
+    assert classify(ApolloniusCircle(4 + 0j, g), params) is CircleClass.BREACH_POSSIBLE
+    assert classify(ApolloniusCircle(14 + 0j, g), params) is CircleClass.EXIT_POSSIBLE
     # tangency is inclusive: center exactly at r_t + radius counts as safe
-    tangent = ApolloniusCircle(Point2(5.0 + g, 0.0), g)
+    tangent = ApolloniusCircle(complex(5.0 + g, 0.0), g)
     assert classify(tangent, params) is CircleClass.CAPTURE_GUARANTEED
     # radius wider than half the annulus can violate both sides at once
-    wide = ApolloniusCircle(Point2(9.0, 0.0), 7.0)
+    wide = ApolloniusCircle(9 + 0j, 7.0)
     assert classify(wide, params) is CircleClass.BREACH_AND_EXIT
 
 
 def test_classify_scale_invariance(params):
     rng = random.Random(5)
     for _ in range(200):
-        x_a = Point2(rng.uniform(-18, 18), rng.uniform(-18, 18))
-        x_d = Point2(rng.uniform(-18, 18), rng.uniform(-18, 18))
+        x_a = complex(rng.uniform(-18, 18), rng.uniform(-18, 18))
+        x_d = complex(rng.uniform(-18, 18), rng.uniform(-18, 18))
         base_cls = classify(apollonius(x_a, x_d, params), params)
         for lam in (0.125, 3.0, 40.0):
             scaled = validate_params(
@@ -204,16 +204,17 @@ def test_golden_section_max_stops_when_the_bracket_cannot_shrink():
 
 def test_first_entry_roots():
     # from (-5, 0) along +x at speed 2: the unit disk is entered at s = 2
-    p, v = Point2(-5.0, 0.0), Point2(2.0, 0.0)
+    p, v = -5 + 0j, 2 + 0j
     assert first_entry(p, v, 1.0, 10.0) == pytest.approx(2.0, abs=1e-15)
     assert first_entry(p, v, 1.0, 1.5) is None  # the piece ends first
-    assert first_entry(p, v * -1.0, 1.0, 10.0) is None  # moving away
-    assert first_entry(Point2(-5.0, 1.5), v, 1.0, 10.0) is None  # passes by
-    assert first_entry(Point2(0.5, 0.0), v, 1.0, 10.0) == 0.0  # starts inside
+    assert first_entry(p, -v, 1.0, 10.0) is None  # moving away
+    assert first_entry(-5 + 1.5j, v, 1.0, 10.0) is None  # passes by
+    assert first_entry(0.5 + 0j, v, 1.0, 10.0) == 0.0  # starts inside
     # A tangent pass whose discriminant rounds below zero still enters.
-    p = Point2(-0.723599712379857, 4.0587566386802845)
-    v = Point2(-0.022942608975423977, -0.7996709552643517)
+    p = complex(-0.723599712379857, 4.0587566386802845)
+    v = complex(-0.022942608975423977, -0.7996709552643517)
     radius = 0.8397001746443229
-    c, b = p.dot(p) - radius * radius, p.dot(v)
-    assert b * b - v.dot(v) * c < 0.0
+    c = p.real * p.real + p.imag * p.imag - radius * radius
+    b = p.real * v.real + p.imag * v.imag
+    assert b * b - (v.real * v.real + v.imag * v.imag) * c < 0.0
     assert first_entry(p, v, radius, 20.0) == pytest.approx(5.045419583098643, abs=1e-9)

@@ -17,7 +17,7 @@ from perimdef import analytics, cli, engine, geometry, strategy
 
 # The public names, by the module that defines them.
 PUBLIC = {
-    geometry: ["ApolloniusCircle", "AssumptionViolated", "CircleClass", "GameParams", "Point2", "apollonius",
+    geometry: ["ApolloniusCircle", "AssumptionViolated", "CircleClass", "GameParams", "apollonius",
                "assumption_clauses", "classify", "validate_params"],
     strategy: ["EngagementCandidate", "EngagementSolution", "capture_circle_radius", "capture_circle_solution",
                "engagement_candidate", "engagement_domain", "engagement_theta", "evasion_point", "guarded_arc",
@@ -35,7 +35,7 @@ TEST_ONLY = ("apollonius", "classify", "engagement_theta", "guarded_arc", "marko
 
 def test_public_names_are_their_modules_objects():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 39
+    assert len(names) == 38
     assert sorted(perimdef.__all__) == names
     for module, module_names in PUBLIC.items():
         for name in module_names:

@@ -8,6 +8,7 @@ the engagement optimizer.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 import random
@@ -24,7 +25,7 @@ from conftest import (
 from perimdef import analytics
 from perimdef.cli import main
 from perimdef.geometry import (
-    CircleClass, GameParams, Point2, apollonius, classify, validate_params,
+    CircleClass, GameParams, apollonius, classify, validate_params,
 )
 from perimdef.strategy import (
     _plateau_is_stealthy,
@@ -64,10 +65,10 @@ def _guarded_arc_oracle(r: float, params: GameParams, iters: int = 50) -> float:
     reach the target; this searches arrival angles directly instead of using
     the closed form.
     """
-    x_d = Point2(r, 0.0)
+    x_d = complex(r, 0.0)
 
     def breachable(sep: float) -> bool:
-        x_a = Point2.from_polar(params.tsr_radius, sep)
+        x_a = cmath.rect(params.tsr_radius, sep)
         cls = classify(apollonius(x_a, x_d, params), params)
         return cls in (CircleClass.BREACH_POSSIBLE, CircleClass.BREACH_AND_EXIT)
 
@@ -174,8 +175,8 @@ def test_engagement_theta_feasible_everywhere_on_domain(params):
         theta = engagement_theta(float(tau), params)
         assert 0.0 <= theta <= math.pi
         cand = engagement_candidate(float(tau), params)
-        center = cand.x_a_eng - params.beta * params.rho_a * Point2.from_polar(1.0, theta)
-        assert abs(center.norm() - inner) <= 1e-9 * (1.0 + inner)
+        center = cand.x_a_eng - cmath.rect(params.beta * params.rho_a, theta)
+        assert abs(abs(center) - inner) <= 1e-9 * (1.0 + inner)
 
 
 def test_engagement_theta_outside_domain_raises(params):
@@ -194,9 +195,9 @@ def test_engagement_surface_membership_random_params(random_valid_params):
         inner = p.r_t + p.gamma * p.rho_a
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             cand = engagement_candidate(tau_min + frac * (tau_max - tau_min), p)
-            center = cand.x_a_eng - p.beta * p.rho_a * Point2.from_polar(1.0, cand.theta)
-            assert abs(center.norm() - inner) <= 1e-9 * (1.0 + inner)
-            assert cand.x_d_eng.distance_to(cand.x_a_eng) == pytest.approx(p.rho_a, abs=1e-9)
+            center = cand.x_a_eng - cmath.rect(p.beta * p.rho_a, cand.theta)
+            assert abs(abs(center) - inner) <= 1e-9 * (1.0 + inner)
+            assert abs(cand.x_d_eng - cand.x_a_eng) == pytest.approx(p.rho_a, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ def test_theta_max_collinear_limits(params):
     tau = 9.0
     theta = engagement_theta(tau, params)
     x_d_eng = engagement_candidate(tau, params).x_d_eng
-    r_eng, phi_eng = x_d_eng.norm(), x_d_eng.bearing()
+    r_eng, phi_eng = math.hypot(x_d_eng.real, x_d_eng.imag), cmath.phase(x_d_eng)
     # defender tau beyond the engagement point: only one bearing works.  It
     # sits one ulp further out, because acos near 1 turns the law of cosines'
     # last-bit rounding into ~2e-8.
@@ -421,7 +422,7 @@ def test_plateau_audit_runs_on_first_use_only(monkeypatch, first):
 
 def test_bundle_bits_independent_of_read_order(params):
     def bits(sol):
-        return sol.candidate.tau.hex(), sol.phi.hex(), sol.x_p.x.hex(), sol.x_p.y.hex()
+        return sol.candidate.tau.hex(), sol.phi.hex(), sol.x_p.real.hex(), sol.x_p.imag.hex()
 
     for p in [params, *(validate_params(*key) for key in PLATEAU_HEX)]:
         phi_first, candidate_first = optimize_engagement(p), optimize_engagement(p)
@@ -451,7 +452,7 @@ def test_guarded_arc_bounds_theta_max_property(p):
 
 def test_optimizer_bundle_consistency(params):
     sol = optimize_engagement(params)
-    assert sol.x_p.norm() == pytest.approx(capture_circle_radius(params), abs=1e-9)
+    assert abs(sol.x_p) == pytest.approx(capture_circle_radius(params), abs=1e-9)
     assert 0.0 < sol.theta_max <= math.pi
 
 
@@ -473,8 +474,8 @@ def test_theta_max_positive_on_random_params(random_valid_params):
 def test_reachability_triangle_tight_at_theta_max(params):
     r = capture_circle_radius(params)
     sol = capture_circle_solution(params)
-    start = Point2.from_polar(r, sol.theta_max)
-    assert start.distance_to(sol.candidate.x_d_eng) == pytest.approx(
+    start = cmath.rect(r, sol.theta_max)
+    assert abs(start - sol.candidate.x_d_eng) == pytest.approx(
         sol.candidate.tau, abs=1e-6
     )
 
@@ -488,17 +489,17 @@ def test_defender_path_never_sensed_early(params, random_valid_params):
         sol = capture_circle_solution(p)
         eng = sol.candidate.x_d_eng
         for frac in (0.0, 0.37, 0.8, 1.0):
-            start = Point2.from_polar(r, frac * sol.theta_max)
-            path_len = start.distance_to(eng)
+            start = cmath.rect(r, frac * sol.theta_max)
+            path_len = abs(eng - start)
             assert path_len <= sol.candidate.tau + 1e-9
             t = np.linspace(0.0, sol.candidate.tau, 10_000, endpoint=False)
             travel = np.minimum(t, path_len)
             if path_len > 0.0:
-                px = start.x + (eng.x - start.x) * travel / path_len
-                py = start.y + (eng.y - start.y) * travel / path_len
+                px = start.real + (eng.real - start.real) * travel / path_len
+                py = start.imag + (eng.imag - start.imag) * travel / path_len
             else:
-                px = np.full_like(t, start.x)
-                py = np.full_like(t, start.y)
+                px = np.full_like(t, start.real)
+                py = np.full_like(t, start.imag)
             ax = p.tsr_radius - p.nu * t
             dist = np.hypot(px - ax, py)
             assert float(dist.min()) >= p.rho_a - 1e-6
@@ -514,8 +515,8 @@ def test_evasion_point_dead_ahead_case(params):
     assert cand.theta == pytest.approx(0.0, abs=1e-7)
     x_p, phi = evasion_point(cand, params)
     assert phi == pytest.approx(0.0, abs=1e-7)
-    assert x_p.x == pytest.approx(capture_circle_radius(params), abs=1e-7)
-    assert x_p.y == pytest.approx(0.0, abs=1e-6)
+    assert x_p.real == pytest.approx(capture_circle_radius(params), abs=1e-7)
+    assert x_p.imag == pytest.approx(0.0, abs=1e-6)
 
 
 def test_evasion_point_properties_random(random_valid_params):
@@ -525,10 +526,10 @@ def test_evasion_point_properties_random(random_valid_params):
         tau_min, tau_max = engagement_domain(p)
         cand = engagement_candidate(rng.uniform(tau_min, tau_max), p)
         x_p, phi = evasion_point(cand, p)
-        assert x_p.norm() == pytest.approx(capture_circle_radius(p), abs=1e-9 * (1 + x_p.norm()))
-        center = cand.x_a_eng - p.beta * p.rho_a * Point2.from_polar(1.0, cand.theta)
-        u_phi = Point2.from_polar(1.0, phi)
-        assert u_phi.dot(center) == pytest.approx(center.norm(), abs=1e-12 * (1 + center.norm()))
+        assert abs(x_p) == pytest.approx(capture_circle_radius(p), abs=1e-9 * (1 + abs(x_p)))
+        center = cand.x_a_eng - cmath.rect(p.beta * p.rho_a, cand.theta)
+        u_phi = cmath.rect(1.0, phi)
+        assert (u_phi.conjugate() * center).real == pytest.approx(abs(center), abs=1e-12 * (1 + abs(center)))
 
 
 def test_capture_circle_radius_values(params):
