@@ -405,8 +405,9 @@ def test_replay_detection_forces_captures_onto_the_circle_property(p):
     assert capture_off_circle(p) <= CIRCLE_TOL
 
 
-# Stress seed 14's draw 133: the detection root, taken where the discriminant
-# vanishes, leaves the rim 1.57e-8 * (1 + r_cc) off the capture circle.
+# Stress seed 14's draw 133: with the detection time from the quadratic's
+# root, the far rim at detection lies 1.57e-8 * (1 + r_cc) off the capture
+# circle; the closest-approach root leaves 6.2e-14.
 SEED14_DRAW133 = (6.75599848460602, 26.457645042942183, 0.06581561062101376, 0.9876213281227301)
 
 
