@@ -154,9 +154,12 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
       (``engagement_theta``);
     - ``point(tau, theta)``, the intruder's range from the center and the
       engagement point;
-    - ``gap(tau, theta, r)``, ``theta_max_at`` for a radius already checked.
+    - ``gap(tau, theta)``, ``theta_max_at``, from the capture circle (``r_cc``);
+    - ``objective(tau)``, ``gap`` on the surface, which ``optimize_engagement``
+      maximizes.
     """
     tsr, nu, rho_a = params.tsr_radius, params.nu, params.rho_a
+    r_cc = capture_circle_radius(params)
     b = params.beta * rho_a
     inner = params.r_t + params.gamma * rho_a
     inner2, den4 = inner * inner, 4.0 * params.beta * rho_a
@@ -176,21 +179,20 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
         a = tsr - tau * nu
         return a, a + rho_a * math.cos(theta), rho_a * math.sin(theta)
 
-    def gap(tau: float, theta: float, r: float) -> float:
+    def gap(tau: float, theta: float) -> float:
         a, ex, ey = point(tau, theta)
         if abs(math.hypot(a - b * math.cos(theta), -b * math.sin(theta)) - inner) > off_tol:
             raise InvalidCandidate(f"(tau={tau!r}, theta={theta!r}) is not a tangent configuration")
         r_eng = math.hypot(ex, ey)
-        num, den = r_eng * r_eng + r * r - tau * tau, 2.0 * r_eng * r
-        # At a subnormal radius den can round to zero; the limit has num's sign.
-        arg = num / den if den else math.copysign(math.inf, num)
-        if arg > 1.0 + CLAMP_TOL:
-            return 0.0
+        # Never 0 / 0: ex >= a >= r_t + nu/(1 + nu)*rho_a for theta <= pi/2, else ey >=
+        # rho_a*sin(math.pi), so the divisor is >= 2*min(r_t, 1.2e-16*rho_a)*r_cc, ~2.4e-316
+        # over LENGTH_RANGE.  arg < 1 (see _grid_peak); clamp_unit raises beyond CLAMP_TOL.
+        arg = (r_eng * r_eng + r_cc * r_cc - tau * tau) / (2.0 * r_eng * r_cc)
         if arg < -1.0 - CLAMP_TOL:
             return math.pi
         return min(math.pi, math.acos(clamp_unit(arg)) + math.atan2(ey, ex))
 
-    return rhs, theta, point, gap
+    return rhs, theta, point, gap, lambda tau: gap(tau, theta(tau))
 
 
 def engagement_theta(tau: float, params: GameParams) -> float:
@@ -203,23 +205,21 @@ def engagement_theta(tau: float, params: GameParams) -> float:
 
 def engagement_candidate(tau: float, params: GameParams) -> EngagementCandidate:
     """Build the canonical engagement-surface point at time ``tau``."""
-    _, theta_at, point, _ = _surface(params)
+    _, theta_at, point, _, _ = _surface(params)
     theta = theta_at(tau)
     a, ex, ey = point(tau, theta)
     return EngagementCandidate(tau=tau, theta=theta, x_a_eng=complex(a, 0.0), x_d_eng=complex(ex, ey))
 
 
-def theta_max_at(tau: float, theta: float, r: float, params: GameParams) -> float:
-    """Largest initial bearing gap from which a defender at radius ``r`` makes
-    the engagement point (tau, theta) in time.
+def theta_max_at(tau: float, theta: float, params: GameParams) -> float:
+    """Largest initial bearing gap from which a defender on the capture circle
+    makes the engagement point (tau, theta) in time.
 
     Law of cosines on the triangle (defender start, center, engagement
-    point): when even the best-aligned start cannot make it, the answer is
-    zero; when every bearing works, it saturates at pi.
+    point); when every bearing works, it saturates at pi.  It is positive
+    over the whole engagement window (see ``_grid_peak``).
     """
-    if not r > 0.0:
-        raise OutOfRange(f"defender radius must be positive, got {r!r}")
-    return _surface(params)[3](tau, theta, r)
+    return _surface(params)[3](tau, theta)
 
 
 def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[complex, float]:
@@ -257,18 +257,9 @@ def _plateau_is_stealthy(tau: float, params: GameParams) -> bool:
     walk = eng - start
     path = math.hypot(walk.real, walk.imag)
     vd = walk * (1.0 / (path or 1.0))
-    if first_entry(a0 - start, va - vd, params.rho_a - 1e-9, min(path, tau)) is not None:
+    if first_entry(a0 - start, va - vd, params.rho_a, min(path, tau)) is not None:
         return False
     return not (path < tau and cand.theta - 0.5 * math.pi < HOLD_MARGIN)
-
-
-def _objective(params: GameParams) -> Callable[[float], float]:
-    """``theta_max_at(tau, engagement_theta(tau, params), r, params)`` as a
-    function of ``tau``, ``r`` the capture radius: the same operations, with
-    the params-only products formed once."""
-    r = capture_circle_radius(params)
-    _, theta, _, gap = _surface(params)
-    return lambda tau: gap(tau, theta(tau), r)
 
 
 def _grid(objective: Callable[[float], float], params: GameParams) -> tuple[Callable[[int], float], ...]:
@@ -293,16 +284,26 @@ def _grid(objective: Callable[[float], float], params: GameParams) -> tuple[Call
 def _grid_peak(value: Callable[[int], float]) -> int:
     """The first maximum of the objective over the grid, from its ``value`` by index.
 
-    Over the grid the objective is zero on a leading run of times the
-    defender cannot reach, then rises strictly to its first maximum and
+    Over the grid the objective rises strictly to its first maximum and
     never rises after it.  So the first maximum is the first ``k`` with
-    ``value(k) > 0`` and ``value(k) >= value(k + 1)`` (the last index if
-    there is none), and bisection finds it from about 18 of the grid's values.
+    ``value(k) >= value(k + 1)`` (the last index if there is none), and
+    bisection finds it from about 18 of the grid's values.
+
+    The first annulus clause alone makes the objective positive over the
+    whole window.  It is zero only if ``|r_eng - r| >= tau``, ``r_eng`` the
+    engagement point's radius and ``r`` the capture circle's.  That point is on
+    the intruder's sensing circle around ``(a, 0)``: ``|r_eng - a| <= rho_a``.
+    With ``beta + gamma = nu/(1 - nu)``, ``alpha - beta = 1`` and
+    ``tau >= tau_min``, ``r_eng - r < tau`` if ``rho_t*(1 - nu^2) > 2*nu*rho_a``
+    and ``r - r_eng < tau`` if ``rho_t > 2*(nu + beta)*rho_a``.  The clause,
+    ``rho_t*(1 - nu^2) >= (1 - nu^2 + 2*nu)*rho_a``, exceeds the former by
+    ``(1 - nu^2)*rho_a`` and, times ``1 - nu^2``, the latter by
+    ``(1 - nu)^2*(1 + 2*nu)*rho_a``.
 
     A maximum of pi is a plateau that runs to ``tau_max``: saturation at
-    ``tau`` (the start at bearing pi on the capture circle, of radius ``r``,
-    arrives in time) is ``D <= 0`` for ``D = |E + (r, 0)|^2 - tau^2``, ``E``
-    the engagement point, and ``D`` falls strictly in ``tau``.  With
+    ``tau`` (the start at bearing pi on the capture circle arrives in time)
+    is ``D <= 0`` for ``D = |E + (r, 0)|^2 - tau^2``, ``E`` the engagement
+    point, and ``D`` falls strictly in ``tau``.  With
     ``a = tsr_radius - nu*tau > 0``, the tangency ``cos(theta) = 1 - 2*rhs(tau)``
     gives ``D = f(a) - tau^2``, ``f(a) = (a + r)^2 + rho_a^2 + (a + r)(a^2 - K)/(beta*a)``, where
     ``K = (r_t + gamma*rho_a)^2 - (beta*rho_a)^2 > 0`` as ``beta = nu*gamma``;
@@ -310,10 +311,7 @@ def _grid_peak(value: Callable[[int], float]) -> int:
     So the grid saturates exactly when its last value is pi, which
     ``optimize_engagement`` reads before it looks for this maximum.
     """
-    def past_peak(k: int) -> bool:
-        return value(k) > 0.0 and value(k) >= value(k + 1)
-
-    return bisect.bisect_left(range(TAU_GRID_POINTS - 1), True, key=past_peak)
+    return bisect.bisect_left(range(TAU_GRID_POINTS - 1), True, key=lambda k: value(k) >= value(k + 1))
 
 
 def _plateau_time(params: GameParams) -> float:
@@ -324,7 +322,7 @@ def _plateau_time(params: GameParams) -> float:
     approach is audited stealthy (the audit flips from failing to passing as
     the engagement tucks behind the intruder), else its first time.
     """
-    time, value = _grid(_objective(params), params)
+    time, value = _grid(_surface(params)[4], params)
     first = _grid_peak(value)
 
     def stealthy(k: int) -> bool:
@@ -357,7 +355,7 @@ def optimize_engagement(params: GameParams) -> EngagementSolution:
     or ``phi``, since ``theta_max`` does not depend on them.  The result is
     deterministic.
     """
-    objective = _objective(params)
+    objective = _surface(params)[4]
     time, value = _grid(objective, params)
     if value(TAU_GRID_POINTS - 1) == math.pi:
         return EngagementSolution(theta_max=math.pi, params=params, refined_tau=None)

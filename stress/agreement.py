@@ -19,7 +19,10 @@ the scalar objective (``conftest.scan_decisions``), or when the cached
 solution's verdict on saturation (``refined_tau is None``) differs from the
 scan's (some grid time saturates at pi), or when ``theta_max`` falls below
 ``guarded_arc`` at the capture radius or saturates at pi without it
-(``conftest.arc_bounds_theta_max``), or, on a saturated draw, when the
+(``conftest.arc_bounds_theta_max``), or when the scan finds a grid time
+whose objective is not positive, or whose best-aligned start from the
+capture circle does not arrive early (``tau - |r_eng - r_cc| <= 0``, see
+``strategy._grid_peak``), or, on a saturated draw, when the
 plateau audit's verdict differs from the 512-bearing fan's
 (``conftest.fan_is_stealthy``) at the chosen plateau time or at the
 saturated grid time just before it.
@@ -42,7 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import (  # noqa: E402
     CIRCLE_TOL, arc_bounds_theta_max, capture_off_circle, edge_params, fan_is_stealthy, scan_decisions,
-    search_decisions,
+    scan_objective, search_decisions,
 )
 from perimdef import capture_circle_radius, capture_circle_solution, guarded_arc, verify_outcome_agreement  # noqa: E402
 from perimdef.strategy import _plateau_is_stealthy  # noqa: E402
@@ -63,7 +66,10 @@ def main(argv=None) -> int:
         p = edge_params(rng, i)
         report = verify_outcome_agreement(p, GAMES_PER_DRAW, i)
         off_circle = capture_off_circle(p)
-        scan, search = scan_decisions(p), search_decisions(p)
+        objective = scan_objective(p)
+        scan, search = scan_decisions(p, objective), search_decisions(p)
+        least_value, least_lead = min(objective[1]), min(objective[2])
+        positive = least_value > 0.0 and least_lead > 0.0
         sol = capture_circle_solution(p)
         saturated = sol.refined_tau is None
         bounded = arc_bounds_theta_max(p)
@@ -75,6 +81,7 @@ def main(argv=None) -> int:
         failed = [check for check, ok in (
             ("verdicts", report.all_agree), ("rim miss", off_circle <= CIRCLE_TOL), ("grid search", search == scan),
             ("saturation", saturated == bool(scan[2])), ("guarded-arc bound", bounded),
+            ("objective positivity", positive),
             ("plateau audit", all(audit == fan for _, audit, fan in audited)),
         ) if not ok]
         if failed:
@@ -91,6 +98,9 @@ def main(argv=None) -> int:
             if not bounded:
                 print(f"  theta_max {sol.theta_max!r}, "
                       f"guarded arc at the capture radius {guarded_arc(capture_circle_radius(p), p)!r}")
+            if not positive:
+                print(f"  least objective on the grid {least_value!r}, "
+                      f"least tau - |r_eng - r_cc| {least_lead!r}")
             for tau, audit, fan in audited:
                 if audit != fan:
                     print(f"  at tau {tau!r} the plateau audit reads {'' if audit else 'not '}stealthy, "

@@ -16,8 +16,8 @@ from perimdef import GameParams, validate_params
 from perimdef.engine import simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
 from perimdef.strategy import (
-    HOLD_MARGIN, TAU_GRID_POINTS, _grid, _grid_peak, _objective, capture_circle_radius, capture_circle_solution,
-    engagement_candidate, engagement_domain, engagement_theta, guarded_arc, theta_max_at,
+    TAU_GRID_POINTS, _grid, _grid_peak, _surface, capture_circle_radius, capture_circle_solution,
+    engagement_candidate, engagement_domain, guarded_arc, theta_max_at,
 )
 
 # float.hex of (tau, phi) of two saturated optima: at (5, 10, 0.5, 0.5) the
@@ -143,14 +143,23 @@ def arc_bounds_theta_max(params) -> bool:
     return theta_max >= arc and (theta_max == math.pi) == (arc == math.pi)
 
 
-def scan_decisions(p: GameParams) -> tuple[list[float], int, list[int]]:
-    """An exhaustive scan of the scalar objective at the capture radius over
-    the optimizer's grid: the grid times, as the array expression gives them,
-    the first index of the maximum, and every index saturated at pi."""
+def scan_objective(p: GameParams) -> tuple[list[float], list[float], list[float]]:
+    """The scalar objective at the capture radius over the optimizer's grid:
+    the grid times, as the array expression gives them, the objective at
+    each, and by how much each time exceeds the best-aligned start's miss,
+    ``tau - |r_eng - r_cc|`` (positive for valid params, see ``_grid_peak``)."""
     r = capture_circle_radius(p)
     tau_min, tau_max = engagement_domain(p)
     taus = (tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)).tolist()
-    values = [theta_max_at(t, engagement_theta(t, p), r, p) for t in taus]
+    cands = [engagement_candidate(t, p) for t in taus]
+    return taus, [theta_max_at(c.tau, c.theta, p) for c in cands], [c.tau - abs(abs(c.x_d_eng) - r) for c in cands]
+
+
+def scan_decisions(p: GameParams, scan=None) -> tuple[list[float], int, list[int]]:
+    """An exhaustive scan of the scalar objective (``scan``, ``scan_objective(p)``
+    if not given): the grid times, the first index of the maximum, and every
+    index saturated at pi."""
+    taus, values, _ = scan or scan_objective(p)
     best = max(range(len(values)), key=lambda i: (values[i], -i))
     return taus, best, [i for i, v in enumerate(values) if v == math.pi]
 
@@ -160,7 +169,7 @@ def search_decisions(p: GameParams) -> tuple[list[float], int, list[int]]:
     maximum by bisection, and, when the last grid time saturates at pi, the
     plateau from that maximum to it (``_grid_peak`` proves that saturation
     anywhere on the grid lasts to its last time)."""
-    time, value = _grid(_objective(p), p)
+    time, value = _grid(_surface(p)[4], p)
     best = _grid_peak(value)
     plateau = list(range(best, TAU_GRID_POINTS)) if value(TAU_GRID_POINTS - 1) == math.pi else []
     return [time(k) for k in range(TAU_GRID_POINTS)], best, plateau
@@ -172,8 +181,9 @@ _FAN_BEARINGS = np.linspace(0.0, math.pi, 512)
 def fan_is_stealthy(tau: float, p: GameParams) -> bool:
     """Oracle for the plateau audit: the closest approach of the walk, in
     closed form, from 512 start bearings in [0, pi] on the capture circle; a
-    hold passes by the audit's rule, when its bearing leads pi/2 by
-    ``HOLD_MARGIN``."""
+    hold passes when its bearing leads pi/2 by 1e-6, stated here rather than
+    read from the audit's ``HOLD_MARGIN`` so that the oracle does not move
+    with it."""
     r = capture_circle_radius(p)
     cand = engagement_candidate(tau, p)
     eng = cand.x_d_eng
@@ -189,5 +199,5 @@ def fan_is_stealthy(tau: float, p: GameParams) -> bool:
     t_walk = np.where(ww > 0.0, -(r0x * wx + sy * wy) / np.where(ww > 0.0, ww, 1.0), 0.0)
     t_walk = np.clip(t_walk, 0.0, np.minimum(path, tau))
     d_walk = np.hypot(r0x + t_walk * wx, sy + t_walk * wy)
-    hold_sensed = np.any(path < tau) and cand.theta - 0.5 * math.pi < HOLD_MARGIN
+    hold_sensed = np.any(path < tau) and cand.theta - 0.5 * math.pi < 1e-6
     return bool(np.all(d_walk - p.rho_a >= -1e-9)) and not hold_sensed

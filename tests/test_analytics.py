@@ -216,10 +216,10 @@ def test_p_star_at_large_units_matches_unscaled(params, monkeypatch, k):
     """Lengths times 2^k put the engagement times past 2^23, where their ulp
     exceeds ``TAU_TOL``; the solve still ends, with the unscaled p*.  A solve
     that evaluates its objective a thousand times has stalled."""
-    objective, calls = strategy._objective, []
+    surface, calls = strategy._surface, []
 
     def counted(p):
-        f = objective(p)
+        *closures, f = surface(p)
 
         def evaluate(tau):
             calls.append(None)
@@ -227,9 +227,9 @@ def test_p_star_at_large_units_matches_unscaled(params, monkeypatch, k):
                 raise AssertionError("the engagement solve stalled")
             return f(tau)
 
-        return evaluate
+        return (*closures, evaluate)
 
-    monkeypatch.setattr(strategy, "_objective", counted)
+    monkeypatch.setattr(strategy, "_surface", counted)
     s = 2.0 ** k
     scaled = validate_params(s * params.r_t, s * params.rho_t, s * params.rho_a, params.nu)
     assert p_star(scaled) == pytest.approx(p_star(params), abs=1e-14)

@@ -12,7 +12,6 @@ import cmath
 import hashlib
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from hypothesis import example, given, settings
 
 from conftest import (
     PLATEAU_HEX, arc_bounds_theta_max, edge_params, fan_is_stealthy, make_valid_params, scan_decisions,
-    search_decisions, valid_params,
+    scan_objective, search_decisions, valid_params,
 )
 from perimdef import analytics
 from perimdef.cli import main
@@ -126,25 +125,6 @@ def test_guarded_arc_out_of_range(params):
         guarded_arc(-0.1, params)
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
-def test_engagement_rejects_nonpositive_radius(params, r):
-    tau = 0.5 * sum(engagement_domain(params))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OutOfRange):
-            theta_max_at(tau, engagement_theta(tau, params), r, params)
-
-
-def test_theta_max_at_smallest_radius_takes_the_limit():
-    """At a subnormal radius the law of cosines' denominator rounds to zero;
-    the value is then the limit r -> 0, as at a tiny normal radius."""
-    p = validate_params(0.5, 2.333333333333333, 1.0, 0.5)
-    tau_min, tau_max = engagement_domain(p)
-    for tau in np.linspace(tau_min, tau_max, 64).tolist():
-        theta = engagement_theta(tau, p)
-        assert theta_max_at(tau, theta, 5e-324, p) == theta_max_at(tau, theta, 1e-300, p)
-
-
 def test_guarded_arc_nonincreasing(params):
     threshold = params.rho_t / params.nu - params.r_t
     grid = np.linspace(threshold + 1e-9, params.tsr_radius, 200)
@@ -204,33 +184,17 @@ def test_engagement_surface_membership_random_params(random_valid_params):
 # reachability bound
 
 
-def test_theta_max_collinear_limits(params):
-    tau = 9.0
-    theta = engagement_theta(tau, params)
-    x_d_eng = engagement_candidate(tau, params).x_d_eng
-    r_eng, phi_eng = math.hypot(x_d_eng.real, x_d_eng.imag), cmath.phase(x_d_eng)
-    # defender tau beyond the engagement point: only one bearing works.  It
-    # sits one ulp further out, because acos near 1 turns the law of cosines'
-    # last-bit rounding into ~2e-8.
-    r_far = math.nextafter(tau + r_eng, math.inf)
-    assert theta_max_at(tau, theta, r_far, params) == pytest.approx(phi_eng, abs=1e-9)
-    # defender close enough to make the point from any bearing
-    assert theta_max_at(tau, theta, 0.5 * (tau - r_eng), params) == math.pi
-    # defender too far out to make the point from any bearing
-    assert theta_max_at(tau, theta, 2.0 * (tau + r_eng), params) == 0.0
-
-
 def test_theta_max_rejects_non_surface_candidates(params):
     with pytest.raises(InvalidCandidate):
-        theta_max_at(9.0, engagement_theta(9.0, params) + 0.01, 9.0, params)
+        theta_max_at(9.0, engagement_theta(9.0, params) + 0.01, params)
 
 
-def _brute_force_solution(r: float, params: GameParams, n: int = 2000) -> float:
+def _brute_force_solution(params: GameParams, n: int = 2000) -> float:
     """Independent maximizer: dense grid plus ternary refinement."""
     tau_min, tau_max = engagement_domain(params)
 
     def f(tau: float) -> float:
-        return theta_max_at(tau, engagement_theta(tau, params), r, params)
+        return theta_max_at(tau, engagement_theta(tau, params), params)
 
     taus = np.linspace(tau_min, tau_max, n)
     values = [f(float(t)) for t in taus]
@@ -250,17 +214,14 @@ def _brute_force_solution(r: float, params: GameParams, n: int = 2000) -> float:
 def test_optimizer_regression_and_oracle(params):
     sol = optimize_engagement(params)
     assert sol.theta_max == pytest.approx(THETA_MAX_STAR, abs=1e-9)
-    assert sol.theta_max == pytest.approx(
-        _brute_force_solution(capture_circle_radius(params), params), abs=1e-6
-    )
+    assert sol.theta_max == pytest.approx(_brute_force_solution(params), abs=1e-6)
 
 
 def test_optimizer_dominates_fresh_audit_grid(params):
-    r = capture_circle_radius(params)
     sol = optimize_engagement(params)
     tau_min, tau_max = engagement_domain(params)
     for tau in np.linspace(tau_min, tau_max, 5000):
-        value = theta_max_at(float(tau), engagement_theta(float(tau), params), r, params)
+        value = theta_max_at(float(tau), engagement_theta(float(tau), params), params)
         assert sol.theta_max >= value - 1e-7
 
 
@@ -301,6 +262,16 @@ def test_objective_grid_decisions_match_scalar_oracle(params, random_valid_param
 def test_grid_search_matches_scalar_scan_property(p):
     """The same over the edge regimes."""
     assert search_decisions(p) == scan_decisions(p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(valid_params())
+def test_objective_positive_over_the_window_property(p):
+    """The first annulus clause makes the objective positive at every grid
+    time, and the best-aligned start from the capture circle arrives with
+    time to spare, ``tau - |r_eng - r_cc| > 0`` (see ``_grid_peak``)."""
+    _, values, leads = scan_objective(p)
+    assert min(values) > 0.0 and min(leads) > 0.0
 
 
 def _saturated_grid_times(p: GameParams) -> list[float]:
@@ -363,6 +334,9 @@ def test_plateau_bits_pinned():
 # an audit started at bearing 0 (+r_cc) instead of pi passes saturated grid
 # times 32 and 37 here, where the fan fails; 37 is the one before the chosen time
 @example(validate_params(2.6721028801753466, 11.35521153291566, 4.746026101461576, 0.5130264194623684))
+# the chosen time, grid time 512, holds at a bearing 4.4e-5 past pi/2: the fan's
+# 1e-6 margin passes it, where a HOLD_MARGIN of 1e-4 would not
+@example(validate_params(20.806507569532062, 15.055641207455842, 0.31198603668441927, 0.3335585269566003))
 def test_plateau_audit_matches_bearing_fan_property(p):
     """The one-start replay audit gives the fan's verdict on every 16th
     saturated grid time, and on the chosen (first passing) time and the one
@@ -434,11 +408,10 @@ def test_bundle_bits_independent_of_read_order(params):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(valid_params())
 def test_optimizer_dominates_fresh_grid_property(p):
-    r = capture_circle_radius(p)
     sol = optimize_engagement(p)
     tau_min, tau_max = engagement_domain(p)
     for tau in np.linspace(tau_min, tau_max, 4096).tolist():
-        assert sol.theta_max >= theta_max_at(tau, engagement_theta(tau, p), r, p) - 1e-7
+        assert sol.theta_max >= theta_max_at(tau, engagement_theta(tau, p), p) - 1e-7
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
