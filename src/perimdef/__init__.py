@@ -17,8 +17,8 @@ _NAMES = {
     ),
     "strategy": (
         "EngagementCandidate", "EngagementSolution", "capture_circle_radius", "capture_circle_solution",
-        "engagement_candidate", "engagement_domain", "engagement_theta", "evasion_point", "guarded_arc",
-        "optimize_engagement", "theta_max_at",
+        "engagement_candidate", "engagement_domain", "evasion_point", "guarded_arc", "optimize_engagement",
+        "theta_max_at",
     ),
     "engine": (
         "AgreementReport", "SessionRecord", "Trajectory", "play_game", "run_session", "simulate_kinematic",

@@ -26,32 +26,37 @@ if TYPE_CHECKING:
 FORMATS = ("csv", "jsonl")
 # The command line, each fact once.  An option is named by its config key, its
 # flag being ``_flag(key)``, and given as (type, help); a type of None keeps the
-# text.  Every command takes the common options, then its own.
+# text.  Every command takes the common options, then its own: it takes an
+# option only if it reads it.
 _COMMON_OPTIONS = {
     "config": (None, "flat key=value config file; flags take precedence"),
     "r_t": (float, "target radius"),
     "rho_t": (float, "sensing annulus width"),
     "rho_a": (float, "intruder sensing radius"),
     "nu": (float, "intruder/defender speed ratio, in (0, 1)"),
-    "seed": (int, "base RNG seed (default 1)"),
     "out": (None, "output file path"),
-    "format": (None, "output format (default csv)"),
 }
+_SEED = {"seed": (int, "base RNG seed (default 1)")}
+_FORMAT = {"format": (None, "output format (default csv)")}
 # Each command's help and its own options, in the order ``--help`` lists them.
 _COMMANDS = {
     "simulate": ("run seeded sessions and write mean/CI table vs analytics",
-                 {"n": (None, "arrivals per session"), "trials": (int, "number of sessions (default 100)")}),
+                 {**_SEED, **_FORMAT, "n": (None, "arrivals per session"),
+                  "trials": (int, "number of sessions (default 100)")}),
     "analytic": ("closed-form expected resets and capture percentage",
-                 {"n": (None, "comma-separated horizons, e.g. 1,20,200")}),
+                 {**_FORMAT, "n": (None, "comma-separated horizons, e.g. 1,20,200")}),
     "sweep": ("two-parameter grid of capture statistics",
-              {"grid": (None, "varied parameter; give exactly twice"),
+              {**_FORMAT, "grid": (None, "varied parameter; give exactly twice"),
                "n": (None, "comma-separated horizons (default 20); the asymptote is always included")}),
-    "verify": ("replay games kinematically and check verdict agreement", {"n": (None, "number of games to replay")}),
+    "verify": ("replay games kinematically and check verdict agreement",
+               {**_SEED, "n": (None, "number of games to replay")}),
     "trace": ("export one game's trajectory with plot metadata",
-              {"theta_a": (float, "arrival bearing (rad)"),
+              {**_FORMAT, "theta_a": (float, "arrival bearing (rad)"),
                "defender_angle": (float, "defender bearing on the capture circle; omit for the center"),
                "dt": (float, "sample spacing (default 1e-4 * (r_t + rho_t))")}),
 }
+# The value of an option a command takes but the run does not give.
+_DEFAULTS = {"format": "csv", "seed": 1, "trials": 100}
 # What argparse is told beyond type and help.  Like --config, --grid is no config key.
 _OPTION_SETTINGS = {"format": {"choices": FORMATS},
                     "grid": {"action": "append", "default": [], "metavar": "name=lo:hi:steps"}}
@@ -162,10 +167,9 @@ def _merge(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _READ_N[args.command](flag) if key == "n" else flag
-    merged.setdefault("format", "csv")
-    merged.setdefault("seed", 1)
-    merged.setdefault("trials", 100)
-    if merged["format"] not in FORMATS:
+    for key in _DEFAULTS.keys() & _COMMANDS[args.command][1].keys():
+        merged.setdefault(key, _DEFAULTS[key])
+    if merged.get("format", "csv") not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {merged['format']!r}")
     for key in sorted(k for k in merged if CONFIG_TYPES[k] is float):
         if not math.isfinite(merged[key]):
@@ -291,6 +295,9 @@ def cmd_sweep(cfg: dict, grids: list[str]) -> int:
     fixed_names = [p for p in analytics.PARAM_NAMES if p not in (outer[0], inner[0])]
     if len(fixed_names) != 2:
         raise ValueError("grid parameters must be two distinct names")
+    for name in (outer[0], inner[0]):
+        if name in cfg:
+            raise ValueError(f"{name} is gridded: give it by --grid alone, not by {_flag(name)} or a config line")
     _require(cfg, *fixed_names)
     fixed = {name: cfg[name] for name in fixed_names}
     horizons = cfg.get("n", [20])

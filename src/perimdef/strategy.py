@@ -150,13 +150,11 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
 
     - ``rhs(tau)``, the value of sin^2(theta/2) that makes the dominance
       circle tangent;
-    - ``theta(tau)``, the defender's canonical bearing in [0, pi]
-      (``engagement_theta``);
+    - ``theta(tau)``, the defender's canonical bearing in [0, pi];
     - ``point(tau, theta)``, the intruder's range from the center and the
       engagement point;
-    - ``gap(tau, theta)``, ``theta_max_at``, from the capture circle (``r_cc``);
-    - ``objective(tau)``, ``gap`` on the surface, which ``optimize_engagement``
-      maximizes.
+    - ``objective(tau)``, ``theta_max_at`` from the capture circle (``r_cc``),
+      which ``optimize_engagement`` maximizes.
     """
     tsr, nu, rho_a = params.tsr_radius, params.nu, params.rho_a
     r_cc = capture_circle_radius(params)
@@ -179,10 +177,12 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
         a = tsr - tau * nu
         return a, a + rho_a * math.cos(theta), rho_a * math.sin(theta)
 
-    def gap(tau: float, theta: float) -> float:
-        a, ex, ey = point(tau, theta)
-        if abs(math.hypot(a - b * math.cos(theta), -b * math.sin(theta)) - inner) > off_tol:
-            raise InvalidCandidate(f"(tau={tau!r}, theta={theta!r}) is not a tangent configuration")
+    def objective(tau: float) -> float:
+        th = theta(tau)
+        a, ex, ey = point(tau, th)
+        # Rounding alone can fail this: theta(tau) is tangent by construction.
+        if abs(math.hypot(a - b * math.cos(th), -b * math.sin(th)) - inner) > off_tol:
+            raise InvalidCandidate(f"(tau={tau!r}, theta={th!r}) is not a tangent configuration")
         r_eng = math.hypot(ex, ey)
         # Never 0 / 0: ex >= a >= r_t + nu/(1 + nu)*rho_a for theta <= pi/2, else ey >=
         # rho_a*sin(math.pi), so the divisor is >= 2*min(r_t, 1.2e-16*rho_a)*r_cc, ~2.4e-316
@@ -192,34 +192,26 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
             return math.pi
         return min(math.pi, math.acos(clamp_unit(arg)) + math.atan2(ey, ex))
 
-    return rhs, theta, point, gap, lambda tau: gap(tau, theta(tau))
-
-
-def engagement_theta(tau: float, params: GameParams) -> float:
-    """Defender bearing on the intruder's sensing circle at engagement time ``tau``.
-
-    Returns the canonical branch in [0, pi]; callers mirror it as needed.
-    """
-    return _surface(params)[1](tau)
+    return rhs, theta, point, objective
 
 
 def engagement_candidate(tau: float, params: GameParams) -> EngagementCandidate:
-    """Build the canonical engagement-surface point at time ``tau``."""
-    _, theta_at, point, _, _ = _surface(params)
+    """Build the canonical engagement-surface point at time ``tau``, its bearing in [0, pi]."""
+    _, theta_at, point, _ = _surface(params)
     theta = theta_at(tau)
     a, ex, ey = point(tau, theta)
     return EngagementCandidate(tau=tau, theta=theta, x_a_eng=complex(a, 0.0), x_d_eng=complex(ex, ey))
 
 
-def theta_max_at(tau: float, theta: float, params: GameParams) -> float:
+def theta_max_at(tau: float, params: GameParams) -> float:
     """Largest initial bearing gap from which a defender on the capture circle
-    makes the engagement point (tau, theta) in time.
+    makes the engagement point at time ``tau`` in time.
 
     Law of cosines on the triangle (defender start, center, engagement
     point); when every bearing works, it saturates at pi.  It is positive
     over the whole engagement window (see ``_grid_peak``).
     """
-    return _surface(params)[3](tau, theta)
+    return _surface(params)[3](tau)
 
 
 def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[complex, float]:
@@ -322,7 +314,7 @@ def _plateau_time(params: GameParams) -> float:
     approach is audited stealthy (the audit flips from failing to passing as
     the engagement tucks behind the intruder), else its first time.
     """
-    time, value = _grid(_surface(params)[4], params)
+    time, value = _grid(_surface(params)[3], params)
     first = _grid_peak(value)
 
     def stealthy(k: int) -> bool:
@@ -355,7 +347,7 @@ def optimize_engagement(params: GameParams) -> EngagementSolution:
     or ``phi``, since ``theta_max`` does not depend on them.  The result is
     deterministic.
     """
-    objective = _surface(params)[4]
+    objective = _surface(params)[3]
     time, value = _grid(objective, params)
     if value(TAU_GRID_POINTS - 1) == math.pi:
         return EngagementSolution(theta_max=math.pi, params=params, refined_tau=None)

@@ -152,7 +152,7 @@ def scan_objective(p: GameParams) -> tuple[list[float], list[float], list[float]
     tau_min, tau_max = engagement_domain(p)
     taus = (tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)).tolist()
     cands = [engagement_candidate(t, p) for t in taus]
-    return taus, [theta_max_at(c.tau, c.theta, p) for c in cands], [c.tau - abs(abs(c.x_d_eng) - r) for c in cands]
+    return taus, [theta_max_at(t, p) for t in taus], [c.tau - abs(abs(c.x_d_eng) - r) for c in cands]
 
 
 def scan_decisions(p: GameParams, scan=None) -> tuple[list[float], int, list[int]]:
@@ -169,7 +169,7 @@ def search_decisions(p: GameParams) -> tuple[list[float], int, list[int]]:
     maximum by bisection, and, when the last grid time saturates at pi, the
     plateau from that maximum to it (``_grid_peak`` proves that saturation
     anywhere on the grid lasts to its last time)."""
-    time, value = _grid(_surface(p)[4], p)
+    time, value = _grid(_surface(p)[3], p)
     best = _grid_peak(value)
     plateau = list(range(best, TAU_GRID_POINTS)) if value(TAU_GRID_POINTS - 1) == math.pi else []
     return [time(k) for k in range(TAU_GRID_POINTS)], best, plateau

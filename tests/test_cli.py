@@ -279,6 +279,8 @@ CONFIG_FILES = {
     "unknown_trials.cfg": "r_t = 5\ntrials = 5\n", "unknown_dt.cfg": "r_t = 5\ndt = 1e-3\n",
     "unknown_n.cfg": "r_t = 5\nn = 5\n",
     "n15.cfg": "n = 1.5\n", "nx.cfg": "n = 5,x\n", "no_equals.cfg": "r_t 5\n",
+    # an option that the running command does not read, or a gridded parameter
+    "seed_3.cfg": "seed = 3\n", "format_jsonl.cfg": "format = jsonl\n", "rho_t_12.cfg": "rho_t = 12\n",
 }
 REFUSED = {
     "invalid-params": (["simulate", "--r-t", "5", "--rho-t", "2", "--rho-a", "1", "--nu", "0.8", "--n", "5",
@@ -395,6 +397,44 @@ REFUSED = {
     # without BASE's --rho-a, which would override the config value
     "config-analytic-rho-a-inf": (["analytic", "--r-t", "5", "--rho-t", "10", "--nu", "0.8", "--n", "5",
                                    "--config", "rho_a_inf.cfg", "--out", "x.out"], "rho_a"),
+    # a command takes only the options it reads: the closed forms and a single
+    # trace draw nothing to seed, and verify writes a plain report.  A flag is
+    # refused by argparse, which exits through SystemExit(2); a config key by
+    # the key rule
+    "analytic-seed": (["analytic", *BASE, "--n", "5", "--seed", "3", "--out", "x.csv"],
+                      "unrecognized arguments: --seed 3"),
+    "config-seed-analytic": (["analytic", *BASE, "--n", "5", "--config", "seed_3.cfg", "--out", "x.csv"],
+                             "seed_3.cfg:1: unknown config key 'seed' for analytic"),
+    "sweep-seed": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2", "--grid", "rho_t=4:12:2",
+                    "--seed", "3", "--out", "s.csv"], "unrecognized arguments: --seed 3"),
+    "config-seed-sweep": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:2", "--grid", "rho_t=4:12:2",
+                           "--config", "seed_3.cfg", "--out", "s.csv"],
+                          "seed_3.cfg:1: unknown config key 'seed' for sweep"),
+    "trace-seed": (["trace", *BASE, "--theta-a", "0.6", "--seed", "3", "--out", "x.csv"],
+                   "unrecognized arguments: --seed 3"),
+    "config-seed-trace": (["trace", *BASE, "--theta-a", "0.6", "--config", "seed_3.cfg", "--out", "x.csv"],
+                          "seed_3.cfg:1: unknown config key 'seed' for trace"),
+    "verify-format-jsonl": (["verify", *BASE, "--n", "5", "--format", "jsonl", "--out", "verify.txt"],
+                            "unrecognized arguments: --format jsonl"),
+    "config-format-verify": (["verify", *BASE, "--n", "5", "--config", "format_jsonl.cfg", "--out", "verify.txt"],
+                             "format_jsonl.cfg:1: unknown config key 'format' for verify"),
+    # a gridded parameter's flag or config value would be dropped for the grid's
+    "sweep-gridded-flag": (["sweep", "--r-t", "5", "--rho-a", "99", "--nu", "0.75", "--grid", "rho_a=0.5:3:3",
+                            "--grid", "rho_t=4:12:2", "--out", "s.csv"], "rho_a is gridded", "--rho-a"),
+    "config-sweep-gridded": (["sweep", "--r-t", "5", "--nu", "0.75", "--grid", "rho_a=0.5:3:3",
+                              "--grid", "rho_t=4:12:2", "--config", "rho_t_12.cfg", "--out", "s.csv"],
+                             "rho_t is gridded", "--rho-t"),
+    # valid params whose engagement window is shut: at rho_t / rho_a = 2e20
+    # both of its ends round to the same time
+    "analytic-shut-window": (["analytic", "--r-t", "5", "--rho-t", "1e20", "--rho-a", "1", "--nu", "0.5",
+                              "--n", "20", "--out", "x.csv"],
+                             "no feasible engagement window", "[2e+20, 2e+20]"),
+    # valid params at rho_t / rho_a = 1.7e8 whose tangency check fails by
+    # rounding at the window's first time, which the plateau audit's search reads
+    "simulate-not-tangent": (["simulate", "--r-t", "0.9672476155378407", "--rho-t", "243480605.77551273",
+                              "--rho-a", "1.4445030338111837", "--nu", "0.833695549632016", "--n", "5",
+                              "--trials", "1", "--out", "x.csv"],
+                             "(tau=292049776.01426584, theta=0.0) is not a tangent configuration"),
 }
 
 
@@ -404,7 +444,11 @@ def test_refused_invocations_exit_2(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
-    assert main(argv) == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert [f for f in fragments if f not in err] == []
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(CONFIG_FILES)
@@ -620,6 +664,23 @@ def test_verify_agrees_and_exits_zero(tmp_path):
     assert "verdict = agree" in text
 
 
+def test_verify_reports_mismatches_and_exits_one(tmp_path, monkeypatch, params):
+    """A replay whose intruder never senses the defender breaches every game:
+    each capture the event level plays is a mismatch, and verify says so."""
+    def unseen(p, v, r, length):
+        return None if r == params.rho_a else first_entry(p, v, r, length)
+
+    first_entry = engine.first_entry
+    monkeypatch.setattr(engine, "first_entry", unseen)
+    report = engine.verify_outcome_agreement(params, 40, 3)
+    assert (report.n_compared, report.n_mismatches, report.all_agree) == (40, 28, False)
+    assert engine.run_session(params, 40, 3).n_capture == 28
+    out = tmp_path / "verify.txt"
+    assert main(["verify", *BASE, "--n", "40", "--seed", "3", "--out", str(out)]) == 1
+    lines = _read(out)
+    assert "n_mismatches = 28" in lines and lines[-1] == "verdict = disagree"
+
+
 @pytest.mark.parametrize("params", [("5", "10", "1", "0.85"), ("5", "14", "1", "0.9")])
 def test_verify_agrees_at_high_speed_ratio(tmp_path, params):
     """A replay that ended captures short of the capture circle reported a false
@@ -722,7 +783,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "game.cfg"
     cfg.write_text(
         "# baseline parameters\n"
-        "r_t = 5\nrho_t = 10\nrho_a = 1\nnu = 0.8\nn = 4\nseed = 2\n"
+        "r_t = 5\nrho_t = 10\nrho_a = 1\nnu = 0.8\nn = 4\n"
     )
     out_a = tmp_path / "a.csv"
     assert main(["analytic", "--config", str(cfg), "--out", str(out_a)]) == 0
@@ -756,28 +817,35 @@ _COMMON_ACTIONS = [
     (("--rho-t",), "rho_t", float, None, None, None, "sensing annulus width", "_StoreAction"),
     (("--rho-a",), "rho_a", float, None, None, None, "intruder sensing radius", "_StoreAction"),
     (("--nu",), "nu", float, None, None, None, "intruder/defender speed ratio, in (0, 1)", "_StoreAction"),
-    (("--seed",), "seed", int, None, None, None, "base RNG seed (default 1)", "_StoreAction"),
     (("--out",), "out", None, None, None, None, "output file path", "_StoreAction"),
-    (("--format",), "format", None, ("csv", "jsonl"), None, None, "output format (default csv)", "_StoreAction"),
 ]
+_SEED_ACTION = (("--seed",), "seed", int, None, None, None, "base RNG seed (default 1)", "_StoreAction")
+_FORMAT_ACTION = (("--format",), "format", None, ("csv", "jsonl"), None, None, "output format (default csv)",
+                  "_StoreAction")
 PINNED_PARSER_SHAPE = {
     "simulate": ("run seeded sessions and write mean/CI table vs analytics", [
+        _SEED_ACTION,
+        _FORMAT_ACTION,
         (("--n",), "n", None, None, None, None, "arrivals per session", "_StoreAction"),
         (("--trials",), "trials", int, None, None, None, "number of sessions (default 100)", "_StoreAction"),
     ]),
     "analytic": ("closed-form expected resets and capture percentage", [
+        _FORMAT_ACTION,
         (("--n",), "n", None, None, None, None, "comma-separated horizons, e.g. 1,20,200", "_StoreAction"),
     ]),
     "sweep": ("two-parameter grid of capture statistics", [
+        _FORMAT_ACTION,
         (("--grid",), "grid", None, None, [], "name=lo:hi:steps", "varied parameter; give exactly twice",
          "_AppendAction"),
         (("--n",), "n", None, None, None, None,
          "comma-separated horizons (default 20); the asymptote is always included", "_StoreAction"),
     ]),
     "verify": ("replay games kinematically and check verdict agreement", [
+        _SEED_ACTION,
         (("--n",), "n", None, None, None, None, "number of games to replay", "_StoreAction"),
     ]),
     "trace": ("export one game's trajectory with plot metadata", [
+        _FORMAT_ACTION,
         (("--theta-a",), "theta_a", float, None, None, None, "arrival bearing (rad)", "_StoreAction"),
         (("--defender-angle",), "defender_angle", float, None, None, None,
          "defender bearing on the capture circle; omit for the center", "_StoreAction"),

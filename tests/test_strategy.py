@@ -29,13 +29,11 @@ from perimdef.geometry import (
 from perimdef.strategy import (
     _plateau_is_stealthy,
     InfeasibleTau,
-    InvalidCandidate,
     OutOfRange,
     capture_circle_radius,
     capture_circle_solution,
     engagement_candidate,
     engagement_domain,
-    engagement_theta,
     evasion_point,
     guarded_arc,
     optimize_engagement,
@@ -144,27 +142,26 @@ def test_engagement_domain_baseline(params):
     # tau_min = (rho_t - (beta+gamma)*rho_a)/nu = (10 - 4)/0.8
     assert tau_min == pytest.approx(7.5, abs=1e-9)
     assert tau_max == pytest.approx((10.0 - 4.0 / 9.0) / 0.8, abs=1e-9)
-    assert engagement_theta(tau_min, params) == pytest.approx(0.0, abs=1e-7)
-    assert engagement_theta(tau_max, params) == pytest.approx(math.pi, abs=1e-7)
+    assert engagement_candidate(tau_min, params).theta == pytest.approx(0.0, abs=1e-7)
+    assert engagement_candidate(tau_max, params).theta == pytest.approx(math.pi, abs=1e-7)
 
 
 def test_engagement_theta_feasible_everywhere_on_domain(params):
     tau_min, tau_max = engagement_domain(params)
     inner = params.r_t + params.gamma * params.rho_a
     for tau in np.linspace(tau_min, tau_max, 1000):
-        theta = engagement_theta(float(tau), params)
-        assert 0.0 <= theta <= math.pi
         cand = engagement_candidate(float(tau), params)
-        center = cand.x_a_eng - cmath.rect(params.beta * params.rho_a, theta)
+        assert 0.0 <= cand.theta <= math.pi
+        center = cand.x_a_eng - cmath.rect(params.beta * params.rho_a, cand.theta)
         assert abs(abs(center) - inner) <= 1e-9 * (1.0 + inner)
 
 
 def test_engagement_theta_outside_domain_raises(params):
     tau_min, tau_max = engagement_domain(params)
     with pytest.raises(InfeasibleTau):
-        engagement_theta(tau_min - 0.1, params)
+        engagement_candidate(tau_min - 0.1, params)
     with pytest.raises(InfeasibleTau):
-        engagement_theta(tau_max + 0.1, params)
+        engagement_candidate(tau_max + 0.1, params)
 
 
 def test_engagement_surface_membership_random_params(random_valid_params):
@@ -184,17 +181,12 @@ def test_engagement_surface_membership_random_params(random_valid_params):
 # reachability bound
 
 
-def test_theta_max_rejects_non_surface_candidates(params):
-    with pytest.raises(InvalidCandidate):
-        theta_max_at(9.0, engagement_theta(9.0, params) + 0.01, params)
-
-
 def _brute_force_solution(params: GameParams, n: int = 2000) -> float:
     """Independent maximizer: dense grid plus ternary refinement."""
     tau_min, tau_max = engagement_domain(params)
 
     def f(tau: float) -> float:
-        return theta_max_at(tau, engagement_theta(tau, params), params)
+        return theta_max_at(tau, params)
 
     taus = np.linspace(tau_min, tau_max, n)
     values = [f(float(t)) for t in taus]
@@ -221,7 +213,7 @@ def test_optimizer_dominates_fresh_audit_grid(params):
     sol = optimize_engagement(params)
     tau_min, tau_max = engagement_domain(params)
     for tau in np.linspace(tau_min, tau_max, 5000):
-        value = theta_max_at(float(tau), engagement_theta(float(tau), params), params)
+        value = theta_max_at(float(tau), params)
         assert sol.theta_max >= value - 1e-7
 
 
@@ -411,7 +403,7 @@ def test_optimizer_dominates_fresh_grid_property(p):
     sol = optimize_engagement(p)
     tau_min, tau_max = engagement_domain(p)
     for tau in np.linspace(tau_min, tau_max, 4096).tolist():
-        assert sol.theta_max >= theta_max_at(tau, engagement_theta(tau, p), p) - 1e-7
+        assert sol.theta_max >= theta_max_at(tau, p) - 1e-7
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
