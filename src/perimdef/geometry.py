@@ -180,22 +180,26 @@ def first_entry(p: complex, v: complex, radius: float, length: float) -> Optiona
     """Earliest ``s`` in ``[0, length]`` with ``|p + s v| <= radius``, or None.
 
     The closest approach on the piece decides whether the disk is entered, so
-    rounding in the discriminant cannot hide a graze.  The sign of a zero
-    part of ``p`` or ``v`` changes no result.
+    rounding in the discriminant cannot hide a graze.  The root is measured
+    back from the closest approach on the whole line, ``s_c``, whose miss
+    distance is formed without cancellation, so it stays accurate when ``p``
+    starts many radii away.  The sign of a zero part of ``p`` or ``v``
+    changes no result.
     """
     px, py, vx, vy = p.real, p.imag, v.real, v.imag
-    c = px * px + py * py - radius * radius
-    if c <= 0.0:
+    if px * px + py * py <= radius * radius:
         return 0.0
     b = px * vx + py * vy
     if b >= 0.0:
         return None  # not closing in, or standing still
     vv = vx * vx + vy * vy
-    s_near = min(-b / vv, length)
+    s_c = -b / vv
+    s_near = min(s_c, length)
     qx, qy = px + vx * s_near, py + vy * s_near
     if qx * qx + qy * qy > radius * radius:
         return None
-    return min(c / (math.sqrt(max(b * b - vv * c, 0.0)) - b), s_near)
+    cx, cy = px + vx * s_c, py + vy * s_c
+    return min(max(s_c - math.sqrt(max(radius * radius - (cx * cx + cy * cy), 0.0) / vv), 0.0), s_near)
 
 
 def golden_section_max(f: Callable[[float], float], a: float, b: float, tol: float) -> float:

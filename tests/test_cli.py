@@ -107,25 +107,25 @@ PINNED_OUTPUTS = {
     }),
     "verify": (["verify", "--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8",
                 "--n", "500", "--seed", "1", "--out", "verify.txt"], {
-        "verify.txt": "455135ffae6424b9622c518a17b679d758415dbf973f3e8271650e36b6455d13",
+        "verify.txt": "2e8a4044e6a7b201167cf904ae2fc03ef48a22db97a35f46dfed17151e6ec38c",
     }),
     "verify-plateau": (["verify", "--r-t", "5", "--rho-t", "10", "--rho-a", "0.5", "--nu", "0.5",
                         "--n", "500", "--seed", "1", "--out", "verify.txt"], {
-        "verify.txt": "5dd6460d51574bf1d986d6ac918dd0a06e250cfa75ac52d122ed54b3e37f9b9a",
+        "verify.txt": "c653babc6a88522ba89fe1f42e1ee49b54dae16d0eceba6c3fc78142f4d3ebca",
     }),
     # a plateau near the speed limit with a small intruder sensor
     "verify-plateau-nu095": (["verify", "--r-t", "2", "--rho-t", "30", "--rho-a", "0.05", "--nu", "0.95",
                               "--n", "500", "--out", "verify.txt"], {
-        "verify.txt": "c98e49bc5164805911d892a69c40d0ae6e28b7e2d7c1809d7fe12eb5634a72e2",
+        "verify.txt": "9176f0a5c482ba87efe0dee312fe13607bfa0ede6756db1df0f36af7af9c5080",
     }),
     # a capture-bound and a breach-bound game from the capture circle
     "trace-capture-csv": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-3",
                            "--out", "trace.csv"], {
-        "trace.csv": "6887b27c8540568d2b26e1a085f9f1b6b65c91aa15f0c16d38ea55163fbea7df",
+        "trace.csv": "812d4e5c4970dbe10c0b740b105006e2dc017f19d6add8e64246ec243ead81ae",
     }),
     "trace-capture-jsonl": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-3",
                              "--format", "jsonl", "--out", "trace.jsonl"], {
-        "trace.jsonl": "bd8afd5d766cf7fb0c6c9a45d239bf62d7bc2449e159acfec2d4c9ea87fc07c3",
+        "trace.jsonl": "45437db81e3c0d5b7a18cbe52e53a2364662e1e3a0016f3aa48c3c95ea3e9f71",
     }),
     "trace-breach-csv": (["trace", *BASE, "--theta-a", "3.0", "--defender-angle", "0.0", "--dt", "1e-3",
                           "--out", "trace.csv"], {
@@ -133,36 +133,36 @@ PINNED_OUTPUTS = {
     }),
     "trace-breach-jsonl": (["trace", *BASE, "--theta-a", "3.0", "--defender-angle", "0.0", "--dt", "1e-3",
                             "--format", "jsonl", "--out", "trace.jsonl"], {
-        "trace.jsonl": "0a426db488df7f9f2e49f88682df8fd52dc051561e0fe66887be36e9e41cb786",
+        "trace.jsonl": "9f4e82f57d72be24741d519ffceed0da5106f4c704edd7281cd4730aae9d6ed3",
     }),
     # a capture-bound game from the center (no --defender-angle)
     "trace-center-csv": (["trace", *BASE, "--theta-a", "-1.1", "--dt", "1e-3", "--format", "csv",
                           "--out", "trace.csv"], {
-        "trace.csv": "f0977d06550182e75abc263db8847cd15b29ea2b464e5b0ab8a5b10ced9c0e80",
+        "trace.csv": "0c8308b56c2d9a1e7cb11f6b9e8caa583c9712d3f6c128bd8fe1120b60bd9e95",
     }),
     "trace-center-jsonl": (["trace", *BASE, "--theta-a", "-1.1", "--dt", "1e-3", "--format", "jsonl",
                             "--out", "trace.jsonl"], {
-        "trace.jsonl": "4a999aaa19934c12f2a7fded0b91f8c468856b4c7e87e54718b4848840d613ff",
+        "trace.jsonl": "c6abf82cc227943e0c478f5c663c6488073402aee1ab1990406fde5e23705517",
     }),
     # an arrival at bearing 0 from the center: both players' y is exactly 0.0
     # on every row, and JSONL prints a zero's sign
     "trace-bearing-origin-jsonl": (["trace", *BASE, "--theta-a", "0", "--dt", "1e-2", "--format", "jsonl",
                                     "--out", "trace.jsonl"], {
-        "trace.jsonl": "9c22b77bed2064a00e8ecdb3de1e85af57461e469e129196d3fb321ef773259c",
+        "trace.jsonl": "866abe547bef2bea481beee7898c860c0805107c6d09a4e9e1e8bf8f1efe4086",
     }),
     # a capture-bound game from the capture circle at bearing 0: a bearing of 0
     # is a defender on the circle, not one at the center
     "trace-bearing-zero-csv": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
                                 "--format", "csv", "--out", "trace.csv"], {
-        "trace.csv": "5ad24c21c3d6a61e0af648d7d1c33140a0a44189be67cce58544c7bbc62fbfd7",
+        "trace.csv": "1d57e0908813186e4f32ea6e865a00342d2655126a9c559a5eb8ca89427da1c9",
     }),
     "trace-bearing-zero-jsonl": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
                                   "--format", "jsonl", "--out", "trace.jsonl"], {
-        "trace.jsonl": "20b241304614a4e6b8f0920d52c64f4f1b296008d5647e6020937d0d2a2d6e1b",
+        "trace.jsonl": "154c00bf8a23c6764039b2433046b197c249eacf807c950d8453cbab20edc233",
     }),
     "trace-plateau-csv": (["trace", *PLATEAU, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2",
                            "--out", "trace.csv"], {
-        "trace.csv": "26a51da48697f3031bb60b8215394c277a926f23a81a114b0fd67dc9006383da",
+        "trace.csv": "70f73fffb3e8b3595363f44e79ac9d54480c2c8124644bf02ebbb6a121197a81",
     }),
 }
 

@@ -394,10 +394,20 @@ def test_outcome_agreement_on_a_grazing_plateau():
     assert report.all_agree
 
 
+# Two games whose detection time, taken from the quadratic's root
+# c / (sqrt(b^2 - vv*c) - b), put the far rim at detection 1.57e-8 and
+# 1.05e-8 * (1 + r_cc) off the capture circle, over CIRCLE_TOL; the root
+# measured back from the closest approach leaves 6.2e-14 and 1.0e-14.  The
+# first is stress seed 14's draw 133.
+SEED14_DRAW133 = (6.75599848460602, 26.457645042942183, 0.06581561062101376, 0.9876213281227301)
+SMALL_SENSOR_RIM = (1.5, 5.296706966906259, 0.005, 0.86328125)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(valid_params())
 @example(validate_params(*EARLY_PLATEAU))
 @example(validate_params(*GRAZE_PLATEAU))
+@example(validate_params(*SMALL_SENSOR_RIM))
 def test_replay_detection_forces_captures_onto_the_circle_property(p):
     # Every chosen engagement is sensed at its own time, so the intruder's best
     # reply at the replay's detection ends on the capture circle, and no reply
@@ -405,13 +415,6 @@ def test_replay_detection_forces_captures_onto_the_circle_property(p):
     assert capture_off_circle(p) <= CIRCLE_TOL
 
 
-# Stress seed 14's draw 133: with the detection time from the quadratic's
-# root, the far rim at detection lies 1.57e-8 * (1 + r_cc) off the capture
-# circle; the closest-approach root leaves 6.2e-14.
-SEED14_DRAW133 = (6.75599848460602, 26.457645042942183, 0.06581561062101376, 0.9876213281227301)
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the detection root is not yet the closest-approach root")
 def test_replay_detection_forces_the_capture_onto_the_circle_at_seed14_draw133():
     assert capture_off_circle(validate_params(*SEED14_DRAW133)) <= CIRCLE_TOL
 
