@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 # Slack for arguments of acos/asin/sqrt that are exactly on a boundary in
 # real arithmetic.  Larger excursions indicate a logic error, not roundoff,
 # and are raised instead of clamped.
 CLAMP_TOL = 1e-9
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # The lengths (r_t, rho_t, rho_a) a game may have: their squares lie about
 # eight decades inside the normal floats, so the squares, sums of squares and
@@ -181,10 +179,9 @@ def first_entry(p: complex, v: complex, radius: float, length: float) -> Optiona
 
     The closest approach on the piece decides whether the disk is entered, so
     rounding in the discriminant cannot hide a graze.  The root is measured
-    back from the closest approach on the whole line, ``s_c``, whose miss
-    distance is formed without cancellation, so it stays accurate when ``p``
-    starts many radii away.  The sign of a zero part of ``p`` or ``v``
-    changes no result.
+    back from the closest approach on the line, ``s_c``, which does not cancel
+    when ``p`` starts many radii away.  The sign of a zero part of ``p`` or
+    ``v`` changes no result.
     """
     px, py, vx, vy = p.real, p.imag, v.real, v.imag
     if px * px + py * py <= radius * radius:
@@ -200,27 +197,4 @@ def first_entry(p: complex, v: complex, radius: float, length: float) -> Optiona
         return None
     cx, cy = px + vx * s_c, py + vy * s_c
     return min(max(s_c - math.sqrt(max(radius * radius - (cx * cx + cy * cy), 0.0) / vv), 0.0), s_near)
-
-
-def golden_section_max(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Maximizer of a unimodal ``f`` on [a, b], by golden-section search.
-
-    Shrinks the bracket until it is no wider than ``tol``, or until rounding
-    leaves no float strictly between its ends and the two probes (an absolute
-    ``tol`` below the ulp of large ends), and returns its midpoint; ties keep
-    the right-hand part.
-    """
-    c = b - (b - a) * _GOLDEN
-    d = a + (b - a) * _GOLDEN
-    fc, fd = f(c), f(d)
-    while b - a > tol and a < c < d < b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _GOLDEN
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _GOLDEN
-            fd = f(d)
-    return 0.5 * (a + b)
 

@@ -16,12 +16,10 @@ import math
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .geometry import CLAMP_TOL, GameParams, clamp_unit, first_entry, golden_section_max
+from .geometry import CLAMP_TOL, GameParams, clamp_unit, first_entry
 
-# Engagement times searched by optimize_engagement, and the width to which
-# golden-section search refines the best grid bracket.
+# Engagement times on which a saturated solve finds its plateau.
 TAU_GRID_POINTS = 1024
-TAU_TOL = 1e-9
 # Least lead of the engagement bearing past pi/2 that a plateau hold needs.  A
 # hold at theta stays unseen before tau exactly when theta >= pi/2, and at
 # pi/2 the intruder's sensing circle only grazes the hold point at tau, so
@@ -74,9 +72,9 @@ class EngagementSolution(_SolutionFields):
     ``theta_max`` is computed when the solution is made.  The rest of the
     bundle (``candidate``, ``x_p``, ``phi``) is derived on first use and
     cached in the ``__dict__`` this subclass of the fields' tuple has.
-    ``refined_tau`` is the engagement time found by golden-section
-    refinement, or None when the objective saturates at pi; the plateau time
-    is then chosen by the stealth audit on the first use of any of them.
+    ``refined_tau`` is the engagement time where the objective's slope changes
+    sign, or None when the objective saturates at pi; the plateau time is
+    then chosen by the stealth audit on the first use of any of them.
     """
 
     @cached_property
@@ -154,7 +152,10 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
     - ``point(tau, theta)``, the intruder's range from the center and the
       engagement point;
     - ``objective(tau)``, ``theta_max_at`` from the capture circle (``r_cc``),
-      which ``optimize_engagement`` maximizes.
+      which ``optimize_engagement`` maximizes;
+    - ``slope(tau)``, the objective's derivative by the chain rule, +inf where
+      ``rhs`` reaches 0 and -inf where it reaches 1; its quotients are ratios
+      of lengths, so it stays finite over ``LENGTH_RANGE``.
     """
     tsr, nu, rho_a = params.tsr_radius, params.nu, params.rho_a
     r_cc = capture_circle_radius(params)
@@ -192,12 +193,25 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
             return math.pi
         return min(math.pi, math.acos(clamp_unit(arg)) + math.atan2(ey, ex))
 
-    return rhs, theta, point, objective
+    def slope(tau: float) -> float:
+        value = rhs(tau)
+        if not 0.0 < value < 1.0:
+            return math.copysign(math.inf, 0.5 - value)
+        a, ex, ey = point(tau, 2.0 * math.asin(math.sqrt(value)))
+        d_theta = nu * ((a * a - b * b + inner2) / (den4 * a)) / a / math.sqrt(value * (1.0 - value))
+        d_ex, d_ey = -nu - ey * d_theta, (ex - a) * d_theta
+        r_eng = math.hypot(ex, ey)
+        d_r = (ex * d_ex + ey * d_ey) / r_eng
+        arg = (r_eng * r_eng + r_cc * r_cc - tau * tau) / (2.0 * r_eng * r_cc)
+        d_arg = (r_eng * d_r - tau) / (r_eng * r_cc) - arg * d_r / r_eng
+        return (ex * d_ey - ey * d_ex) / (r_eng * r_eng) - d_arg / math.sqrt(1.0 - arg * arg)
+
+    return rhs, theta, point, objective, slope
 
 
 def engagement_candidate(tau: float, params: GameParams) -> EngagementCandidate:
     """Build the canonical engagement-surface point at time ``tau``, its bearing in [0, pi]."""
-    _, theta_at, point, _ = _surface(params)
+    _, theta_at, point, _, _ = _surface(params)
     theta = theta_at(tau)
     a, ex, ey = point(tau, theta)
     return EngagementCandidate(tau=tau, theta=theta, x_a_eng=complex(a, 0.0), x_d_eng=complex(ex, ey))
@@ -255,8 +269,8 @@ def _plateau_is_stealthy(tau: float, params: GameParams) -> bool:
 
 
 def _grid(objective: Callable[[float], float], params: GameParams) -> tuple[Callable[[int], float], ...]:
-    """The ``TAU_GRID_POINTS`` engagement times searched by ``optimize_engagement``,
-    and ``objective`` at each (by index, evaluated once).
+    """The ``TAU_GRID_POINTS`` engagement times on which a solve reads saturation
+    and finds the plateau, and ``objective`` at each (by index, evaluated once).
 
     Time ``k`` is ``tau_min + span * k / (TAU_GRID_POINTS - 1)``.
     """
@@ -301,7 +315,7 @@ def _grid_peak(value: Callable[[int], float]) -> int:
     ``K = (r_t + gamma*rho_a)^2 - (beta*rho_a)^2 > 0`` as ``beta = nu*gamma``;
     ``f'(a) = 2(a + r) + (2a^3 + r*a^2 + r*K)/(beta*a^2) > 0`` and ``a`` falls.
     So the grid saturates exactly when its last value is pi, which
-    ``optimize_engagement`` reads before it looks for this maximum.
+    ``optimize_engagement`` reads before any search.
     """
     return bisect.bisect_left(range(TAU_GRID_POINTS - 1), True, key=lambda k: value(k) >= value(k + 1))
 
@@ -329,13 +343,15 @@ def optimize_engagement(params: GameParams) -> EngagementSolution:
     defender on the capture circle, where each capture leaves it.
 
     One-dimensional search over the engagement time (the bearing is pinned
-    by tangency), on one closure of the objective per solve.  The objective
-    is read first at the last time of a coarse grid: the grid saturates at
-    pi somewhere exactly when it does there (see ``_grid_peak``), so a
-    saturated ``theta_max`` costs one evaluation.  Otherwise bisection over
-    the grid finds its first maximum, evaluating the objective only where it
-    looks, and golden-section search refines the best bracket, with ties
-    broken toward the smaller time.
+    by tangency), on one closure per solve of the objective and of its
+    slope.  The objective is read first at the last time of a coarse grid:
+    the grid saturates at pi somewhere exactly when it does there (see
+    ``_grid_peak``), so a saturated ``theta_max`` costs one evaluation.
+    Otherwise the objective rises to its maximum and falls after it, and one
+    bisection of the slope's sign over ``engagement_domain``, to adjacent
+    floats, needs no tolerance and is exact under scaling the lengths by a
+    power of two.  Its left end is ``refined_tau`` and the objective there
+    is ``theta_max``; a slope that never turns negative ends it at ``tau_max``.
 
     A saturated maximizer is a whole plateau, from the first grid maximum to
     ``tau_max``.  The tie then goes to the smallest saturated grid time whose
@@ -347,18 +363,19 @@ def optimize_engagement(params: GameParams) -> EngagementSolution:
     or ``phi``, since ``theta_max`` does not depend on them.  The result is
     deterministic.
     """
-    objective = _surface(params)[3]
-    time, value = _grid(objective, params)
-    if value(TAU_GRID_POINTS - 1) == math.pi:
+    *_, objective, slope = _surface(params)
+    if _grid(objective, params)[1](TAU_GRID_POINTS - 1) == math.pi:
         return EngagementSolution(theta_max=math.pi, params=params, refined_tau=None)
 
-    best_i = _grid_peak(value)
-    lo, hi = time(max(0, best_i - 1)), time(min(TAU_GRID_POINTS - 1, best_i + 1))
-    tau_star = golden_section_max(objective, lo, hi, TAU_TOL)
-    theta_max = objective(tau_star)
-    if theta_max < value(best_i):
-        tau_star, theta_max = time(best_i), value(best_i)
-    return EngagementSolution(theta_max=theta_max, params=params, refined_tau=tau_star)
+    lo, hi = engagement_domain(params)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return EngagementSolution(theta_max=objective(lo), params=params, refined_tau=lo)
 
 
 @lru_cache(maxsize=1)

@@ -165,10 +165,11 @@ def scan_decisions(p: GameParams, scan=None) -> tuple[list[float], int, list[int
 
 
 def search_decisions(p: GameParams) -> tuple[list[float], int, list[int]]:
-    """The same, as the optimizer reads them: its grid times, its first grid
-    maximum by bisection, and, when the last grid time saturates at pi, the
-    plateau from that maximum to it (``_grid_peak`` proves that saturation
-    anywhere on the grid lasts to its last time)."""
+    """The same, as a solve reads them: its grid times, its first grid maximum
+    by bisection (where a saturated solve's plateau starts), and, when the
+    last grid time saturates at pi, the plateau from that maximum to it
+    (``_grid_peak`` proves that saturation anywhere on the grid lasts to its
+    last time)."""
     time, value = _grid(_surface(p)[3], p)
     best = _grid_peak(value)
     plateau = list(range(best, TAU_GRID_POINTS)) if value(TAU_GRID_POINTS - 1) == math.pi else []

@@ -211,28 +211,35 @@ def test_p_star_baseline_regression(params):
     )
 
 
-@pytest.mark.parametrize("k", [20, 30, 40, 60])
+@pytest.mark.parametrize("k", [20, 30, 40, 60, -20, -30, -40, -60])
 def test_p_star_at_large_units_matches_unscaled(params, monkeypatch, k):
-    """Lengths times 2^k put the engagement times past 2^23, where their ulp
-    exceeds ``TAU_TOL``; the solve still ends, with the unscaled p*.  A solve
-    that evaluates its objective a thousand times has stalled."""
+    """Lengths times 2^k, large or small, give exactly the unscaled solve's
+    ``theta_max``, ``phi`` and p*, and its engagement time times 2^k: every
+    step of the solve is exact under a power-of-two scale.  A solve that
+    evaluates its objective and its slope a thousand times has stalled."""
+    want = strategy.optimize_engagement(params)
     surface, calls = strategy._surface, []
 
     def counted(p):
-        *closures, f = surface(p)
+        *closures, objective, slope = surface(p)
 
-        def evaluate(tau):
-            calls.append(None)
-            if len(calls) > 1000:
-                raise AssertionError("the engagement solve stalled")
-            return f(tau)
+        def count(f):
+            def evaluate(tau):
+                calls.append(None)
+                if len(calls) > 1000:
+                    raise AssertionError("the engagement solve stalled")
+                return f(tau)
 
-        return (*closures, evaluate)
+            return evaluate
+
+        return (*closures, count(objective), count(slope))
 
     monkeypatch.setattr(strategy, "_surface", counted)
     s = 2.0 ** k
     scaled = validate_params(s * params.r_t, s * params.rho_t, s * params.rho_a, params.nu)
-    assert p_star(scaled) == pytest.approx(p_star(params), abs=1e-14)
+    got = strategy.optimize_engagement(scaled)
+    assert (got.theta_max, got.phi, got.refined_tau / s) == (want.theta_max, want.phi, want.refined_tau)
+    assert p_star(scaled) == p_star(params)
 
 
 def test_law_of_large_numbers(params):

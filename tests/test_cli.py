@@ -121,11 +121,11 @@ PINNED_OUTPUTS = {
     # a capture-bound and a breach-bound game from the capture circle
     "trace-capture-csv": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-3",
                            "--out", "trace.csv"], {
-        "trace.csv": "812d4e5c4970dbe10c0b740b105006e2dc017f19d6add8e64246ec243ead81ae",
+        "trace.csv": "7a74d300c4be3c1efff7ba9592ebf9356339808217c7ca0e02563a0df1132a1b",
     }),
     "trace-capture-jsonl": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-3",
                              "--format", "jsonl", "--out", "trace.jsonl"], {
-        "trace.jsonl": "45437db81e3c0d5b7a18cbe52e53a2364662e1e3a0016f3aa48c3c95ea3e9f71",
+        "trace.jsonl": "c84b94cf82705675a95337a2afc424014df935e4a78352aca35fa3d75ee9dae0",
     }),
     "trace-breach-csv": (["trace", *BASE, "--theta-a", "3.0", "--defender-angle", "0.0", "--dt", "1e-3",
                           "--out", "trace.csv"], {
@@ -154,11 +154,11 @@ PINNED_OUTPUTS = {
     # is a defender on the circle, not one at the center
     "trace-bearing-zero-csv": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
                                 "--format", "csv", "--out", "trace.csv"], {
-        "trace.csv": "1d57e0908813186e4f32ea6e865a00342d2655126a9c559a5eb8ca89427da1c9",
+        "trace.csv": "15219c9b61ebf4dffe884a238dd4fce16b9410fb8a552f3c9f5f2837ebee46b7",
     }),
     "trace-bearing-zero-jsonl": (["trace", *BASE, "--theta-a", "0.6", "--defender-angle", "0", "--dt", "1e-2",
                                   "--format", "jsonl", "--out", "trace.jsonl"], {
-        "trace.jsonl": "154c00bf8a23c6764039b2433046b197c249eacf807c950d8453cbab20edc233",
+        "trace.jsonl": "1f631bfbb5773928ad7f3e1457682e31eec7484f16c17bbaa34294c2d58f239f",
     }),
     "trace-plateau-csv": (["trace", *PLATEAU, "--theta-a", "0.6", "--defender-angle", "1.1", "--dt", "1e-2",
                            "--out", "trace.csv"], {
@@ -173,6 +173,15 @@ def test_outputs_pinned(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()} == pinned
+
+
+def test_analytic_bytes_do_not_depend_on_the_length_unit(tmp_path):
+    """The baseline game in units of 2^-30 writes the unscaled game's bytes."""
+    scaled = [repr(x * 2.0 ** -30) for x in (5.0, 10.0, 1.0)]
+    argv = ["--r-t", scaled[0], "--rho-t", scaled[1], "--rho-a", scaled[2], "--nu", "0.8"]
+    for name, game in (("unscaled.csv", BASE), ("scaled.csv", argv)):
+        assert main(["analytic", *game, "--n", "1,20,200", "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "scaled.csv").read_bytes() == (tmp_path / "unscaled.csv").read_bytes()
 
 
 def _read(path):

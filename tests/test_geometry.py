@@ -1,4 +1,4 @@
-"""Parameter validation, dominance circles, and golden-section search."""
+"""Parameter validation, dominance circles, and the replay's entry root."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from perimdef.geometry import (
     classify,
     clamp_unit,
     first_entry,
-    golden_section_max,
     validate_params,
 )
 
@@ -172,34 +171,6 @@ def test_classify_scale_invariance(params):
             )
             cls = classify(apollonius(lam * x_a, lam * x_d, scaled), scaled)
             assert cls is base_cls
-
-
-@pytest.mark.parametrize("peak, tol", [(0.3, 1e-9), (-2.75, 1e-6), (4.999, 1e-10)])
-def test_golden_section_max_finds_quadratic_peak(peak, tol):
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return -3.0 * (x - peak) ** 2
-
-    best = golden_section_max(f, -5.0, 5.0, tol)
-    assert abs(best - peak) <= tol
-    assert all(-5.0 <= x <= 5.0 for x in calls)
-
-
-def test_golden_section_max_stops_when_the_bracket_cannot_shrink():
-    """Near 1e10 a float's ulp (1.9e-6) exceeds ``tol``, so the bracket can
-    never be ``tol`` wide; the search stops once rounding stalls it."""
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        if len(calls) > 300:
-            raise AssertionError("golden-section search did not stop")
-        return -((x - 1e10 - 0.3) ** 2)
-
-    best = golden_section_max(f, 1e10, 1e10 + 1.0, 1e-9)
-    assert abs(best - (1e10 + 0.3)) <= 1e-5
 
 
 def test_first_entry_roots():

@@ -2,8 +2,8 @@
 
 The closed forms here have no in-repo derivation, so each is pinned against
 a brute-force oracle: angular bisection over dominance-circle classification
-for the guarded arc, and exhaustive grid search plus ternary refinement for
-the engagement optimizer.
+for the guarded arc, and exhaustive grid search plus ternary refinement, and
+the same solve at 50 digits, for the engagement optimizer.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from mpmath import mp, mpf
 
 from conftest import (
     PLATEAU_HEX, arc_bounds_theta_max, edge_params, fan_is_stealthy, make_valid_params, scan_decisions,
@@ -27,7 +28,10 @@ from perimdef.geometry import (
     CircleClass, GameParams, apollonius, classify, validate_params,
 )
 from perimdef.strategy import (
+    TAU_GRID_POINTS,
+    _grid,
     _plateau_is_stealthy,
+    _surface,
     InfeasibleTau,
     OutOfRange,
     capture_circle_radius,
@@ -45,10 +49,16 @@ from perimdef.strategy import (
 GUARDED_ARC_AT_CAPTURE_RADIUS = 1.8584730829635667
 THETA_MAX_STAR = 2.0073003064386796
 # float.hex of (tau, theta_max, phi) of the baseline optimum, for bit-level regressions.
-OPTIMUM_HEX = ("0x1.7d164377f9e7cp+3", "0x1.00ef3768b3d40p+1", "-0x1.9c4f93b3f31c4p-5")
+OPTIMUM_HEX = ("0x1.7d1643742e13bp+3", "0x1.00ef3768b3d40p+1", "-0x1.9c4f965c56bbbp-5")
 # sha256 over float.hex of (theta_max, refined_tau) of 2,000 solves at the
 # capture radius: 1,000 make_valid_params and 1,000 edge_params draws.
-PINNED_CAPTURE_SOLVES_SHA256 = "e4ab743ccc96080dd786fea21545c5ae8e87ad8a56fa7354f062d6457155a316"
+PINNED_CAPTURE_SOLVES_SHA256 = "d7936889a115b8d9f278cd95061e00e3405456212877d9fbe8a7702b53010cb9"
+# Largest distance of the float solve's theta_max and phi from the 50-digit
+# solve's, on unsaturated draws.  Over 459 unsaturated draws (Random(7): 60
+# make_valid_params and 60 edge_params draws; Random(3) and Random(5): 250 of
+# each), the worst were 7.6e-15 and 1.2e-14, so the bounds leave 2.5x.
+ORACLE_THETA_MAX_TOL = 2e-14
+ORACLE_PHI_TOL = 3e-14
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +243,87 @@ def test_solve_bits_pinned():
         digest.update(f"{sol.theta_max.hex()} {tau if tau is None else tau.hex()}\n".encode())
     assert digest.hexdigest() == PINNED_CAPTURE_SOLVES_SHA256
     assert 0 < saturated < len(draws)
+
+
+def _solve_at_50_digits(p: GameParams):
+    """``_surface``'s formulas again in ``mpmath`` at 50 digits, from the float
+    params: a 401-point scan over the engagement window, then 200
+    golden-section steps about the best scan time.  Returns ``theta_max``
+    and ``phi`` there, or None where the scan saturates at pi."""
+    r_t, rho_t, rho_a, nu, beta, gamma = map(mpf, (p.r_t, p.rho_t, p.rho_a, p.nu, p.beta, p.gamma))
+    tsr, r_cc = r_t + rho_t, r_t + 2 * gamma * rho_a
+    b, inner = beta * rho_a, r_t + gamma * rho_a
+
+    def surface(tau):
+        a = tsr - nu * tau
+        theta = 2 * mp.asin(mp.sqrt(min(1, max(0, (inner ** 2 - (a - b) ** 2) / (4 * b * a)))))
+        ex, ey = a + rho_a * mp.cos(theta), rho_a * mp.sin(theta)
+        r_eng = mp.hypot(ex, ey)
+        arg = (r_eng ** 2 + r_cc ** 2 - tau ** 2) / (2 * r_eng * r_cc)
+        value = min(mp.pi, mp.acos(max(-1, min(1, arg))) + mp.atan2(ey, ex))
+        return value, mp.atan2(-b * mp.sin(theta), a - b * mp.cos(theta))
+
+    tau_min, tau_max = (rho_t - (beta + gamma) * rho_a) / nu, (rho_t - (gamma - beta) * rho_a) / nu
+    taus = [tau_min + (tau_max - tau_min) * k / 400 for k in range(401)]
+    values = [surface(tau)[0] for tau in taus]
+    best = max(range(401), key=values.__getitem__)
+    if values[best] == mp.pi:
+        return None
+    lo, hi = taus[max(best - 1, 0)], taus[min(best + 1, 400)]
+    ratio = (mp.sqrt(5) - 1) / 2
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = surface(c)[0], surface(d)[0]
+    for _ in range(200):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = surface(c)[0]
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = surface(d)[0]
+    return surface((lo + hi) / 2)
+
+
+def test_solve_matches_50_digit_oracle():
+    rng = random.Random(7)
+    draws = [make_valid_params(rng) for _ in range(20)] + [edge_params(rng, i) for i in range(20)]
+    unsaturated = 0
+    with mp.workdps(50):
+        for p in draws:
+            sol = optimize_engagement(p)
+            if sol.refined_tau is None:
+                continue
+            unsaturated += 1
+            theta_max, phi = _solve_at_50_digits(p)
+            assert abs(sol.theta_max - theta_max) <= ORACLE_THETA_MAX_TOL, p
+            assert abs(sol.phi - phi) <= ORACLE_PHI_TOL, p
+    assert unsaturated >= 10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(valid_params())
+def test_slope_matches_central_difference_property(p):
+    """At the interior grid times of an unsaturated draw, the objective's slope
+    agrees with a central difference of step 1e-6 * span, within 1e-5 of the
+    larger of |slope| and 1 / span (the worst over 209,510 such times of 205
+    edge draws, Random(1), was 9.3e-7; most of it is the difference's own
+    error next to the window's ends).  The slope is infinite only where
+    ``rhs`` is 0 or 1."""
+    rhs, _, _, objective, slope = _surface(p)
+    time, value = _grid(objective, p)
+    if value(TAU_GRID_POINTS - 1) == math.pi:
+        return
+    tau_min, tau_max = engagement_domain(p)
+    span = tau_max - tau_min
+    h = 1e-6 * span
+    for k in range(1, TAU_GRID_POINTS - 1):
+        tau = time(k)
+        got = slope(tau)
+        assert math.isfinite(got) == (0.0 < rhs(tau) < 1.0)
+        if math.isfinite(got):
+            central = (objective(tau + h) - objective(tau - h)) / (2.0 * h)
+            assert abs(got - central) <= 1e-5 * max(abs(got), 1.0 / span), (k, got, central)
 
 
 def test_objective_grid_decisions_match_scalar_oracle(params, random_valid_params):
