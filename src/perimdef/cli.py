@@ -343,11 +343,10 @@ def cmd_trace(cfg: dict) -> int:
     traj = engine.simulate_kinematic(angle, theta_a, params)
     rows = traj.sample(cfg.get("dt", 1e-4 * params.tsr_radius))
 
-    tau_min, tau_max = strategy.engagement_domain(params)
+    time = strategy._surface(params).time
     polyline = []
     for i in range(257):
-        tau = tau_min + (tau_max - tau_min) * i / 256
-        cand = strategy.engagement_candidate(tau, params)
+        cand = strategy.engagement_candidate(time(i, 256), params)
         world = engine.to_world(cand.x_d_eng, theta_a, mirror)
         polyline.append(f"{world.real:.9g}:{world.imag:.9g}")
     end = traj.end

@@ -121,30 +121,34 @@ def guarded_arc(r: float, params: GameParams) -> float:
 
 
 def engagement_domain(params: GameParams) -> tuple[float, float]:
-    """Feasible engagement-time interval, in closed form.
-
-    The lower end is the earliest time a tangent configuration exists (the
-    defender dead ahead); the upper end has the defender directly between
-    intruder and target.  Sign checks at the endpoints guard the algebra.
-    """
-    nu, rho_a = params.nu, params.rho_a
-    beta, gamma = params.beta, params.gamma
-    tau_min = (params.rho_t - (beta + gamma) * rho_a) / nu
-    tau_max = (params.rho_t - (gamma - beta) * rho_a) / nu
-    if not (0.0 < tau_min < tau_max):
-        raise EmptyDomain(
-            f"no feasible engagement window for {params!r}: [{tau_min}, {tau_max}]"
-        )
-    rhs = _surface(params)[0]
-    lo, hi = rhs(tau_min), rhs(tau_max)
-    if abs(lo) > CLAMP_TOL or abs(hi - 1.0) > CLAMP_TOL:
-        raise EmptyDomain(f"engagement window endpoints inconsistent for {params!r}: {lo}, {hi}")
-    return tau_min, tau_max
+    """Feasible engagement-time interval ``(tau_min, tau_max)``, in closed
+    form, with its ends checked (see ``_surface``)."""
+    surface = _surface(params)
+    return surface.tau_min, surface.tau_max
 
 
-def _surface(params: GameParams) -> tuple[Callable, ...]:
-    """The engagement surface of ``params`` as closures over its params-only
-    products, which are formed once per call:
+class _Surface(NamedTuple):
+    """The engagement surface of one params, and its window (see ``_surface``)."""
+
+    rhs: Callable[[float], float]
+    theta: Callable[[float], float]
+    point: Callable[[float, float], tuple[float, float, float]]
+    objective: Callable[[float], float]
+    slope: Callable[[float], float]
+    tau_min: float
+    tau_max: float
+
+    def time(self, k: int, last: int = TAU_GRID_POINTS - 1) -> float:
+        """Time ``k`` of ``last + 1`` evenly spaced over the window; the last is ``tau_max`` exactly."""
+        if k == last:
+            return self.tau_max
+        return self.tau_min + (self.tau_max - self.tau_min) * k / last
+
+
+@lru_cache(maxsize=1)
+def _surface(params: GameParams) -> _Surface:
+    """The engagement surface of ``params``, built once per params: closures
+    over its params-only products, and its engagement window.
 
     - ``rhs(tau)``, the value of sin^2(theta/2) that makes the dominance
       circle tangent;
@@ -155,13 +159,24 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
       which ``optimize_engagement`` maximizes;
     - ``slope(tau)``, the objective's derivative by the chain rule, +inf where
       ``rhs`` reaches 0 and -inf where it reaches 1; its quotients are ratios
-      of lengths, so it stays finite over ``LENGTH_RANGE``.
+      of lengths, so it stays finite over ``LENGTH_RANGE``;
+    - ``[tau_min, tau_max]``, the window: ``tau_min`` is the earliest time a
+      tangent configuration exists (the defender dead ahead), and ``tau_max``
+      has the defender directly between intruder and target.  Checks of
+      ``rhs`` at both ends guard the algebra, else ``EmptyDomain``.
+
+    Callers ask for one params at a time, so only the latest surface is kept.
     """
     tsr, nu, rho_a = params.tsr_radius, params.nu, params.rho_a
+    beta, gamma = params.beta, params.gamma
+    tau_min = (params.rho_t - (beta + gamma) * rho_a) / nu
+    tau_max = (params.rho_t - (gamma - beta) * rho_a) / nu
+    if not (0.0 < tau_min < tau_max):
+        raise EmptyDomain(f"no feasible engagement window for {params!r}: [{tau_min}, {tau_max}]")
     r_cc = capture_circle_radius(params)
-    b = params.beta * rho_a
-    inner = params.r_t + params.gamma * rho_a
-    inner2, den4 = inner * inner, 4.0 * params.beta * rho_a
+    b = beta * rho_a
+    inner = params.r_t + gamma * rho_a
+    inner2, den4 = inner * inner, 4.0 * beta * rho_a
     off_tol = 1e-9 * (1.0 + inner)
 
     def rhs(tau: float) -> float:
@@ -206,14 +221,17 @@ def _surface(params: GameParams) -> tuple[Callable, ...]:
         d_arg = (r_eng * d_r - tau) / (r_eng * r_cc) - arg * d_r / r_eng
         return (ex * d_ey - ey * d_ex) / (r_eng * r_eng) - d_arg / math.sqrt(1.0 - arg * arg)
 
-    return rhs, theta, point, objective, slope
+    lo, hi = rhs(tau_min), rhs(tau_max)
+    if abs(lo) > CLAMP_TOL or abs(hi - 1.0) > CLAMP_TOL:
+        raise EmptyDomain(f"engagement window endpoints inconsistent for {params!r}: {lo}, {hi}")
+    return _Surface(rhs, theta, point, objective, slope, tau_min, tau_max)
 
 
 def engagement_candidate(tau: float, params: GameParams) -> EngagementCandidate:
     """Build the canonical engagement-surface point at time ``tau``, its bearing in [0, pi]."""
-    _, theta_at, point, _, _ = _surface(params)
-    theta = theta_at(tau)
-    a, ex, ey = point(tau, theta)
+    surface = _surface(params)
+    theta = surface.theta(tau)
+    a, ex, ey = surface.point(tau, theta)
     return EngagementCandidate(tau=tau, theta=theta, x_a_eng=complex(a, 0.0), x_d_eng=complex(ex, ey))
 
 
@@ -225,7 +243,7 @@ def theta_max_at(tau: float, params: GameParams) -> float:
     point); when every bearing works, it saturates at pi.  It is positive
     over the whole engagement window (see ``_grid_peak``).
     """
-    return _surface(params)[3](tau)
+    return _surface(params).objective(tau)
 
 
 def evasion_point(candidate: EngagementCandidate, params: GameParams) -> tuple[complex, float]:
@@ -266,25 +284,6 @@ def _plateau_is_stealthy(tau: float, params: GameParams) -> bool:
     if first_entry(a0 - start, va - vd, params.rho_a, min(path, tau)) is not None:
         return False
     return not (path < tau and cand.theta - 0.5 * math.pi < HOLD_MARGIN)
-
-
-def _grid(objective: Callable[[float], float], params: GameParams) -> tuple[Callable[[int], float], ...]:
-    """The ``TAU_GRID_POINTS`` engagement times on which a solve reads saturation
-    and finds the plateau, and ``objective`` at each (by index, evaluated once).
-
-    Time ``k`` is ``tau_min + span * k / (TAU_GRID_POINTS - 1)``.
-    """
-    tau_min, tau_max = engagement_domain(params)
-    span = tau_max - tau_min
-
-    def time(k: int) -> float:
-        return tau_min + span * k / (TAU_GRID_POINTS - 1)
-
-    @lru_cache(maxsize=None)
-    def value(k: int) -> float:
-        return objective(time(k))
-
-    return time, value
 
 
 def _grid_peak(value: Callable[[int], float]) -> int:
@@ -328,14 +327,14 @@ def _plateau_time(params: GameParams) -> float:
     approach is audited stealthy (the audit flips from failing to passing as
     the engagement tucks behind the intruder), else its first time.
     """
-    time, value = _grid(_surface(params)[3], params)
-    first = _grid_peak(value)
+    surface = _surface(params)
+    first = _grid_peak(lambda k: surface.objective(surface.time(k)))
 
     def stealthy(k: int) -> bool:
-        return _plateau_is_stealthy(time(k), params)
+        return _plateau_is_stealthy(surface.time(k), params)
 
     k = first if stealthy(first) else bisect.bisect_left(range(TAU_GRID_POINTS), True, first + 1, key=stealthy)
-    return time(k if k < TAU_GRID_POINTS else first)
+    return surface.time(k if k < TAU_GRID_POINTS else first)
 
 
 def optimize_engagement(params: GameParams) -> EngagementSolution:
@@ -343,12 +342,12 @@ def optimize_engagement(params: GameParams) -> EngagementSolution:
     defender on the capture circle, where each capture leaves it.
 
     One-dimensional search over the engagement time (the bearing is pinned
-    by tangency), on one closure per solve of the objective and of its
-    slope.  The objective is read first at the last time of a coarse grid:
-    the grid saturates at pi somewhere exactly when it does there (see
+    by tangency), on the objective and the slope of the params' surface.
+    The objective is read first at ``tau_max``, the last time of a coarse
+    grid: the grid saturates at pi somewhere exactly when it does there (see
     ``_grid_peak``), so a saturated ``theta_max`` costs one evaluation.
     Otherwise the objective rises to its maximum and falls after it, and one
-    bisection of the slope's sign over ``engagement_domain``, to adjacent
+    bisection of the slope's sign over the engagement window, to adjacent
     floats, needs no tolerance and is exact under scaling the lengths by a
     power of two.  Its left end is ``refined_tau`` and the objective there
     is ``theta_max``; a slope that never turns negative ends it at ``tau_max``.
@@ -363,19 +362,19 @@ def optimize_engagement(params: GameParams) -> EngagementSolution:
     or ``phi``, since ``theta_max`` does not depend on them.  The result is
     deterministic.
     """
-    *_, objective, slope = _surface(params)
-    if _grid(objective, params)[1](TAU_GRID_POINTS - 1) == math.pi:
+    surface = _surface(params)
+    lo, hi = surface.tau_min, surface.tau_max
+    if surface.objective(hi) == math.pi:
         return EngagementSolution(theta_max=math.pi, params=params, refined_tau=None)
 
-    lo, hi = engagement_domain(params)
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if slope(mid) > 0.0:
+        if surface.slope(mid) > 0.0:
             lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return EngagementSolution(theta_max=objective(lo), params=params, refined_tau=lo)
+    return EngagementSolution(theta_max=surface.objective(lo), params=params, refined_tau=lo)
 
 
 @lru_cache(maxsize=1)

@@ -16,7 +16,7 @@ from perimdef import GameParams, validate_params
 from perimdef.engine import simulate_kinematic
 from perimdef.geometry import apollonius, assumption_clauses
 from perimdef.strategy import (
-    TAU_GRID_POINTS, _grid, _grid_peak, _surface, capture_circle_radius, capture_circle_solution,
+    TAU_GRID_POINTS, _grid_peak, _surface, capture_circle_radius, capture_circle_solution,
     engagement_candidate, engagement_domain, guarded_arc, theta_max_at,
 )
 
@@ -145,12 +145,14 @@ def arc_bounds_theta_max(params) -> bool:
 
 def scan_objective(p: GameParams) -> tuple[list[float], list[float], list[float]]:
     """The scalar objective at the capture radius over the optimizer's grid:
-    the grid times, as the array expression gives them, the objective at
-    each, and by how much each time exceeds the best-aligned start's miss,
-    ``tau - |r_eng - r_cc|`` (positive for valid params, see ``_grid_peak``)."""
+    the grid times, as the array expression gives them but ending at
+    ``tau_max`` exactly, the objective at each, and by how much each time
+    exceeds the best-aligned start's miss, ``tau - |r_eng - r_cc|`` (positive
+    for valid params, see ``_grid_peak``)."""
     r = capture_circle_radius(p)
     tau_min, tau_max = engagement_domain(p)
     taus = (tau_min + (tau_max - tau_min) * np.arange(TAU_GRID_POINTS) / (TAU_GRID_POINTS - 1)).tolist()
+    taus[-1] = tau_max
     cands = [engagement_candidate(t, p) for t in taus]
     return taus, [theta_max_at(t, p) for t in taus], [c.tau - abs(abs(c.x_d_eng) - r) for c in cands]
 
@@ -170,10 +172,11 @@ def search_decisions(p: GameParams) -> tuple[list[float], int, list[int]]:
     last grid time saturates at pi, the plateau from that maximum to it
     (``_grid_peak`` proves that saturation anywhere on the grid lasts to its
     last time)."""
-    time, value = _grid(_surface(p)[3], p)
-    best = _grid_peak(value)
-    plateau = list(range(best, TAU_GRID_POINTS)) if value(TAU_GRID_POINTS - 1) == math.pi else []
-    return [time(k) for k in range(TAU_GRID_POINTS)], best, plateau
+    surface = _surface(p)
+    times = [surface.time(k) for k in range(TAU_GRID_POINTS)]
+    best = _grid_peak(lambda k: surface.objective(times[k]))
+    plateau = list(range(best, TAU_GRID_POINTS)) if surface.objective(times[-1]) == math.pi else []
+    return times, best, plateau
 
 
 _FAN_BEARINGS = np.linspace(0.0, math.pi, 512)

@@ -221,7 +221,7 @@ def test_p_star_at_large_units_matches_unscaled(params, monkeypatch, k):
     surface, calls = strategy._surface, []
 
     def counted(p):
-        *closures, objective, slope = surface(p)
+        closures = surface(p)
 
         def count(f):
             def evaluate(tau):
@@ -232,7 +232,7 @@ def test_p_star_at_large_units_matches_unscaled(params, monkeypatch, k):
 
             return evaluate
 
-        return (*closures, count(objective), count(slope))
+        return closures._replace(objective=count(closures.objective), slope=count(closures.slope))
 
     monkeypatch.setattr(strategy, "_surface", counted)
     s = 2.0 ** k

@@ -34,6 +34,8 @@ BASE = ["--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8"]
 # chosen by the approach audit.  Every simulated game is then a capture; the
 # trace of a capture-bound game also pins the audited phi.
 PLATEAU = ["--r-t", "5", "--rho-t", "10", "--rho-a", "0.5", "--nu", "0.5"]
+GRID_END = ["--r-t", "1e-150", "--rho-t", "6.4417936780088024e-139", "--rho-a", "7.433387501137239e-147",
+            "--nu", "0.999999980724654"]
 # The sha256 of every file a command writes, pinned so that a refactor of the
 # engine, the aggregation or the writers keeps every byte.  Each case is an
 # argv, run in an empty directory, and the digest of each file it leaves there.
@@ -104,6 +106,18 @@ PINNED_OUTPUTS = {
                                  "--grid", "rho_t=4.478017135944625:16.478017135944626:25",
                                  "--n", "20,100", "--out", "sweep.csv"], {
         "sweep.csv": "d81e754f8047a9dc4c9857ec212b76b34dd916936acdfa9d7b09a1a22455846b",
+    }),
+    # a saturated game at nu = 1 - 1.9e-8 near the small end of LENGTH_RANGE,
+    # where tau_min + span rounds past tau_max far enough that the tangency
+    # check there fails: the grid's last time must be tau_max itself
+    "analytic-grid-end-csv": (["analytic", *GRID_END, "--n", "1,20,200", "--out", "analytic.csv"], {
+        "analytic.csv": "8db7ae246071a079c7c19cecc561dd6f4a9c6a404a12150bade54383bd9782e5",
+    }),
+    "sweep-grid-end-csv": (["sweep", "--r-t", "1e-150", "--nu", "0.999999980724654",
+                            "--grid", "rho_a=7.433387501137239e-147:7.433387501137239e-147:1",
+                            "--grid", "rho_t=6.4417936780088024e-139:6.4417936780088024e-139:1",
+                            "--n", "20,100", "--out", "sweep.csv"], {
+        "sweep.csv": "775bda73bfce67b2afa24b78d486d80ef268235a771aa997ef287580f53f2b6f",
     }),
     "verify": (["verify", "--r-t", "5", "--rho-t", "10", "--rho-a", "1", "--nu", "0.8",
                 "--n", "500", "--seed", "1", "--out", "verify.txt"], {

@@ -29,8 +29,8 @@ PUBLIC = {
 }
 MODULES = ["analytics", "cli", "engine", "geometry", "strategy"]
 # The public names the package itself never reads: each is a test's oracle.
-TEST_ONLY = ("apollonius", "classify", "guarded_arc", "markov_oracle", "play_game", "resets_tail_all",
-             "theta_max_at", "uniform_angle")
+TEST_ONLY = ("apollonius", "classify", "engagement_domain", "guarded_arc", "markov_oracle", "play_game",
+             "resets_tail_all", "theta_max_at", "uniform_angle")
 
 
 def test_public_names_are_their_modules_objects():

@@ -29,7 +29,6 @@ from perimdef.geometry import (
 )
 from perimdef.strategy import (
     TAU_GRID_POINTS,
-    _grid,
     _plateau_is_stealthy,
     _surface,
     InfeasibleTau,
@@ -310,19 +309,17 @@ def test_slope_matches_central_difference_property(p):
     edge draws, Random(1), was 9.3e-7; most of it is the difference's own
     error next to the window's ends).  The slope is infinite only where
     ``rhs`` is 0 or 1."""
-    rhs, _, _, objective, slope = _surface(p)
-    time, value = _grid(objective, p)
-    if value(TAU_GRID_POINTS - 1) == math.pi:
+    surface = _surface(p)
+    if surface.objective(surface.tau_max) == math.pi:
         return
-    tau_min, tau_max = engagement_domain(p)
-    span = tau_max - tau_min
+    span = surface.tau_max - surface.tau_min
     h = 1e-6 * span
     for k in range(1, TAU_GRID_POINTS - 1):
-        tau = time(k)
-        got = slope(tau)
-        assert math.isfinite(got) == (0.0 < rhs(tau) < 1.0)
+        tau = surface.time(k)
+        got = surface.slope(tau)
+        assert math.isfinite(got) == (0.0 < surface.rhs(tau) < 1.0)
         if math.isfinite(got):
-            central = (objective(tau + h) - objective(tau - h)) / (2.0 * h)
+            central = (surface.objective(tau + h) - surface.objective(tau - h)) / (2.0 * h)
             assert abs(got - central) <= 1e-5 * max(abs(got), 1.0 / span), (k, got, central)
 
 
@@ -514,6 +511,18 @@ def test_optimizer_bundle_consistency(params):
 
 def test_capture_circle_solution_is_cached(params):
     assert capture_circle_solution(params) is capture_circle_solution(params)
+
+
+def test_a_cold_solve_builds_its_surface_once(params):
+    """A cold solve and the first read of its ``phi`` build the params'
+    engagement surface once: on an unsaturated draw, and on a saturated one,
+    whose ``phi`` runs the plateau audit over the grid."""
+    for p, saturated in ((params, False), (validate_params(5.0, 10.0, 0.5, 0.5), True)):
+        _surface.cache_clear()
+        sol = optimize_engagement(p)
+        assert (sol.theta_max == math.pi) == saturated
+        sol.phi
+        assert _surface.cache_info().misses == 1
 
 
 def test_theta_max_positive_on_random_params(random_valid_params):
